@@ -240,30 +240,103 @@ impl<'a> Decoder<'a> {
         Ok(v)
     }
 
-    /// Reads a zero-run-compressed `i64` slice written by
-    /// [`Encoder::put_i64_slice_rle`].
-    pub fn get_i64_slice_rle(&mut self) -> Result<Vec<i64>, CodecError> {
-        let n = self.get_u64()?;
-        let n = usize::try_from(n).map_err(|_| CodecError::Malformed("length overflow"))?;
-        let mut v: Vec<i64> = Vec::new();
-        while v.len() < n {
-            let zeros = usize::try_from(self.get_u64()?)
-                .map_err(|_| CodecError::Malformed("run overflow"))?;
-            let lits = usize::try_from(self.get_u64()?)
-                .map_err(|_| CodecError::Malformed("run overflow"))?;
-            let total = zeros
-                .checked_add(lits)
-                .and_then(|t| v.len().checked_add(t))
-                .ok_or(CodecError::Malformed("run overflow"))?;
-            if total > n || lits > self.remaining() / 8 {
-                return Err(CodecError::Malformed("run exceeds declared length"));
-            }
-            v.resize(v.len() + zeros, 0);
-            for _ in 0..lits {
-                v.push(self.get_i64()?);
-            }
+    /// Skips `n` bytes.
+    pub fn skip(&mut self, n: usize) -> Result<(), CodecError> {
+        self.take(n).map(|_| ())
+    }
+
+    /// Skips a length-prefixed slice of `elem_bytes`-wide elements (as
+    /// written by [`Encoder::put_bytes`] or [`Encoder::put_u64_slice`]),
+    /// returning its element count.
+    pub fn skip_slice(&mut self, elem_bytes: usize) -> Result<usize, CodecError> {
+        let n = self.get_len(elem_bytes)?;
+        self.skip(n * elem_bytes)?;
+        Ok(n)
+    }
+
+    /// Reads a length-prefixed byte slice into `dst`, whose length the
+    /// declared length must equal.
+    pub fn get_bytes_into(&mut self, dst: &mut [u8]) -> Result<(), CodecError> {
+        self.expect_len(dst.len())?;
+        dst.copy_from_slice(self.take(dst.len())?);
+        Ok(())
+    }
+
+    /// Reads a length-prefixed `u64` slice written by
+    /// [`Encoder::put_u64_slice`] into `dst`, whose length the declared
+    /// length must equal.
+    pub fn get_u64_slice_into(&mut self, dst: &mut [u64]) -> Result<(), CodecError> {
+        self.expect_len(dst.len())?;
+        for x in dst {
+            *x = self.get_u64()?;
         }
-        Ok(v)
+        Ok(())
+    }
+
+    fn expect_len(&mut self, len: usize) -> Result<(), CodecError> {
+        if self.get_u64()? == len as u64 {
+            Ok(())
+        } else {
+            Err(CodecError::Malformed(
+                "declared length differs from the target's",
+            ))
+        }
+    }
+
+    /// Walks a zero-run-compressed `i64` slice written by
+    /// [`Encoder::put_i64_slice_rle`] without materialising it: checks
+    /// that the runs exactly cover the declared length and that every
+    /// literal is present, and returns the declared length. Costs one
+    /// step per run, however long the slice.
+    pub fn skip_i64_slice_rle(&mut self) -> Result<usize, CodecError> {
+        let n = usize::try_from(self.get_u64()?)
+            .map_err(|_| CodecError::Malformed("length overflow"))?;
+        let mut at = 0;
+        while at < n {
+            let (zeros, lits) = self.get_rle_run(n - at)?;
+            self.skip(lits * 8)?;
+            at += zeros + lits;
+        }
+        Ok(n)
+    }
+
+    /// Reads a zero-run-compressed `i64` slice written by
+    /// [`Encoder::put_i64_slice_rle`] straight into `dst`, whose length
+    /// the declared length must equal: zero runs become `fill(0)`,
+    /// literals are written in place. On error `dst` may be partly
+    /// overwritten; callers that need all-or-nothing validate with
+    /// [`Decoder::skip_i64_slice_rle`] first.
+    pub fn get_i64_slice_rle_into(&mut self, dst: &mut [i64]) -> Result<(), CodecError> {
+        self.expect_len(dst.len())?;
+        let mut at = 0;
+        while at < dst.len() {
+            let (zeros, lits) = self.get_rle_run(dst.len() - at)?;
+            dst[at..at + zeros].fill(0);
+            at += zeros;
+            let bytes = self.take(lits * 8)?;
+            for (x, b) in dst[at..at + lits].iter_mut().zip(bytes.chunks_exact(8)) {
+                *x = i64::from_le_bytes(b.try_into().unwrap());
+            }
+            at += lits;
+        }
+        Ok(())
+    }
+
+    /// One (zero-run, literal-count) group header of an RLE slice with
+    /// `left` elements still to cover. Rejects empty groups (the encoder
+    /// never writes one), groups overrunning the declared length, and
+    /// literal counts the remaining bytes cannot hold.
+    fn get_rle_run(&mut self, left: usize) -> Result<(usize, usize), CodecError> {
+        let zeros = self.get_u64()?;
+        let lits = self.get_u64()?;
+        if zeros == 0 && lits == 0 {
+            return Err(CodecError::Malformed("empty run"));
+        }
+        let fits = zeros <= left as u64 && lits <= left as u64 - zeros;
+        if !fits || lits > (self.remaining() / 8) as u64 {
+            return Err(CodecError::Malformed("run exceeds declared length"));
+        }
+        Ok((zeros as usize, lits as usize))
     }
 }
 
@@ -299,6 +372,17 @@ mod tests {
         d.finish().unwrap();
     }
 
+    /// Decodes one RLE slice the way checkpoint decoders do: walk, then
+    /// fill a buffer of the walked length.
+    fn read_rle(bytes: &[u8]) -> Result<Vec<i64>, CodecError> {
+        let n = Decoder::new(bytes).skip_i64_slice_rle()?;
+        let mut v = vec![7; n];
+        let mut d = Decoder::new(bytes);
+        d.get_i64_slice_rle_into(&mut v)?;
+        d.finish()?;
+        Ok(v)
+    }
+
     #[test]
     fn rle_roundtrips_and_compresses_sparse_slices() {
         let cases: Vec<Vec<i64>> = vec![
@@ -311,10 +395,7 @@ mod tests {
         for v in &cases {
             let mut e = Encoder::new();
             e.put_i64_slice_rle(v);
-            let bytes = e.into_bytes();
-            let mut d = Decoder::new(&bytes);
-            assert_eq!(&d.get_i64_slice_rle().unwrap(), v);
-            d.finish().unwrap();
+            assert_eq!(&read_rle(&e.into_bytes()).unwrap(), v);
         }
         // A mostly-zero image encodes far below its raw size.
         let mut sparse = vec![0i64; 1 << 16];
@@ -323,6 +404,37 @@ mod tests {
         let mut e = Encoder::new();
         e.put_i64_slice_rle(&sparse);
         assert!(e.len() < 200, "sparse encoding is {} bytes", e.len());
+    }
+
+    #[test]
+    fn rle_into_requires_the_declared_length() {
+        let mut e = Encoder::new();
+        e.put_i64_slice_rle(&[0, 4, 0]);
+        let bytes = e.into_bytes();
+        for len in [0, 2, 4] {
+            assert_eq!(
+                Decoder::new(&bytes).get_i64_slice_rle_into(&mut vec![0; len]),
+                Err(CodecError::Malformed(
+                    "declared length differs from the target's"
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn huge_declared_zero_runs_walk_without_allocating() {
+        // A few bytes declaring a 2^40-word zero run: structurally valid,
+        // so the walk accepts it in one step, and only a target of that
+        // exact length could receive it.
+        let mut e = Encoder::new();
+        e.put_u64(1 << 40);
+        e.put_u64(1 << 40);
+        e.put_u64(0);
+        let bytes = e.into_bytes();
+        assert_eq!(Decoder::new(&bytes).skip_i64_slice_rle(), Ok(1 << 40));
+        assert!(Decoder::new(&bytes)
+            .get_i64_slice_rle_into(&mut [0; 16])
+            .is_err());
     }
 
     #[test]
@@ -368,9 +480,46 @@ mod tests {
         e.put_u64(0);
         let bytes = e.into_bytes();
         assert_eq!(
-            Decoder::new(&bytes).get_i64_slice_rle(),
+            Decoder::new(&bytes).skip_i64_slice_rle(),
             Err(CodecError::Malformed("run exceeds declared length"))
         );
+        assert_eq!(
+            Decoder::new(&bytes).get_i64_slice_rle_into(&mut [0; 4]),
+            Err(CodecError::Malformed("run exceeds declared length"))
+        );
+    }
+
+    #[test]
+    fn empty_rle_runs_are_malformed() {
+        let mut e = Encoder::new();
+        e.put_u64(4);
+        e.put_u64(0);
+        e.put_u64(0);
+        assert_eq!(
+            Decoder::new(&e.into_bytes()).skip_i64_slice_rle(),
+            Err(CodecError::Malformed("empty run"))
+        );
+    }
+
+    #[test]
+    fn slices_read_into_buffers_of_the_declared_length() {
+        let mut e = Encoder::new();
+        e.put_u64_slice(&[5, 6]);
+        e.put_bytes(&[1, 2, 3]);
+        let bytes = e.into_bytes();
+        let mut d = Decoder::new(&bytes);
+        assert_eq!(d.skip_slice(8), Ok(2));
+        assert_eq!(d.skip_slice(1), Ok(3));
+        d.finish().unwrap();
+        let (mut words, mut raw) = ([0u64; 2], [0u8; 3]);
+        let mut d = Decoder::new(&bytes);
+        d.get_u64_slice_into(&mut words).unwrap();
+        d.get_bytes_into(&mut raw).unwrap();
+        d.finish().unwrap();
+        assert_eq!((words, raw), ([5, 6], [1, 2, 3]));
+        assert!(Decoder::new(&bytes)
+            .get_u64_slice_into(&mut [0; 3])
+            .is_err());
     }
 
     #[test]

@@ -561,6 +561,16 @@ fn parse_record(bytes: &[u8], key: u64) -> Result<&[u8], RecordFault> {
 mod tests {
     use super::*;
 
+    /// Fault plans are process-wide and count every store's operations,
+    /// so with `fault-inject` on, a fault-free test holds the fault-test
+    /// lock as the fault tests do; otherwise the two interleave.
+    fn fault_free() -> impl Sized {
+        #[cfg(feature = "fault-inject")]
+        return crate::faults::serialize();
+        #[cfg(not(feature = "fault-inject"))]
+        ()
+    }
+
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "pgss-ckpt-{name}-{}-{}",
@@ -573,6 +583,7 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip_and_overwrite() {
+        let _serial = fault_free();
         let dir = scratch("roundtrip");
         let s = Store::open(&dir).unwrap();
         assert_eq!(s.get(7), None);
@@ -588,6 +599,7 @@ mod tests {
 
     #[test]
     fn empty_payload_is_a_valid_record() {
+        let _serial = fault_free();
         let dir = scratch("empty");
         let s = Store::open(&dir).unwrap();
         s.put(1, b"").unwrap();
@@ -597,6 +609,7 @@ mod tests {
 
     #[test]
     fn torn_records_read_as_absent() {
+        let _serial = fault_free();
         let dir = scratch("torn");
         let s = Store::open(&dir).unwrap();
         s.put(9, b"some payload that matters").unwrap();
@@ -614,6 +627,7 @@ mod tests {
 
     #[test]
     fn corrupt_payload_and_garbage_read_as_absent() {
+        let _serial = fault_free();
         let dir = scratch("corrupt");
         let s = Store::open(&dir).unwrap();
         s.put(3, b"checksummed payload").unwrap();
@@ -630,6 +644,7 @@ mod tests {
 
     #[test]
     fn version_and_key_mismatches_read_as_absent() {
+        let _serial = fault_free();
         let dir = scratch("version");
         let s = Store::open(&dir).unwrap();
         s.put(5, b"payload").unwrap();
@@ -653,6 +668,7 @@ mod tests {
 
     #[test]
     fn get_checked_distinguishes_missing_invalid_and_healthy() {
+        let _serial = fault_free();
         let dir = scratch("checked");
         let s = Store::open(&dir).unwrap();
         assert_eq!(s.get_checked(4), Err(RecordError::Missing));
@@ -676,6 +692,7 @@ mod tests {
 
     #[test]
     fn quarantine_moves_the_bad_file_aside_and_heals_on_next_put() {
+        let _serial = fault_free();
         let dir = scratch("quarantine");
         let s = Store::open(&dir).unwrap();
         assert_eq!(s.quarantine(8).unwrap(), None, "nothing to quarantine");
@@ -693,6 +710,7 @@ mod tests {
 
     #[test]
     fn verify_all_quarantines_every_fault_class_and_keeps_healthy_records() {
+        let _serial = fault_free();
         let dir = scratch("verify");
         let s = Store::open(&dir).unwrap();
         s.put(1, b"healthy one").unwrap();
@@ -743,6 +761,7 @@ mod tests {
 
     #[test]
     fn failed_put_leaves_no_torn_record_and_no_temp_file() {
+        let _serial = fault_free();
         let dir = scratch("failed-put");
         let s = Store::open(&dir).unwrap();
         s.put(6, b"survivor").unwrap();
@@ -813,6 +832,7 @@ mod tests {
 
     #[test]
     fn recorder_counts_hits_misses_invalid_and_quarantines() {
+        let _serial = fault_free();
         let dir = scratch("recorder");
         let rec = Arc::new(pgss_obs::MetricsRecorder::new());
         let s = Store::open(&dir)
@@ -840,6 +860,7 @@ mod tests {
 
     #[test]
     fn gc_sweeps_garbage_but_spares_live_records_and_quarantine() {
+        let _serial = fault_free();
         let dir = scratch("gc");
         let s = Store::open(&dir).unwrap();
         s.put(1, b"live one").unwrap();
@@ -880,6 +901,7 @@ mod tests {
 
     #[test]
     fn budget_rejects_puts_until_gc_frees_garbage() {
+        let _serial = fault_free();
         let dir = scratch("budget");
         // Records are 36 header bytes + payload; budget fits two of these
         // 44-byte records but not three.
@@ -903,6 +925,7 @@ mod tests {
 
     #[test]
     fn put_fsyncs_file_and_directory() {
+        let _serial = fault_free();
         let dir = scratch("fsync");
         let rec = Arc::new(pgss_obs::MetricsRecorder::new());
         let s = Store::open(&dir)
@@ -987,6 +1010,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_agree() {
+        let _serial = fault_free();
         let dir = scratch("concurrent");
         let s = Store::open(&dir).unwrap();
         std::thread::scope(|scope| {

@@ -6,14 +6,13 @@
 //!
 //! 1. [`pgss_ckpt::codec`] / [`pgss_ckpt::Store`] — bytes only; versioned,
 //!    checksummed, crash-safe records.
-//! 2. This module — encodes [`pgss_cpu::MachineSnapshot`] /
-//!    [`crate::driver::DriverSnapshot`] payloads, derives content-address
-//!    keys from (workload identity, machine config, op offset), and
-//!    builds [`CheckpointLadder`]s: snapshots at a fixed op stride with
-//!    *cumulative* BBV tracker state per rung.
-//! 3. [`crate::driver::SimDriver`] — restores snapshots and, when a
-//!    ladder is attached, *jumps* over functional segments by restoring
-//!    the highest rung inside the segment instead of executing it.
+//! 2. This module — encodes [`pgss_cpu::MachineSnapshot`] payloads,
+//!    derives content-address keys from (workload identity, machine
+//!    config, op offset), and builds [`CheckpointLadder`]s: snapshots at
+//!    a fixed op stride with *cumulative* BBV tracker state per rung.
+//! 3. [`crate::driver::SimDriver`] — when a ladder is attached, *jumps*
+//!    over functional segments by restoring the highest rung inside the
+//!    segment instead of executing it.
 //! 4. [`crate::campaign::run_checkpointed`] — captures each workload's
 //!    ladder once and fans restores out to every technique in the grid.
 //!
@@ -46,12 +45,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use pgss_bbv::{BbvHash, FullBbv, FullBbvTracker, HashedBbv, HashedBbvTracker, HASHED_BBV_DIM};
 use pgss_ckpt::{fnv1a64, CodecError, Decoder, Encoder, RecordError, Store};
 use pgss_cpu::{
-    BranchPredictorState, BtbState, CacheState, MachineConfig, MachineSnapshot, MemSystemState,
-    Mode, ModeOps,
+    BranchPredictorState, BtbState, CacheState, Machine, MachineConfig, MachineSnapshot,
+    MachineStateMut, MachineStateRef, MemSystemState, Mode, ModeOps,
 };
 use pgss_workloads::Workload;
-
-use crate::driver::DriverSnapshot;
 
 /// Version of the *payload* encoding produced by this module (the store
 /// has its own record-layout version,
@@ -61,101 +58,198 @@ use crate::driver::DriverSnapshot;
 /// never found.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
 
+/// Largest memory image, in words, [`decode_machine_snapshot`] will
+/// allocate: 2 GiB, far above any configured machine (the default is
+/// 2^22 words). Zero runs cost a few bytes however long they are, so
+/// without a cap a tiny corrupt record could demand any allocation.
+const MAX_SNAPSHOT_MEMORY_WORDS: usize = 1 << 28;
+
 /// Encodes a machine snapshot. The memory image uses zero-run
 /// compression, so the encoded size tracks the workload's touched
 /// footprint rather than the configured memory size.
 pub fn encode_machine_snapshot(snap: &MachineSnapshot) -> Vec<u8> {
+    encode_machine_state(snap.state())
+}
+
+/// Encodes the state a snapshot would carry straight from its borrowed
+/// form — for a live machine, [`Machine::state`] — producing the same
+/// bytes as [`encode_machine_snapshot`] without copying the memory image.
+pub fn encode_machine_state(state: MachineStateRef<'_>) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_u32(SNAPSHOT_FORMAT_VERSION);
-    e.put_u32(snap.pc);
-    for &r in &snap.regs {
+    e.put_u32(state.pc);
+    for &r in state.regs {
         e.put_i64(r);
     }
-    for &f in &snap.fregs {
+    for &f in state.fregs {
         e.put_f64(f);
     }
-    e.put_i64_slice_rle(&snap.mem);
-    e.put_bool(snap.halted);
-    put_mode_ops(&mut e, snap.mode_ops);
-    e.put_u64(snap.ops_since_taken);
-    for c in [&snap.memsys.l1i, &snap.memsys.l1d, &snap.memsys.l2] {
-        e.put_u64_slice(&c.ways);
+    e.put_i64_slice_rle(state.mem);
+    e.put_bool(state.halted);
+    put_mode_ops(&mut e, state.mode_ops);
+    e.put_u64(state.ops_since_taken);
+    for c in state.caches {
+        e.put_u64_slice(c.ways);
         e.put_u64(c.hits);
         e.put_u64(c.misses);
     }
-    e.put_bytes(&snap.bpred.counters);
-    e.put_u64(snap.bpred.history);
-    e.put_u64(snap.bpred.predictions);
-    e.put_u64(snap.bpred.mispredictions);
-    e.put_u64(snap.btb.targets.len() as u64);
-    for &t in &snap.btb.targets {
+    e.put_bytes(state.bpred.counters);
+    e.put_u64(state.bpred.history);
+    e.put_u64(state.bpred.predictions);
+    e.put_u64(state.bpred.mispredictions);
+    e.put_u64(state.btb.len() as u64);
+    for &t in state.btb {
         e.put_u32(t);
     }
     e.into_bytes()
 }
 
 /// Decodes bytes produced by [`encode_machine_snapshot`], rejecting
-/// other snapshot-format versions.
+/// other snapshot-format versions. The bytes are validated in full
+/// before anything is allocated; the memory image is then allocated
+/// once, at its declared length.
 pub fn decode_machine_snapshot(bytes: &[u8]) -> Result<MachineSnapshot, CodecError> {
-    let mut d = Decoder::new(bytes);
-    let snap = decode_machine_snapshot_from(&mut d)?;
-    d.finish()?;
+    let shape = validate_machine_snapshot(bytes)?;
+    if shape.mem > MAX_SNAPSHOT_MEMORY_WORDS {
+        return Err(CodecError::Malformed(
+            "memory image exceeds the snapshot limit",
+        ));
+    }
+    let [l1i, l1d, l2] = shape.ways.map(|n| CacheState {
+        ways: vec![0; n],
+        hits: 0,
+        misses: 0,
+    });
+    let mut snap = MachineSnapshot {
+        pc: 0,
+        regs: [0; 32],
+        fregs: [0.0; 32],
+        mem: vec![0; shape.mem],
+        halted: false,
+        mode_ops: ModeOps::default(),
+        ops_since_taken: 0,
+        memsys: MemSystemState { l1i, l1d, l2 },
+        bpred: BranchPredictorState {
+            counters: vec![0; shape.counters],
+            history: 0,
+            predictions: 0,
+            mispredictions: 0,
+        },
+        btb: BtbState {
+            targets: vec![0; shape.btb],
+        },
+    };
+    fill_machine_state(&mut Decoder::new(bytes), snap.state_mut())?;
     Ok(snap)
 }
 
-fn decode_machine_snapshot_from(d: &mut Decoder<'_>) -> Result<MachineSnapshot, CodecError> {
-    if d.get_u32()? != SNAPSHOT_FORMAT_VERSION {
-        return Err(CodecError::Malformed("snapshot format version mismatch"));
-    }
-    let pc = d.get_u32()?;
-    let mut regs = [0i64; 32];
-    for r in &mut regs {
-        *r = d.get_i64()?;
-    }
-    let mut fregs = [0f64; 32];
-    for f in &mut fregs {
-        *f = d.get_f64()?;
-    }
-    let mem = d.get_i64_slice_rle()?;
-    let halted = d.get_bool()?;
-    let mode_ops = get_mode_ops(d)?;
-    let ops_since_taken = d.get_u64()?;
-    let l1i = get_cache_state(d)?;
-    let l1d = get_cache_state(d)?;
-    let l2 = get_cache_state(d)?;
-    let counters = d.get_bytes()?;
-    let bpred = BranchPredictorState {
-        counters,
-        history: d.get_u64()?,
-        predictions: d.get_u64()?,
-        mispredictions: d.get_u64()?,
-    };
-    let n = d.get_u64()?;
-    let n = usize::try_from(n).map_err(|_| CodecError::Malformed("length overflow"))?;
-    let mut targets = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        targets.push(d.get_u32()?);
-    }
-    Ok(MachineSnapshot {
-        pc,
-        regs,
-        fregs,
-        mem,
-        halted,
-        mode_ops,
-        ops_since_taken,
-        memsys: MemSystemState { l1i, l1d, l2 },
-        bpred,
-        btb: BtbState { targets },
+/// Decodes bytes produced by [`encode_machine_snapshot`] straight into
+/// `machine`'s existing buffers — the memory image, tag arrays and
+/// counter tables — leaving it as [`Machine::restore`] of the decoded
+/// snapshot would. All or nothing: the bytes are validated in full, and
+/// their declared shapes checked against the machine's, before anything
+/// is written, so on `Err` the machine is untouched.
+pub fn decode_machine_snapshot_into(bytes: &[u8], machine: &mut Machine) -> Result<(), CodecError> {
+    let shape = validate_machine_snapshot(bytes)?;
+    machine.restore_with(|state| {
+        if SnapshotShape::of(&state) != shape {
+            return Err(CodecError::Malformed(
+                "snapshot shape does not match the machine",
+            ));
+        }
+        fill_machine_state(&mut Decoder::new(bytes), state)
     })
 }
 
-fn get_cache_state(d: &mut Decoder<'_>) -> Result<CacheState, CodecError> {
-    Ok(CacheState {
-        ways: d.get_u64_slice()?,
-        hits: d.get_u64()?,
-        misses: d.get_u64()?,
+/// The lengths of a snapshot's variable-size fields as its bytes declare
+/// them.
+#[derive(Debug, PartialEq, Eq)]
+struct SnapshotShape {
+    mem: usize,
+    ways: [usize; 3],
+    counters: usize,
+    btb: usize,
+}
+
+impl SnapshotShape {
+    fn of(state: &MachineStateMut<'_>) -> SnapshotShape {
+        SnapshotShape {
+            mem: state.mem.len(),
+            ways: state.caches.each_ref().map(|c| c.ways.len()),
+            counters: state.bpred.counters.len(),
+            btb: state.btb.len(),
+        }
+    }
+}
+
+/// Checks bytes produced by [`encode_machine_snapshot`] field by field
+/// without building anything: the version, every length against the
+/// bytes present, the memory image's zero runs against its declared
+/// length, and no trailing bytes. Returns the declared shape.
+fn validate_machine_snapshot(bytes: &[u8]) -> Result<SnapshotShape, CodecError> {
+    let mut d = Decoder::new(bytes);
+    check_snapshot_version(&mut d)?;
+    d.skip(4 + 32 * 8 + 32 * 8)?; // pc, integer and float registers
+    let mem = d.skip_i64_slice_rle()?;
+    d.get_bool()?;
+    d.skip(5 * 8)?; // mode ops, ops since taken
+    let mut ways = [0; 3];
+    for w in &mut ways {
+        *w = d.skip_slice(8)?;
+        d.skip(2 * 8)?; // hits, misses
+    }
+    let counters = d.skip_slice(1)?;
+    d.skip(3 * 8)?; // history, predictions, mispredictions
+    let btb = d.skip_slice(4)?;
+    d.finish()?;
+    Ok(SnapshotShape {
+        mem,
+        ways,
+        counters,
+        btb,
     })
+}
+
+/// Writes validated snapshot bytes into `state`, whose shape matches
+/// theirs.
+fn fill_machine_state(d: &mut Decoder<'_>, state: MachineStateMut<'_>) -> Result<(), CodecError> {
+    check_snapshot_version(d)?;
+    *state.pc = d.get_u32()?;
+    for r in state.regs {
+        *r = d.get_i64()?;
+    }
+    for f in state.fregs {
+        *f = d.get_f64()?;
+    }
+    d.get_i64_slice_rle_into(state.mem)?;
+    *state.halted = d.get_bool()?;
+    *state.mode_ops = get_mode_ops(d)?;
+    *state.ops_since_taken = d.get_u64()?;
+    for c in state.caches {
+        d.get_u64_slice_into(c.ways)?;
+        *c.hits = d.get_u64()?;
+        *c.misses = d.get_u64()?;
+    }
+    let bpred = state.bpred;
+    d.get_bytes_into(bpred.counters)?;
+    *bpred.history = d.get_u64()?;
+    *bpred.predictions = d.get_u64()?;
+    *bpred.mispredictions = d.get_u64()?;
+    if d.get_u64()? != state.btb.len() as u64 {
+        return Err(CodecError::Malformed("BTB size mismatch"));
+    }
+    for t in state.btb {
+        *t = d.get_u32()?;
+    }
+    Ok(())
+}
+
+fn check_snapshot_version(d: &mut Decoder<'_>) -> Result<(), CodecError> {
+    if d.get_u32()? == SNAPSHOT_FORMAT_VERSION {
+        Ok(())
+    } else {
+        Err(CodecError::Malformed("snapshot format version mismatch"))
+    }
 }
 
 fn put_mode_ops(e: &mut Encoder, ops: ModeOps) {
@@ -184,47 +278,6 @@ fn get_hashed_bbv(d: &mut Decoder<'_>) -> Result<HashedBbv, CodecError> {
         .try_into()
         .map_err(|_| CodecError::Malformed("hashed BBV dimension"))?;
     Ok(HashedBbv::from_counts(counts))
-}
-
-/// Encodes a full driver snapshot (machine state, retired position,
-/// in-flight BBV tracker state).
-pub fn encode_driver_snapshot(snap: &DriverSnapshot) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u32(SNAPSHOT_FORMAT_VERSION);
-    e.put_u64(snap.retired);
-    e.put_bytes(&encode_machine_snapshot(&snap.machine));
-    e.put_bool(snap.hashed_current.is_some());
-    if let Some(h) = &snap.hashed_current {
-        put_hashed_bbv(&mut e, h);
-    }
-    e.put_bool(snap.full_current.is_some());
-    if let Some(f) = &snap.full_current {
-        e.put_u64_slice(f.counts());
-    }
-    e.into_bytes()
-}
-
-/// Decodes bytes produced by [`encode_driver_snapshot`].
-pub fn decode_driver_snapshot(bytes: &[u8]) -> Result<DriverSnapshot, CodecError> {
-    let mut d = Decoder::new(bytes);
-    if d.get_u32()? != SNAPSHOT_FORMAT_VERSION {
-        return Err(CodecError::Malformed("snapshot format version mismatch"));
-    }
-    let retired = d.get_u64()?;
-    let machine_bytes = d.get_bytes()?;
-    let machine = decode_machine_snapshot(&machine_bytes)?;
-    let hashed_current = d.get_bool()?.then(|| get_hashed_bbv(&mut d)).transpose()?;
-    let full_current = d
-        .get_bool()?
-        .then(|| d.get_u64_slice().map(FullBbv::from_counts))
-        .transpose()?;
-    d.finish()?;
-    Ok(DriverSnapshot {
-        machine,
-        retired,
-        hashed_current,
-        full_current,
-    })
 }
 
 /// The identity a checkpoint is keyed by: which workload (name, nominal
@@ -453,7 +506,7 @@ impl CheckpointLadder {
             if r.ops == spec.stride {
                 rungs.push(LadderRung {
                     retired,
-                    machine: encode_machine_snapshot(&machine.snapshot()),
+                    machine: encode_machine_state(machine.state()),
                     hashed_cum: sink.0.iter().map(|t| *t.current()).collect(),
                     full_cum: sink.1.as_ref().map(|t| t.current().clone()),
                 });
@@ -759,8 +812,9 @@ fn decode_rung(bytes: &[u8], spec: &LadderSpec) -> Result<LadderRung, CodecError
     let retired = d.get_u64()?;
     let machine = d.get_bytes()?;
     // Validate eagerly so a corrupted record surfaces here (tolerant
-    // fallback to capture) rather than as a panic at jump time.
-    decode_machine_snapshot(&machine)?;
+    // fallback to capture) rather than as a panic at jump time — by a
+    // walk over the bytes, without building the memory image.
+    validate_machine_snapshot(&machine)?;
     let n = d.get_u64()?;
     if n != spec.hashed_seeds.len() as u64 {
         return Err(CodecError::Malformed("ladder seed count mismatch"));

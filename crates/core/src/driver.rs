@@ -44,11 +44,11 @@
 use std::sync::{Arc, OnceLock};
 
 use pgss_bbv::{BbvHash, FullBbv, FullBbvTracker, HashedBbv, HashedBbvTracker, MavTracker};
-use pgss_cpu::{Machine, MachineConfig, MachineFault, MachineSnapshot, Mode, ModeOps};
+use pgss_cpu::{Machine, MachineConfig, MachineFault, Mode, ModeOps};
 use pgss_obs::{Recorder, Span};
 use pgss_workloads::Workload;
 
-use crate::ckpt::{decode_machine_snapshot, CheckpointLadder};
+use crate::ckpt::{decode_machine_snapshot_into, CheckpointLadder};
 
 /// The `driver.ops.*` / `driver.segments.*` counter names for a mode.
 fn mode_metric_keys(mode: Mode) -> (&'static str, &'static str) {
@@ -314,30 +314,6 @@ type TrackSink = (
     Option<MavTracker>,
 );
 
-/// Everything needed to resume a driver pass exactly where another left
-/// off: the machine's architectural and warm state, the retired-op
-/// position, and the in-flight (untaken) BBV tracker state.
-///
-/// Produced by [`SimDriver::snapshot`], consumed by
-/// [`SimDriver::from_snapshot`]; serialised by
-/// [`crate::ckpt::encode_driver_snapshot`]. The restore-then-run
-/// guarantee is bit-exactness: a driver restored at position X observes
-/// segment outcomes identical to one that executed to X uninterrupted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriverSnapshot {
-    /// Complete machine state (architectural + warm microarchitectural).
-    pub machine: MachineSnapshot,
-    /// Cumulative retired instructions at the capture point.
-    pub retired: u64,
-    /// The hashed tracker's accumulated-but-untaken interval vector, when
-    /// the capturing driver tracked [`Track::Hashed`] — or the MAV
-    /// tracker's (the MAV is [`HashedBbv`]-shaped) under [`Track::Mav`].
-    pub hashed_current: Option<HashedBbv>,
-    /// The full tracker's accumulated-but-untaken interval vector, when
-    /// the capturing driver tracked [`Track::Full`].
-    pub full_current: Option<FullBbv>,
-}
-
 /// The shared execution engine. Owns the machine, the (optional) BBV
 /// tracker, the cumulative retired-op position, and the [`RunTrace`].
 ///
@@ -404,61 +380,49 @@ impl SimDriver {
         }
     }
 
-    /// Builds a driver resuming from `snap` instead of from op 0: machine
-    /// state is restored, the position is `snap.retired`, and tracker
-    /// state is re-seeded from the snapshot.
+    /// Moves this driver to `src`'s position, copying machine state into
+    /// this driver's existing buffers ([`pgss_cpu::Machine::restore_from`])
+    /// and adopting `src`'s retired-op position and in-flight (untaken)
+    /// tracker vectors, so this driver continues exactly as `src` would.
+    /// The trace, ladder, recorder and fault sink stay this driver's own,
+    /// so one bound driver can replay many positions and report one
+    /// trace. A tracked driver stops jumping, as one attached mid-run
+    /// would.
     ///
     /// # Panics
     ///
-    /// Panics if `track` requires tracker state the snapshot does not
-    /// carry (it was captured by a driver with a different track).
-    pub fn from_snapshot(
-        workload: &Workload,
-        config: &MachineConfig,
-        track: Track,
-        snap: &DriverSnapshot,
-    ) -> SimDriver {
-        let mut d = SimDriver::new(workload, config, track);
-        d.machine.restore(&snap.machine);
-        d.retired = snap.retired;
-        if let (Some(t), _, _) = &mut d.sink {
-            let cur = snap
-                .hashed_current
+    /// Panics if this driver's track needs tracker state `src` does not
+    /// carry.
+    pub fn restore_from(&mut self, src: &SimDriver) {
+        self.machine.restore_from(&src.machine);
+        self.retired = src.retired;
+        let (src_hashed, src_full, src_mav) = &src.sink;
+        // A MAV is HashedBbv-shaped, so either hashed-shaped tracker can
+        // seed the other.
+        let hashed_shaped = src_hashed
+            .as_ref()
+            .map(|t| *t.current())
+            .or_else(|| src_mav.as_ref().map(|t| *t.current()));
+        let (hashed, full, mav) = &mut self.sink;
+        if let Some(t) = hashed {
+            t.set_current(
+                hashed_shaped
+                    .expect("source driver lacks the hashed tracker state this track requires"),
+            );
+        }
+        if let Some(t) = full {
+            let src = src_full
                 .as_ref()
-                .expect("snapshot lacks the hashed tracker state this track requires");
-            t.set_current(*cur);
+                .expect("source driver lacks the full tracker state this track requires");
+            t.set_current(src.current().clone());
         }
-        if let (_, Some(t), _) = &mut d.sink {
-            let cur = snap
-                .full_current
-                .clone()
-                .expect("snapshot lacks the full tracker state this track requires");
-            t.set_current(cur);
+        if let Some(t) = mav {
+            t.set_current(
+                hashed_shaped
+                    .expect("source driver lacks the MAV tracker state this track requires"),
+            );
         }
-        if let (_, _, Some(t)) = &mut d.sink {
-            let cur = snap
-                .hashed_current
-                .as_ref()
-                .expect("snapshot lacks the MAV tracker state this track requires");
-            t.set_current(*cur);
-        }
-        d
-    }
-
-    /// Captures the driver's complete resumable state; see
-    /// [`DriverSnapshot`].
-    pub fn snapshot(&self) -> DriverSnapshot {
-        DriverSnapshot {
-            machine: self.machine.snapshot(),
-            retired: self.retired,
-            hashed_current: self
-                .sink
-                .0
-                .as_ref()
-                .map(|t| *t.current())
-                .or_else(|| self.sink.2.as_ref().map(|t| *t.current())),
-            full_current: self.sink.1.as_ref().map(|t| t.current().clone()),
-        }
+        self.jumps_ok &= matches!(self.track, Track::None);
     }
 
     /// Attaches a checkpoint ladder. From here on, every op this driver
@@ -548,10 +512,9 @@ impl SimDriver {
                 let upto = self.retired.saturating_add(segment.max_ops);
                 if let Some(rung) = ladder.best_rung_in(self.retired, upto) {
                     skipped = rung.retired - self.retired;
-                    let snap = decode_machine_snapshot(&rung.machine)
-                        .expect("ladder rungs are validated at construction");
                     let pre = self.machine.mode_ops();
-                    self.machine.restore(&snap);
+                    decode_machine_snapshot_into(&rung.machine, &mut self.machine)
+                        .expect("ladder rungs are validated at construction");
                     // The restored machine carries the capture pass's op
                     // accounting; charge this run's instead, with the
                     // skipped distance as the functional ops it stands for.
@@ -861,19 +824,20 @@ mod tests {
     }
 
     #[test]
-    fn mav_snapshot_roundtrip_restores_tracker() {
+    fn mav_restore_from_carries_the_tracker() {
         let w = pgss_workloads::gzip(0.01);
         let cfg = MachineConfig::default();
         let mut a = SimDriver::new(&w, &cfg, Track::Mav);
         a.execute(Segment::new(Mode::Functional, 25_000));
-        let snap = a.snapshot();
-        let mut b = SimDriver::from_snapshot(&w, &cfg, Track::Mav, &snap);
+        let mut b = SimDriver::new(&w, &cfg, Track::Mav);
+        b.execute(Segment::new(Mode::DetailedMeasured, 4_000));
+        b.restore_from(&a);
         let oa = a.execute(Segment::with_bbv(Mode::Functional, 25_000));
         let ob = b.execute(Segment::with_bbv(Mode::Functional, 25_000));
         assert_eq!(
             oa.bbv.as_ref().unwrap().hashed(),
             ob.bbv.as_ref().unwrap().hashed(),
-            "snapshot carries the mid-interval MAV accumulator"
+            "restore carries the mid-interval MAV accumulator"
         );
     }
 
@@ -886,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip_resumes_bit_exact() {
+    fn restore_from_resumes_bit_exact() {
         let w = pgss_workloads::gzip(0.01);
         let cfg = MachineConfig::default();
         let plan_tail = || {
@@ -902,13 +866,14 @@ mod tests {
         cont.execute(Segment::new(Mode::Functional, 25_000));
         cont.execute(Segment::with_bbv(Mode::Functional, 25_000));
         cont.execute(Segment::new(Mode::Functional, 10_000));
-        let snap = cont.snapshot();
-        assert_eq!(snap.retired, 60_000);
+        // Resumed run: a driver with a history of its own restores at
+        // 60k, then both run the same tail.
+        let mut resumed = SimDriver::new(&w, &cfg, Track::Hashed(7));
+        resumed.execute(Segment::with_bbv(Mode::DetailedMeasured, 7_000));
+        resumed.restore_from(&cont);
+        assert_eq!(resumed.retired(), 60_000);
         let mut p_cont = Plan::new(plan_tail());
         cont.run(&mut p_cont);
-        // Resumed run: restore at 60k, then the same tail.
-        let mut resumed = SimDriver::from_snapshot(&w, &cfg, Track::Hashed(7), &snap);
-        assert_eq!(resumed.retired(), 60_000);
         let mut p_res = Plan::new(plan_tail());
         resumed.run(&mut p_res);
         assert_eq!(p_cont.outcomes, p_res.outcomes);
@@ -917,11 +882,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "lacks the hashed tracker state")]
-    fn restoring_untracked_snapshot_into_tracked_driver_panics() {
+    fn restoring_untracked_driver_into_tracked_driver_panics() {
         let w = tiny_workload();
         let cfg = MachineConfig::default();
-        let snap = SimDriver::new(&w, &cfg, Track::None).snapshot();
-        let _ = SimDriver::from_snapshot(&w, &cfg, Track::Hashed(1), &snap);
+        let src = SimDriver::new(&w, &cfg, Track::None);
+        SimDriver::new(&w, &cfg, Track::Hashed(1)).restore_from(&src);
     }
 
     #[test]

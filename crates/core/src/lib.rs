@@ -94,8 +94,7 @@ pub use ckpt::{
     CheckpointKey, CheckpointLadder, LadderReport, LadderSpec, SimContext, SNAPSHOT_FORMAT_VERSION,
 };
 pub use driver::{
-    Bbv, Directive, DriverSnapshot, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature,
-    SimDriver, Track,
+    Bbv, Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
 };
 pub use estimate::{relative_error, Estimate, GroundTruth, PhaseSummary, Technique};
 // Observability surface: campaigns return `MetricsReport`s and drivers

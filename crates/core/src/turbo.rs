@@ -12,8 +12,8 @@ use crate::estimate::{ipc_interval_from_cpi, Estimate, Technique};
 use crate::smarts::Smarts;
 
 /// TurboSMARTS: the SMARTS sample *population* is materialised as live
-/// checkpoints — a [`crate::driver::DriverSnapshot`] of the functionally
-/// warmed machine at each sample's start — and samples are simulated from
+/// checkpoints — the functionally warmed machine state at each sample's
+/// start, copied into a replay machine — and samples are simulated from
 /// restored checkpoints, in random order, until a `z·s/√n` confidence
 /// interval is within `target_rel` of the mean CPI. Only consumed samples
 /// are charged as detailed simulation — the paper's accounting, with the
@@ -117,7 +117,6 @@ impl Technique for TurboSmarts {
         attach(&mut length_pass);
         length_pass.execute(Segment::new(Mode::Functional, u64::MAX));
         let total = length_pass.retired();
-        let mut trace = *length_pass.trace();
         let span = s.warm_ops + s.unit_ops;
         let population = if total >= span {
             (total - span) / s.period_ops + 1
@@ -131,10 +130,16 @@ impl Technique for TurboSmarts {
 
         // Consume the shuffled order in doubling batches. Each batch is
         // captured in ascending program order — one functional walk
-        // snapshotting at each sample start, each checkpoint replayed
-        // (restore → warm → measure) immediately so only one snapshot is
-        // ever in flight — then its CPIs are fed to the estimator in the
-        // shuffled order, stopping as soon as the bound closes.
+        // stopping at each sample start, where the capture machine's state
+        // is copied into the replay driver and replayed (warm → measure)
+        // immediately — then its CPIs are fed to the estimator in the
+        // shuffled order, stopping as soon as the bound closes. The length
+        // pass's driver, already bound, is the replay driver for the whole
+        // run: each sample overwrites its buffers in place, so no snapshot
+        // (and no memory image) is ever built, and its trace accumulates
+        // every replay.
+        let mut replay = length_pass;
+        let mut trace = RunTrace::default();
         let mut cpis: Vec<Option<f64>> = vec![None; population as usize];
         let mut w = Welford::new();
         let mut consumed = 0u64;
@@ -156,15 +161,11 @@ impl Technique for TurboSmarts {
                     capture.execute(Segment::new(Mode::Functional, pos - capture.retired()));
                 }
                 debug_assert_eq!(capture.retired(), pos);
-                let checkpoint = capture.snapshot();
-                let mut replay =
-                    SimDriver::from_snapshot(workload, config, Track::None, &checkpoint);
-                attach(&mut replay);
+                replay.restore_from(&capture);
                 replay.execute(Segment::new(Mode::DetailedWarming, s.warm_ops));
                 let measured = replay.execute(Segment::new(Mode::DetailedMeasured, s.unit_ops));
                 assert!(measured.complete(), "population samples fit before halt");
                 cpis[i] = Some(measured.cpi());
-                trace.merge(replay.trace());
             }
             trace.merge(capture.trace());
             for &i in round {
@@ -178,6 +179,7 @@ impl Technique for TurboSmarts {
             }
             issued += want;
         }
+        trace.merge(replay.trace());
 
         // Cost accounting: each consumed live-point costs its warming +
         // measured instructions of detailed simulation. Checkpoint-library

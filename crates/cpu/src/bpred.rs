@@ -119,15 +119,27 @@ impl BranchPredictor {
     /// Panics if `state` was captured from a predictor with a different
     /// table size.
     pub fn load_state(&mut self, state: &BranchPredictorState) {
-        assert_eq!(
-            state.counters.len(),
-            self.counters.len(),
-            "branch-predictor state shape mismatch"
-        );
-        self.counters.clone_from(&state.counters);
-        self.history = state.history;
-        self.predictions = state.predictions;
-        self.mispredictions = state.mispredictions;
+        self.state_mut().copy_from(state.view());
+    }
+
+    /// Borrows the mutable state without copying it.
+    pub(crate) fn state(&self) -> BranchPredictorStateRef<'_> {
+        BranchPredictorStateRef {
+            counters: &self.counters,
+            history: self.history,
+            predictions: self.predictions,
+            mispredictions: self.mispredictions,
+        }
+    }
+
+    /// Lends the mutable state for in-place restores.
+    pub(crate) fn state_mut(&mut self) -> BranchPredictorStateMut<'_> {
+        BranchPredictorStateMut {
+            counters: &mut self.counters,
+            history: &mut self.history,
+            predictions: &mut self.predictions,
+            mispredictions: &mut self.mispredictions,
+        }
     }
 }
 
@@ -143,6 +155,66 @@ pub struct BranchPredictorState {
     pub predictions: u64,
     /// Lifetime misprediction count.
     pub mispredictions: u64,
+}
+
+impl BranchPredictorState {
+    /// Borrows this state in the form every restore path copies from.
+    pub fn view(&self) -> BranchPredictorStateRef<'_> {
+        BranchPredictorStateRef {
+            counters: &self.counters,
+            history: self.history,
+            predictions: self.predictions,
+            mispredictions: self.mispredictions,
+        }
+    }
+}
+
+/// A [`BranchPredictorState`] borrowed from a live predictor or a
+/// snapshot.
+#[derive(Debug, Clone, Copy)]
+pub struct BranchPredictorStateRef<'a> {
+    /// Two-bit saturating counter table.
+    pub counters: &'a [u8],
+    /// Global branch history register.
+    pub history: u64,
+    /// Lifetime prediction count.
+    pub predictions: u64,
+    /// Lifetime misprediction count.
+    pub mispredictions: u64,
+}
+
+/// A predictor's mutable state lent out for writing in place: the
+/// counter table is the predictor's own buffer.
+#[derive(Debug)]
+pub struct BranchPredictorStateMut<'a> {
+    /// Two-bit saturating counter table.
+    pub counters: &'a mut [u8],
+    /// Global branch history register.
+    pub history: &'a mut u64,
+    /// Lifetime prediction count.
+    pub predictions: &'a mut u64,
+    /// Lifetime misprediction count.
+    pub mispredictions: &'a mut u64,
+}
+
+impl BranchPredictorStateMut<'_> {
+    /// The predictor copy every restore path uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` was captured from a predictor with a different
+    /// table size.
+    pub fn copy_from(&mut self, src: BranchPredictorStateRef<'_>) {
+        assert_eq!(
+            src.counters.len(),
+            self.counters.len(),
+            "branch-predictor state shape mismatch"
+        );
+        self.counters.copy_from_slice(src.counters);
+        *self.history = src.history;
+        *self.predictions = src.predictions;
+        *self.mispredictions = src.mispredictions;
+    }
 }
 
 /// A branch target buffer predicting the targets of indirect jumps
@@ -200,13 +272,28 @@ impl Btb {
     /// Panics if `state` was captured from a BTB with a different entry
     /// count.
     pub fn load_state(&mut self, state: &BtbState) {
-        assert_eq!(
-            state.targets.len(),
-            self.targets.len(),
-            "BTB state shape mismatch"
-        );
-        self.targets.clone_from(&state.targets);
+        copy_btb_targets(&mut self.targets, &state.targets);
     }
+
+    /// The target table, borrowed.
+    pub(crate) fn targets(&self) -> &[u32] {
+        &self.targets
+    }
+
+    /// The target table, lent out for in-place restores.
+    pub(crate) fn targets_mut(&mut self) -> &mut [u32] {
+        &mut self.targets
+    }
+}
+
+/// The BTB copy every restore path uses.
+///
+/// # Panics
+///
+/// Panics if the tables differ in entry count.
+pub(crate) fn copy_btb_targets(dst: &mut [u32], src: &[u32]) {
+    assert_eq!(src.len(), dst.len(), "BTB state shape mismatch");
+    dst.copy_from_slice(src);
 }
 
 /// The mutable state of a [`Btb`], as captured by [`Btb::save_state`].

@@ -165,14 +165,25 @@ impl Cache {
     /// Panics if `state` was captured from a cache with different
     /// geometry.
     pub fn load_state(&mut self, state: &CacheState) {
-        assert_eq!(
-            state.ways.len(),
-            self.ways.len(),
-            "cache state shape mismatch"
-        );
-        self.ways.clone_from(&state.ways);
-        self.hits = state.hits;
-        self.misses = state.misses;
+        self.state_mut().copy_from(state.view());
+    }
+
+    /// Borrows the mutable state without copying it.
+    pub(crate) fn state(&self) -> CacheStateRef<'_> {
+        CacheStateRef {
+            ways: &self.ways,
+            hits: self.hits,
+            misses: self.misses,
+        }
+    }
+
+    /// Lends the mutable state for in-place restores.
+    pub(crate) fn state_mut(&mut self) -> CacheStateMut<'_> {
+        CacheStateMut {
+            ways: &mut self.ways,
+            hits: &mut self.hits,
+            misses: &mut self.misses,
+        }
     }
 }
 
@@ -185,6 +196,58 @@ pub struct CacheState {
     pub hits: u64,
     /// Lifetime miss count.
     pub misses: u64,
+}
+
+impl CacheState {
+    /// Borrows this state in the form every restore path copies from.
+    pub fn view(&self) -> CacheStateRef<'_> {
+        CacheStateRef {
+            ways: &self.ways,
+            hits: self.hits,
+            misses: self.misses,
+        }
+    }
+}
+
+/// A [`CacheState`] borrowed from a live cache or a snapshot.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheStateRef<'a> {
+    /// Tag arrays, MRU-first per set; `u64::MAX` marks an invalid way.
+    pub ways: &'a [u64],
+    /// Lifetime hit count.
+    pub hits: u64,
+    /// Lifetime miss count.
+    pub misses: u64,
+}
+
+/// A cache's mutable state lent out for writing in place: the tag array
+/// is the cache's own buffer, so restores never reallocate it.
+#[derive(Debug)]
+pub struct CacheStateMut<'a> {
+    /// Tag arrays, MRU-first per set; `u64::MAX` marks an invalid way.
+    pub ways: &'a mut [u64],
+    /// Lifetime hit count.
+    pub hits: &'a mut u64,
+    /// Lifetime miss count.
+    pub misses: &'a mut u64,
+}
+
+impl CacheStateMut<'_> {
+    /// The per-level copy every restore path uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` was captured from a cache with different geometry.
+    pub fn copy_from(&mut self, src: CacheStateRef<'_>) {
+        assert_eq!(
+            src.ways.len(),
+            self.ways.len(),
+            "cache state shape mismatch"
+        );
+        self.ways.copy_from_slice(src.ways);
+        *self.hits = src.hits;
+        *self.misses = src.misses;
+    }
 }
 
 /// The mutable state of a [`MemSystem`]: one [`CacheState`] per level.
@@ -419,12 +482,39 @@ impl MemSystem {
     /// Panics if any level's geometry differs from when the state was
     /// captured.
     pub fn load_state(&mut self, state: &MemSystemState) {
-        self.l1i.load_state(&state.l1i);
-        self.l1d.load_state(&state.l1d);
-        self.l2.load_state(&state.l2);
-        // The memo is derived from the access stream, not part of the
-        // state; a restored hierarchy starts with it unknown.
+        for (level, src) in self.states_mut().iter_mut().zip(state.view()) {
+            level.copy_from(src);
+        }
+        self.forget_data_line();
+    }
+
+    /// Borrows every level's state (L1I, L1D, L2).
+    pub(crate) fn states(&self) -> [CacheStateRef<'_>; 3] {
+        [self.l1i.state(), self.l1d.state(), self.l2.state()]
+    }
+
+    /// Lends every level's state (L1I, L1D, L2) for in-place restores;
+    /// pair with [`MemSystem::forget_data_line`].
+    pub(crate) fn states_mut(&mut self) -> [CacheStateMut<'_>; 3] {
+        [
+            self.l1i.state_mut(),
+            self.l1d.state_mut(),
+            self.l2.state_mut(),
+        ]
+    }
+
+    /// Drops the last-data-line memo. The memo is derived from the
+    /// access stream, not part of the state; a restored hierarchy starts
+    /// with it unknown.
+    pub(crate) fn forget_data_line(&mut self) {
         self.last_data_line = u64::MAX;
+    }
+}
+
+impl MemSystemState {
+    /// Borrows every level's state (L1I, L1D, L2).
+    pub fn view(&self) -> [CacheStateRef<'_>; 3] {
+        [self.l1i.view(), self.l1d.view(), self.l2.view()]
     }
 }
 

@@ -66,9 +66,15 @@ mod machine;
 mod reference;
 mod sink;
 
-pub use bpred::{BranchPredictor, BranchPredictorState, Btb, BtbState};
-pub use cache::{Cache, CacheState, MemSystem, MemSystemState};
+pub use bpred::{
+    BranchPredictor, BranchPredictorState, BranchPredictorStateMut, BranchPredictorStateRef, Btb,
+    BtbState,
+};
+pub use cache::{Cache, CacheState, CacheStateMut, CacheStateRef, MemSystem, MemSystemState};
 pub use config::{BranchPredictorConfig, CacheConfig, LatencyConfig, MachineConfig};
-pub use machine::{Machine, MachineFault, MachineSnapshot, Mode, ModeOps, RunResult};
+pub use machine::{
+    Machine, MachineFault, MachineSnapshot, MachineStateMut, MachineStateRef, Mode, ModeOps,
+    RunResult,
+};
 pub use reference::ReferenceMachine;
 pub use sink::{NoopSink, RetireSink};

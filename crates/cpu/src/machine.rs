@@ -26,8 +26,11 @@ use std::sync::Arc;
 
 use pgss_isa::{DecodedOp, DecodedProgram, LatClass, OpKind, Program};
 
-use crate::bpred::{BranchPredictor, BranchPredictorState, Btb, BtbState};
-use crate::cache::{MemSystem, MemSystemState};
+use crate::bpred::{
+    copy_btb_targets, BranchPredictor, BranchPredictorState, BranchPredictorStateMut,
+    BranchPredictorStateRef, Btb, BtbState,
+};
+use crate::cache::{CacheStateMut, CacheStateRef, MemSystem, MemSystemState};
 use crate::config::MachineConfig;
 use crate::sink::{NoopSink, RetireSink};
 
@@ -230,6 +233,139 @@ impl PartialEq for MachineSnapshot {
     }
 }
 
+impl MachineSnapshot {
+    /// Borrows this snapshot in the form every restore path copies from.
+    pub fn state(&self) -> MachineStateRef<'_> {
+        MachineStateRef {
+            pc: self.pc,
+            regs: &self.regs,
+            fregs: &self.fregs,
+            mem: &self.mem,
+            halted: self.halted,
+            mode_ops: self.mode_ops,
+            ops_since_taken: self.ops_since_taken,
+            caches: self.memsys.view(),
+            bpred: self.bpred.view(),
+            btb: &self.btb.targets,
+        }
+    }
+
+    /// Lends every field for writing in place (how a decoder fills a
+    /// snapshot it has allocated at the shape its bytes declare).
+    pub fn state_mut(&mut self) -> MachineStateMut<'_> {
+        let MemSystemState { l1i, l1d, l2 } = &mut self.memsys;
+        let [l1i, l1d, l2] = [l1i, l1d, l2].map(|c| CacheStateMut {
+            ways: &mut c.ways,
+            hits: &mut c.hits,
+            misses: &mut c.misses,
+        });
+        MachineStateMut {
+            pc: &mut self.pc,
+            regs: &mut self.regs,
+            fregs: &mut self.fregs,
+            mem: &mut self.mem,
+            halted: &mut self.halted,
+            mode_ops: &mut self.mode_ops,
+            ops_since_taken: &mut self.ops_since_taken,
+            caches: [l1i, l1d, l2],
+            bpred: BranchPredictorStateMut {
+                counters: &mut self.bpred.counters,
+                history: &mut self.bpred.history,
+                predictions: &mut self.bpred.predictions,
+                mispredictions: &mut self.bpred.mispredictions,
+            },
+            btb: &mut self.btb.targets,
+        }
+    }
+}
+
+/// Exactly the state a [`MachineSnapshot`] carries, borrowed from a live
+/// [`Machine`] ([`Machine::state`]) or from a snapshot
+/// ([`MachineSnapshot::state`]). Encoders read a running machine through
+/// it without copying the memory image, and every restore path copies
+/// from it ([`MachineStateMut::copy_from`]).
+#[derive(Debug, Clone, Copy)]
+pub struct MachineStateRef<'a> {
+    /// Program counter.
+    pub pc: u32,
+    /// Integer register file.
+    pub regs: &'a [i64; 32],
+    /// Floating-point register file.
+    pub fregs: &'a [f64; 32],
+    /// Data memory image.
+    pub mem: &'a [i64],
+    /// Whether the program has halted.
+    pub halted: bool,
+    /// Per-mode retired-instruction counters.
+    pub mode_ops: ModeOps,
+    /// Retired ops since the last taken control transfer.
+    pub ops_since_taken: u64,
+    /// Cache levels: L1I, L1D, L2.
+    pub caches: [CacheStateRef<'a>; 3],
+    /// Direction-predictor state.
+    pub bpred: BranchPredictorStateRef<'a>,
+    /// Branch-target-buffer targets.
+    pub btb: &'a [u32],
+}
+
+/// Exactly the state a [`MachineSnapshot`] carries, lent out for writing
+/// in place: the slices are the target's own buffers (the memory image,
+/// tag arrays, counter tables), so restores and decoders never allocate.
+/// Obtained from [`Machine::restore_with`] or
+/// [`MachineSnapshot::state_mut`].
+#[derive(Debug)]
+pub struct MachineStateMut<'a> {
+    /// Program counter.
+    pub pc: &'a mut u32,
+    /// Integer register file.
+    pub regs: &'a mut [i64; 32],
+    /// Floating-point register file.
+    pub fregs: &'a mut [f64; 32],
+    /// Data memory image.
+    pub mem: &'a mut [i64],
+    /// Whether the program has halted.
+    pub halted: &'a mut bool,
+    /// Per-mode retired-instruction counters.
+    pub mode_ops: &'a mut ModeOps,
+    /// Retired ops since the last taken control transfer.
+    pub ops_since_taken: &'a mut u64,
+    /// Cache levels: L1I, L1D, L2.
+    pub caches: [CacheStateMut<'a>; 3],
+    /// Direction-predictor state.
+    pub bpred: BranchPredictorStateMut<'a>,
+    /// Branch-target-buffer targets.
+    pub btb: &'a mut [u32],
+}
+
+impl MachineStateMut<'_> {
+    /// The one state copy behind every restore path: each buffer is
+    /// overwritten in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src`'s memory image or any cache/predictor-table shape
+    /// differs from this state's.
+    pub fn copy_from(&mut self, src: MachineStateRef<'_>) {
+        assert_eq!(
+            src.mem.len(),
+            self.mem.len(),
+            "snapshot memory image does not match this machine's configuration"
+        );
+        *self.pc = src.pc;
+        *self.regs = *src.regs;
+        *self.fregs = *src.fregs;
+        self.mem.copy_from_slice(src.mem);
+        *self.halted = src.halted;
+        *self.mode_ops = src.mode_ops;
+        *self.ops_since_taken = src.ops_since_taken;
+        for (level, from) in self.caches.iter_mut().zip(src.caches) {
+            level.copy_from(from);
+        }
+        self.bpred.copy_from(src.bpred);
+        copy_btb_targets(self.btb, src.btb);
+    }
+}
+
 /// A simulated processor executing one [`Program`].
 ///
 /// The machine owns all architectural state (registers, data memory, program
@@ -284,7 +420,9 @@ pub struct Machine {
     /// mispredict redirects.
     fetch_ready: u64,
     /// I-cache line of the most recent fetch (deduplicates same-line
-    /// accesses; exact for LRU state).
+    /// accesses; exact for LRU state). Derived, never serialized: every
+    /// restore resets it, so a restored machine fetches the same way
+    /// whatever it ran before.
     last_fetch_line: u64,
     /// Cleared by functional runs; a detailed run starting with stale timing
     /// state resets the pipeline scoreboard to the current cycle.
@@ -460,6 +598,22 @@ impl Machine {
         }
     }
 
+    /// Borrows the state a snapshot would carry, without copying it.
+    pub fn state(&self) -> MachineStateRef<'_> {
+        MachineStateRef {
+            pc: self.pc,
+            regs: self.regs.first_chunk().expect("32 architectural regs"),
+            fregs: &self.fregs,
+            mem: &self.mem,
+            halted: self.halted,
+            mode_ops: self.mode_ops,
+            ops_since_taken: self.ops_since_taken,
+            caches: self.memsys.states(),
+            bpred: self.bpred.state(),
+            btb: self.btb.targets(),
+        }
+    }
+
     /// Restores state captured by [`Machine::snapshot`], leaving the
     /// timing model stale (as after a functional run) so the next
     /// detailed run re-warms pipeline state; subsequent execution is
@@ -471,22 +625,62 @@ impl Machine {
     /// cache/predictor-table shape does not match this machine's
     /// configuration.
     pub fn restore(&mut self, snapshot: &MachineSnapshot) {
-        assert_eq!(
-            snapshot.mem.len(),
-            self.mem.len(),
-            "snapshot memory image does not match this machine's configuration"
-        );
-        self.pc = snapshot.pc;
-        self.regs[..32].copy_from_slice(&snapshot.regs);
+        self.state_mut().copy_from(snapshot.state());
+        self.finish_restore();
+    }
+
+    /// Copies `src`'s state into this machine's existing buffers. The
+    /// result is the same as `self.restore(&src.snapshot())`, without
+    /// building the intermediate snapshot and its memory image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two machines' configurations differ in memory size
+    /// or any cache/predictor-table shape.
+    pub fn restore_from(&mut self, src: &Machine) {
+        self.state_mut().copy_from(src.state());
+        self.finish_restore();
+    }
+
+    /// Lends this machine's state to `fill` for writing in place, then —
+    /// if `fill` succeeds — finishes the restore the way
+    /// [`Machine::restore`] does: the timing model goes stale and any
+    /// fault is cleared.
+    ///
+    /// `fill` must either write a complete state and return `Ok`, or
+    /// return `Err` before writing anything: on `Err` the machine is left
+    /// as `fill` left it and no restore bookkeeping runs.
+    pub fn restore_with<E>(
+        &mut self,
+        fill: impl FnOnce(MachineStateMut<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        fill(self.state_mut())?;
+        self.finish_restore();
+        Ok(())
+    }
+
+    fn state_mut(&mut self) -> MachineStateMut<'_> {
+        MachineStateMut {
+            pc: &mut self.pc,
+            regs: self.regs.first_chunk_mut().expect("32 architectural regs"),
+            fregs: &mut self.fregs,
+            mem: &mut self.mem,
+            halted: &mut self.halted,
+            mode_ops: &mut self.mode_ops,
+            ops_since_taken: &mut self.ops_since_taken,
+            caches: self.memsys.states_mut(),
+            bpred: self.bpred.state_mut(),
+            btb: self.btb.targets_mut(),
+        }
+    }
+
+    /// Resets what is derived from execution rather than carried in a
+    /// snapshot, so a restored machine behaves the same whatever it ran
+    /// before.
+    fn finish_restore(&mut self) {
         self.regs[32..].fill(0);
-        self.fregs = snapshot.fregs;
-        self.mem.clone_from(&snapshot.mem);
-        self.halted = snapshot.halted;
-        self.mode_ops = snapshot.mode_ops;
-        self.ops_since_taken = snapshot.ops_since_taken;
-        self.memsys.load_state(&snapshot.memsys);
-        self.bpred.load_state(&snapshot.bpred);
-        self.btb.load_state(&snapshot.btb);
+        self.memsys.forget_data_line();
+        self.last_fetch_line = u64::MAX;
         self.timing_valid = false;
         self.fault = None;
     }
@@ -1360,6 +1554,29 @@ mod tests {
             &p,
         );
         other.restore(&snap);
+    }
+
+    #[test]
+    fn restore_from_matches_restore_of_a_snapshot() {
+        // The target first runs a different schedule, so its timing
+        // model, scoreboard and memo hold stale values.
+        let p = dependent_alu_program(64, 300);
+        let mut src = Machine::new(small_config(), &p);
+        src.run(Mode::Functional, 5_000);
+        src.run(Mode::DetailedMeasured, 700);
+        let mut via_copy = Machine::new(small_config(), &p);
+        via_copy.run(Mode::DetailedWarming, 9_000);
+        via_copy.restore_from(&src);
+        let mut via_snapshot = Machine::new(small_config(), &p);
+        via_snapshot.restore(&src.snapshot());
+        assert_eq!(via_copy.snapshot(), via_snapshot.snapshot());
+        for (mode, ops) in [
+            (Mode::DetailedWarming, 1_000),
+            (Mode::DetailedMeasured, 2_000),
+        ] {
+            assert_eq!(via_copy.run(mode, ops), via_snapshot.run(mode, ops));
+        }
+        assert_eq!(via_copy.snapshot(), via_snapshot.snapshot());
     }
 
     #[test]

@@ -178,6 +178,7 @@ impl ReferenceMachine {
         self.memsys.load_state(&snapshot.memsys);
         self.bpred.load_state(&snapshot.bpred);
         self.btb.load_state(&snapshot.btb);
+        self.last_fetch_line = u64::MAX;
         self.timing_valid = false;
         self.fault = None;
     }

@@ -22,6 +22,11 @@ cargo test -p pgss-ckpt -q
 echo "== cargo test --test checkpoints -q (snapshot round-trip + bit-exact acceleration)"
 cargo test --release --test checkpoints -q
 
+echo "== campaign_bench self-tests (1 s runs per workload over the state-transfer APIs)"
+# The benchmark is its own package; building it here means a change to an
+# API it calls fails this gate instead of the next benchmark run.
+cargo test --release --offline --manifest-path campaign_bench/Cargo.toml -q
+
 echo "== statistical validation smoke (12-rep debug subset: all estimators + verdicts)"
 cargo test --test statistical_validation -q
 

@@ -49,6 +49,14 @@ fn temp_store(tag: &str) -> (util::TempDir, Store) {
     util::temp_store(&format!("pgss-fault-{tag}"))
 }
 
+/// Runs `f` with no fault plan installed. Plans are process-wide, so a
+/// fault-free reference run holds the fault-test lock too; otherwise a
+/// concurrently running test's plan can leak into it.
+fn fault_free<T>(f: impl FnOnce() -> T) -> T {
+    let _guard = faults::install(FaultPlan::default());
+    f()
+}
+
 #[test]
 fn injected_worker_panic_is_isolated_and_ledgered() {
     let workloads = suite();
@@ -57,7 +65,7 @@ fn injected_worker_panic_is_isolated_and_ledgered() {
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
 
-    let clean = campaign::run(&jobs);
+    let clean = fault_free(|| campaign::run(&jobs));
     assert!(clean.is_complete());
 
     // Permanently poison one exact cell.
@@ -106,7 +114,7 @@ fn transient_injected_panic_heals_and_replays_byte_identically() {
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
 
-    let clean = campaign::run(&jobs);
+    let clean = fault_free(|| campaign::run(&jobs));
 
     // One transient fault: the cell's first attempt panics, the retry
     // heals it.
@@ -144,7 +152,7 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
     let (dir, store) = temp_store("corrupt");
 
-    let clean = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let clean = fault_free(|| campaign::run_checkpointed(&jobs, 50_000, Some(&store))).unwrap();
     assert!(clean.checkpoint_faults.is_empty());
     assert!(clean.ladder.capture_ops > 0);
 
@@ -195,7 +203,7 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
     assert_eq!(format!("{healed:?}"), format!("{replay:?}"));
 
     // With faults cleared the recaptured store loads clean.
-    let after = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let after = fault_free(|| campaign::run_checkpointed(&jobs, 50_000, Some(&store))).unwrap();
     assert_eq!(clean.cells, after.cells);
     assert_eq!(after.ladder.capture_ops, 0);
     assert!(
@@ -213,7 +221,7 @@ fn injected_store_io_errors_degrade_gracefully() {
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
     let (_dir, store) = temp_store("io");
 
-    let plain = campaign::run(&jobs);
+    let plain = fault_free(|| campaign::run(&jobs));
 
     // First campaign: the very first rung write-back fails with an I/O
     // error. Capture still accelerates this run; only persistence is
@@ -258,7 +266,7 @@ fn injected_store_io_errors_degrade_gracefully() {
     }
 
     // Faults cleared: the store heals to a fully-loadable state.
-    let healed = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let healed = fault_free(|| campaign::run_checkpointed(&jobs, 50_000, Some(&store))).unwrap();
     assert_eq!(plain.cells, healed.cells);
     assert_eq!(
         healed.ladder.capture_ops, 0,
@@ -276,7 +284,7 @@ fn combined_panic_and_store_faults_in_one_campaign() {
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
     let (_dir, store) = temp_store("combined");
 
-    let clean = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let clean = fault_free(|| campaign::run_checkpointed(&jobs, 50_000, Some(&store))).unwrap();
 
     // Everything at once: a transient worker panic on one cell plus a
     // corrupted rung read. The campaign heals both and stays bit-exact.

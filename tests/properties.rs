@@ -1,5 +1,8 @@
 //! Workspace-level property-based tests: invariants that must hold for
 //! *arbitrary* workloads and parameters, spanning the whole stack.
+//!
+//! The snapshot round-trip property runs offline as a seeded loop in
+//! `tests/checkpoints.rs`, next to the in-place restore paths it covers.
 
 use pgss::{PgssSim, Smarts, Technique};
 use pgss_cpu::Mode;
@@ -86,39 +89,6 @@ proptest! {
         prop_assert!(r.halted);
         prop_assert!(r.cycles >= r.ops / 4, "IPC above issue width");
         prop_assert!(r.cycles > 0);
-    }
-
-    /// Snapshot/restore is invisible: running `split` ops, snapshotting,
-    /// restoring into a fresh machine, and finishing matches an
-    /// uninterrupted run bit for bit — architectural state, mode
-    /// counters, and final timing results alike. The snapshot also
-    /// round-trips the serialized checkpoint encoding unchanged.
-    #[test]
-    fn snapshot_restore_is_bit_exact(
-        w in arb_workload(),
-        split_frac in 0.05f64..0.95,
-        detailed_tail in proptest::bool::ANY,
-    ) {
-        use pgss::ckpt::{decode_machine_snapshot, encode_machine_snapshot};
-
-        let tail_mode = if detailed_tail { Mode::DetailedMeasured } else { Mode::Functional };
-        let mut straight = w.machine();
-        straight.run(Mode::Functional, (w.nominal_ops() as f64 * split_frac) as u64);
-        let split_state = straight.snapshot();
-        let tail = straight.run(tail_mode, u64::MAX);
-
-        // The encoding is lossless.
-        let decoded = decode_machine_snapshot(&encode_machine_snapshot(&split_state))
-            .expect("fresh snapshot decodes");
-        prop_assert_eq!(&decoded, &split_state);
-
-        // Restore into a *fresh* machine and finish the run.
-        let mut resumed = w.machine();
-        resumed.restore(&split_state);
-        prop_assert_eq!(&resumed.snapshot(), &split_state);
-        let resumed_tail = resumed.run(tail_mode, u64::MAX);
-        prop_assert_eq!(tail, resumed_tail);
-        prop_assert_eq!(straight.snapshot(), resumed.snapshot());
     }
 
     /// SMARTS and PGSS produce finite, physical estimates on arbitrary

@@ -384,6 +384,10 @@ fn budget_admits_new_captures_only_after_gc_frees_garbage() {
     let payload = vec![0xa5u8; 64]; // 100-byte record (36-byte header)
     let workload = pgss_workloads::gzip(0.003);
     let truth = pgss_bench::truth_key(&workload);
+    // Fault plans are process-wide: hold the fault-test lock with an
+    // empty plan so a concurrently running test's disk-full plan cannot
+    // fail these puts.
+    let _no_faults = faults::install(FaultPlan::default());
 
     let store = Store::open(dir.path()).unwrap().with_budget(350);
     // Quarantined evidence must not count against the budget.
