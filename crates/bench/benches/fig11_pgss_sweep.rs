@@ -8,14 +8,12 @@
 
 use pgss::{PgssSim, Technique};
 use pgss_bench::{banner, cached_ground_truth, pct, suite, Table};
-use pgss_cpu::MachineConfig;
 
 fn main() {
     banner(
         "Figure 11",
         "PGSS error: 3 BBV periods x 5 thresholds x 10 benchmarks",
     );
-    let cfg = MachineConfig::default();
     let workloads = suite();
     let truths: Vec<_> = workloads.iter().map(cached_ground_truth).collect();
 
@@ -34,7 +32,7 @@ fn main() {
         for (w, truth) in workloads.iter().zip(&truths) {
             let mut row = vec![w.name().to_string()];
             for (ti, &t) in thresholds.iter().enumerate() {
-                let est = PgssSim::with_params(period, t).run_with(w, &cfg);
+                let est = PgssSim::with_params(period, t).run(w);
                 let err = est.error_vs(truth);
                 errs_by_thresh[ti].push(err);
                 row.push(pct(err));

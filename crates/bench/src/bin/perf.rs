@@ -6,19 +6,22 @@
 //!
 //! Both cores run in the *same invocation* on the same programs, so the
 //! reported speedups are same-machine, same-build ratios — the number the
-//! CI ratchet (`scripts/ci.sh`, `scripts/perf-baseline.txt`) enforces for
-//! functional mode. Wall times are real time and machine-dependent; the
-//! JSON files are trajectories for local comparison, not byte-stable
-//! artifacts (which is why they are `BENCH_*.json`, not checked-in
-//! goldens).
+//! CI ratchet (`--check`, run by `scripts/ci.sh` against
+//! `scripts/perf-baseline.txt`) enforces for functional mode. Wall times
+//! are real time and machine-dependent; the JSON files are trajectories
+//! for local comparison, not byte-stable artifacts (which is why they are
+//! `BENCH_*.json`, not checked-in goldens).
 //!
 //! ```text
-//! cargo run --release -p pgss-bench --bin perf -- [--smoke] [--out DIR]
+//! cargo run --release -p pgss-bench --bin perf -- [--smoke] [--out DIR] [--check BASELINE_FILE]
 //! ```
 //!
 //! `--smoke` shrinks the run (two workloads, fewer ops, fewer trials) for
 //! CI gating; `--out DIR` redirects the JSON files (default: current
-//! directory).
+//! directory). `--check BASELINE_FILE` turns the run into the ratchet: it
+//! reads the baseline speedup (the last line of the file that is not a
+//! `#` comment) and exits non-zero when the measured functional-mode
+//! geomean falls more than [`RATCHET_MARGIN`] below it.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -28,8 +31,11 @@ use pgss_cpu::{MachineConfig, Mode};
 use pgss_workloads::Workload;
 
 /// Version pinning the `BENCH_*.json` layout. Bump deliberately when a
-/// field changes meaning; `scripts/ci.sh` validates it.
+/// field changes meaning.
 const PERF_SCHEMA_VERSION: u64 = 1;
+
+/// How far below the baseline `--check` lets the functional geomean fall.
+const RATCHET_MARGIN: f64 = 0.25;
 
 /// One timed mode on one workload: per-trial wall times for both cores
 /// over the same op budget.
@@ -65,6 +71,8 @@ fn rate(ops: u64, wall_ns: &[u64]) -> f64 {
 
 fn main() {
     let cfg = parse_args();
+    // Read the baseline before measuring, so a bad path fails fast.
+    let baseline = cfg.check.as_deref().map(read_baseline);
     banner(
         "perf",
         "decoded superblock core vs per-op reference interpreter",
@@ -156,6 +164,34 @@ fn main() {
         "functional-mode speedup (geomean over {} workloads): {geomean:.2}x",
         functional_speedups.len()
     );
+    if let Some(base) = baseline {
+        let floor = base - RATCHET_MARGIN;
+        println!("ratchet: baseline {base:.2}x, floor {floor:.2}x");
+        if geomean.is_nan() || geomean < floor {
+            eprintln!("decoded-core throughput regressed below the ratchet floor");
+            std::process::exit(1);
+        }
+        if geomean > base + RATCHET_MARGIN {
+            println!("speedup grew; consider raising the baseline to {geomean:.2}");
+        }
+    }
+}
+
+/// The baseline speedup in `path`: its last line that is neither blank
+/// nor a `#` comment. Exits with status 2 when there is none.
+fn read_baseline(path: &str) -> f64 {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    let last = text
+        .lines()
+        .map(str::trim)
+        .rfind(|l| !l.is_empty() && !l.starts_with('#'));
+    match last.and_then(|l| l.parse::<f64>().ok()) {
+        Some(base) if base > 0.0 => base,
+        _ => {
+            eprintln!("{path}: no baseline speedup on its last non-comment line");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Renders one workload's `BENCH_<name>.json`: schema version, identity,
@@ -191,6 +227,7 @@ struct Config {
     smoke: bool,
     trials: u32,
     out_dir: String,
+    check: Option<String>,
 }
 
 fn parse_args() -> Config {
@@ -198,6 +235,7 @@ fn parse_args() -> Config {
         smoke: false,
         trials: 3,
         out_dir: ".".to_string(),
+        check: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -206,18 +244,23 @@ fn parse_args() -> Config {
                 cfg.smoke = true;
                 cfg.trials = 2;
             }
-            "--out" => match args.next() {
-                Some(dir) => cfg.out_dir = dir,
-                None => {
-                    eprintln!("--out needs a directory argument");
-                    std::process::exit(2);
-                }
-            },
+            "--out" => cfg.out_dir = flag_value(args.next(), "--out"),
+            "--check" => cfg.check = Some(flag_value(args.next(), "--check")),
             other => {
-                eprintln!("unknown argument {other:?} (expected --smoke / --out DIR)");
+                eprintln!(
+                    "unknown argument {other:?} (expected --smoke / --out DIR / --check BASELINE_FILE)"
+                );
                 std::process::exit(2);
             }
         }
     }
     cfg
+}
+
+/// A flag's argument; exits with status 2 when it is missing.
+fn flag_value(arg: Option<String>, flag: &str) -> String {
+    arg.unwrap_or_else(|| {
+        eprintln!("{flag} needs an argument");
+        std::process::exit(2)
+    })
 }

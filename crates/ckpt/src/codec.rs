@@ -192,6 +192,17 @@ impl<'a> Decoder<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    /// Reads the `u32` format version that opens a versioned payload,
+    /// rejecting anything but `expected` as [`CodecError::Malformed`]
+    /// with the message `what`.
+    pub fn expect_version(&mut self, expected: u32, what: &'static str) -> Result<(), CodecError> {
+        if self.get_u32()? == expected {
+            Ok(())
+        } else {
+            Err(CodecError::Malformed(what))
+        }
+    }
+
     /// Reads a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -207,11 +218,13 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    fn get_len(&mut self, elem_bytes: usize) -> Result<usize, CodecError> {
+    /// Reads a `u64` element count for a sequence whose elements take at
+    /// least `elem_bytes` bytes each. A count that cannot fit in the bytes
+    /// left is corruption, reported as [`CodecError::Truncated`] before it
+    /// can drive a huge allocation.
+    pub fn get_len(&mut self, elem_bytes: usize) -> Result<usize, CodecError> {
         let n = self.get_u64()?;
         let n = usize::try_from(n).map_err(|_| CodecError::Malformed("length overflow"))?;
-        // A length that cannot possibly fit in the remaining bytes is
-        // corruption; refusing it here prevents huge bogus allocations.
         if elem_bytes > 0 && n > self.remaining() / elem_bytes {
             return Err(CodecError::Truncated);
         }
@@ -238,6 +251,21 @@ impl<'a> Decoder<'a> {
             v.push(self.get_u64()?);
         }
         Ok(v)
+    }
+
+    /// Reads a [`Encoder::put_u64_slice`] slice of tallies, rejecting one
+    /// whose sum overflows a `u64` (no real tally's does) as
+    /// [`CodecError::Malformed`], so callers may total it unchecked.
+    pub fn get_counts(&mut self) -> Result<Vec<u64>, CodecError> {
+        let counts = self.get_u64_slice()?;
+        if counts
+            .iter()
+            .try_fold(0u64, |t, &c| t.checked_add(c))
+            .is_none()
+        {
+            return Err(CodecError::Malformed("counts total overflow"));
+        }
+        Ok(counts)
     }
 
     /// Skips `n` bytes.

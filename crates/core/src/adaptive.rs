@@ -169,19 +169,11 @@ impl Technique for AdaptivePgss {
         format!("AdaptivePGSS({}M)", self.base.ff_ops / 1_000_000)
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        self.run_traced_ctx(workload, config, &SimContext::none())
-    }
-
     fn tracks(&self) -> Vec<Track> {
         vec![Track::Hashed(self.base.hash_seed)]
     }
 
-    fn run_traced_ctx(
+    fn run_traced(
         &self,
         workload: &Workload,
         config: &MachineConfig,
@@ -192,7 +184,7 @@ impl Technique for AdaptivePgss {
             threshold_rad,
             ..self.base
         };
-        let (mut est, pgss_trace) = tuned.run_traced_ctx(workload, config, ctx);
+        let (mut est, pgss_trace) = tuned.run_traced(workload, config, ctx);
         trace.merge(&pgss_trace);
         est.mode_ops.functional += pilot_ops;
         (est, trace)

@@ -28,20 +28,21 @@
 //! # Example
 //!
 //! ```no_run
-//! use pgss::{campaign, PgssSim, Smarts, Technique};
+//! use pgss::{campaign, CampaignConfig, PgssSim, Smarts, Technique};
 //!
 //! let workloads = vec![pgss_workloads::gzip(0.05), pgss_workloads::mesa(0.05)];
 //! let smarts = Smarts::new();
 //! let pgss = PgssSim::new();
 //! let techniques: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
 //! let jobs = campaign::grid(&workloads, &techniques, Default::default());
-//! let report = campaign::run(&jobs);
+//! let report = campaign::run_with(&jobs, &CampaignConfig::default())?;
 //! for cell in &report.cells {
 //!     println!("{} × {}: {:.3} IPC", cell.workload, cell.technique, cell.estimate.ipc);
 //! }
 //! for failure in &report.failures {
 //!     eprintln!("FAILED {failure}");
 //! }
+//! # Ok::<(), pgss::CampaignError>(())
 //! ```
 
 // One panicking cell must never take down a campaign: every fallible step
@@ -60,7 +61,7 @@ use pgss_stats::DetRng;
 use pgss_workloads::Workload;
 
 use crate::ckpt::{CheckpointLadder, LadderReport, LadderSpec, SimContext};
-use crate::driver::{RunTrace, Track};
+use crate::driver::RunTrace;
 use crate::estimate::{Estimate, Technique};
 
 /// One campaign cell: a technique applied to a workload on a machine
@@ -262,8 +263,8 @@ impl RetryPolicy {
 /// The worker count is an **explicit field**, never read from the
 /// environment inside the library: callers that want the `PGSS_WORKERS`
 /// override resolve it once at their own boundary (see
-/// [`worker_threads`]) and pass the result here. That keeps every
-/// `run*` entry point a pure function of its arguments — embedders like
+/// [`worker_threads`]) and pass the result here. That keeps both
+/// runners a pure function of their arguments — embedders like
 /// the campaign server pick worker counts per job without touching
 /// process-global state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,7 +327,7 @@ pub struct CampaignReport {
     pub failures: Vec<CellFailure>,
     /// Total retry attempts performed (0 for a fault-free campaign).
     pub retries: u64,
-    /// Checkpoint-acceleration accounting; all-zero for plain [`run`]s.
+    /// Checkpoint-acceleration accounting; all-zero for [`run_with`].
     pub ladder: LadderReport,
     /// Checkpoint-store faults healed or tolerated along the way:
     /// quarantined corrupt records, store I/O errors, failed write-backs,
@@ -472,7 +473,7 @@ pub fn grid<'a>(
 /// the host's available parallelism. A set-but-invalid `PGSS_WORKERS` is
 /// reported once to stderr instead of being silently ignored.
 ///
-/// The library's `run*` entry points never call this — they take the
+/// The library's runners never call this — they take the
 /// worker count from [`CampaignConfig`]. Binaries and examples that want
 /// the environment override resolve it here, once, and pass the result
 /// in: `CampaignConfig::with_workers(worker_threads())`.
@@ -576,7 +577,7 @@ pub fn run_cell(job: &Job<'_>, ctx: &SimContext) -> Result<(CellResult, MetricsF
         }
         let _span = Span::enter(&*rec, "cell.run");
         job.technique
-            .run_traced_ctx(job.workload, &job.config, &cell_ctx)
+            .run_traced(job.workload, &job.config, &cell_ctx)
     }));
     match (cell_ctx.first_fault(), outcome) {
         // A driver pass that aborts on a machine fault deposits it before
@@ -661,19 +662,19 @@ fn run_cells(
     });
 }
 
-/// The isolation + retry engine shared by [`run_on`] and
-/// [`run_checkpointed`]: first pass over `order`, then up to
-/// `retry.max_attempts - 1` seeded-order retry passes over whatever
-/// failed, then a ledger for the rest.
+/// Runs the cells named by `order` under `ctx` with isolation and retry:
+/// a first pass over `order`, then up to `retry.max_attempts - 1`
+/// seeded-order retry passes over whatever failed, then a ledger for the
+/// rest.
 fn execute(
     jobs: &[Job<'_>],
     order: &[usize],
-    threads: usize,
     ctx: &SimContext,
-    retry: &RetryPolicy,
+    config: &CampaignConfig,
     results: &mut Vec<(usize, CellResult, MetricsFrame)>,
     report: &mut CampaignReport,
 ) {
+    let (threads, retry) = (config.workers, &config.retry);
     let mut failed: Vec<(usize, CellError)> = Vec::new();
     run_cells(jobs, order, threads, ctx, results, &mut failed);
     for attempt in 2..=retry.max_attempts {
@@ -694,7 +695,6 @@ fn execute(
         failed.clear();
         run_cells(jobs, &again, threads, ctx, results, &mut failed);
     }
-    failed.sort_unstable_by_key(|&(i, _)| i);
     report
         .failures
         .extend(failed.into_iter().map(|(job_index, error)| {
@@ -749,37 +749,6 @@ fn finalize(
     report.metrics = metrics;
 }
 
-/// The plain-campaign core shared by [`run`], [`run_on`], and
-/// [`run_on_with`]; assumes a validated config.
-fn run_validated(jobs: &[Job<'_>], config: &CampaignConfig) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    let campaign_rec = MetricsRecorder::new();
-    campaign_rec.add("campaign.jobs", jobs.len() as u64);
-    let order: Vec<usize> = (0..jobs.len()).collect();
-    let mut results = Vec::with_capacity(jobs.len());
-    {
-        let _span = Span::enter(&campaign_rec, "campaign.run");
-        execute(
-            jobs,
-            &order,
-            config.workers.max(1),
-            &SimContext::none(),
-            &config.retry,
-            &mut results,
-            &mut report,
-        );
-    }
-    finalize(&mut report, results, &campaign_rec);
-    report
-}
-
-/// Runs `jobs` with the default [`CampaignConfig`] (host parallelism,
-/// default retry). See [`run_with`]; infallible because the default
-/// config is valid by construction.
-pub fn run(jobs: &[Job<'_>]) -> CampaignReport {
-    run_validated(jobs, &CampaignConfig::default())
-}
-
 /// Runs `jobs` under an explicit [`CampaignConfig`], returning a
 /// [`CampaignReport`] whose successful cells are **in job order** —
 /// output is identical for any worker count.
@@ -793,42 +762,20 @@ pub fn run_with(
     jobs: &[Job<'_>],
     config: &CampaignConfig,
 ) -> Result<CampaignReport, CampaignError> {
-    config.validate()?;
-    Ok(run_validated(jobs, config))
+    run_campaign(jobs, config, None)
 }
 
-/// Runs `jobs` on `threads` worker threads with the default
-/// [`RetryPolicy`]. See [`run_with`].
-pub fn run_on(jobs: &[Job<'_>], threads: usize) -> Result<CampaignReport, CampaignError> {
-    run_on_with(jobs, threads, &RetryPolicy::default())
-}
-
-/// [`run_on`] with an explicit [`RetryPolicy`]. See [`run_with`].
-pub fn run_on_with(
-    jobs: &[Job<'_>],
-    threads: usize,
-    retry: &RetryPolicy,
-) -> Result<CampaignReport, CampaignError> {
-    run_with(
-        jobs,
-        &CampaignConfig {
-            workers: threads,
-            retry: *retry,
-        },
-    )
-}
-
-/// Runs `jobs` with checkpoint acceleration: each distinct
-/// (workload, config) group's shared functional fast-forward prefix is
-/// captured **once** into a [`CheckpointLadder`] (rungs every `stride`
-/// retired ops, carrying every BBV track the group's techniques declare
-/// via [`Technique::tracks`]) and fanned out to all of the group's cells,
-/// whose drivers then restore instead of re-executing functional
-/// stretches.
+/// Runs `jobs` like [`run_with`], with checkpoint acceleration: each
+/// distinct (workload, config) group's shared functional fast-forward
+/// prefix is captured **once** into a [`CheckpointLadder`] (rungs every
+/// `stride` retired ops, carrying every BBV track the group's techniques
+/// declare, see [`LadderSpec::for_techniques`]) and fanned out to all of
+/// the group's cells, whose drivers then restore instead of re-executing
+/// functional stretches.
 ///
-/// Results are **identical** to [`run`] on the same jobs — estimates,
-/// traces, ordering — because driver jumps are bit-exact and logically
-/// charged; only the physical work changes, summarised in
+/// Results are **identical** to [`run_with`] on the same jobs —
+/// estimates, traces, ordering — because driver jumps are bit-exact and
+/// logically charged; only the physical work changes, summarised in
 /// [`CampaignReport::ladder`] (capture cost, jumps, skipped vs. executed
 /// ops, and [`LadderReport::executed_ratio`]).
 ///
@@ -844,45 +791,72 @@ pub fn run_on_with(
 /// configured worker count ([`CampaignConfig::workers`]).
 ///
 /// `stride == 0` is reported as [`CampaignError::InvalidConfig`].
-pub fn run_checkpointed(
-    jobs: &[Job<'_>],
-    stride: u64,
-    store: Option<&Store>,
-) -> Result<CampaignReport, CampaignError> {
-    run_checkpointed_with(jobs, stride, store, &CampaignConfig::default())
-}
-
-/// [`run_checkpointed`] under an explicit [`CampaignConfig`] — the fully
-/// parameterised checkpoint-accelerated entry point (no environment
-/// reads; see [`CampaignConfig`]).
 pub fn run_checkpointed_with(
     jobs: &[Job<'_>],
     stride: u64,
     store: Option<&Store>,
     config: &CampaignConfig,
 ) -> Result<CampaignReport, CampaignError> {
+    run_campaign(jobs, config, Some((stride, store)))
+}
+
+/// The one campaign engine behind [`run_with`] and
+/// [`run_checkpointed_with`]: validation, the `campaign.run` span, cell
+/// execution and the report fold. Checkpointing — a rung stride and the
+/// store ladders persist in, if any — changes only how jobs are grouped
+/// and which [`SimContext`] each group runs under.
+fn run_campaign(
+    jobs: &[Job<'_>],
+    config: &CampaignConfig,
+    checkpointing: Option<(u64, Option<&Store>)>,
+) -> Result<CampaignReport, CampaignError> {
     config.validate()?;
-    if stride == 0 {
-        return Err(CampaignError::InvalidConfig {
-            param: "stride",
-            reason: "checkpoint ladders need a positive rung stride".to_string(),
-        });
-    }
     let mut report = CampaignReport::default();
-    if jobs.is_empty() {
-        return Ok(report);
+    if let Some((stride, _)) = checkpointing {
+        if stride == 0 {
+            return Err(CampaignError::InvalidConfig {
+                param: "stride",
+                reason: "checkpoint ladders need a positive rung stride".to_string(),
+            });
+        }
+        if jobs.is_empty() {
+            return Ok(report);
+        }
     }
     let campaign_rec = Arc::new(MetricsRecorder::new());
     campaign_rec.add("campaign.jobs", jobs.len() as u64);
+    let mut results = Vec::with_capacity(jobs.len());
+    let campaign_span = Span::enter(&*campaign_rec, "campaign.run");
+    match checkpointing {
+        // One pass over every job, so no worker idles at a group boundary.
+        None => {
+            let order: Vec<usize> = (0..jobs.len()).collect();
+            let ctx = SimContext::none();
+            execute(jobs, &order, &ctx, config, &mut results, &mut report);
+        }
+        Some(ck) => run_groups(jobs, ck, config, &campaign_rec, &mut results, &mut report),
+    }
+    drop(campaign_span);
+    report.failures.sort_unstable_by_key(|f| f.job_index);
+    finalize(&mut report, results, &campaign_rec);
+    Ok(report)
+}
+
+/// The checkpointed half of [`run_campaign`]: groups cells sharing a
+/// workload and configuration, captures (or loads) one ladder per group
+/// and runs the group's cells against it.
+fn run_groups(
+    jobs: &[Job<'_>],
+    (stride, store): (u64, Option<&Store>),
+    config: &CampaignConfig,
+    campaign_rec: &Arc<MetricsRecorder>,
+    results: &mut Vec<(usize, CellResult, MetricsFrame)>,
+    report: &mut CampaignReport,
+) {
     // Route the store's hit/miss/quarantine/byte counters into the
     // campaign scope. All store traffic happens on this thread (groups
     // are processed sequentially), so the counters are deterministic.
-    let store = store.map(|st| st.clone().with_recorder(Arc::clone(&campaign_rec) as _));
-    let store = store.as_ref();
-    let threads = config.workers.max(1);
-    let retry = config.retry;
-    // Group cells sharing a workload and configuration; each group shares
-    // one ladder.
+    let store = store.map(|st| st.clone().with_recorder(Arc::clone(campaign_rec) as _));
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
         match groups.iter_mut().find(|g| {
@@ -894,40 +868,22 @@ pub fn run_checkpointed_with(
         }
     }
     campaign_rec.add("campaign.groups", groups.len() as u64);
-    let mut results: Vec<(usize, CellResult, MetricsFrame)> = Vec::with_capacity(jobs.len());
-    let campaign_span = Span::enter(&*campaign_rec, "campaign.run");
     for group in &groups {
         let first = &jobs[group[0]];
-        let mut hashed_seeds: Vec<u64> = Vec::new();
-        let mut with_full = false;
-        for &i in group {
-            for t in jobs[i].technique.tracks() {
-                match t {
-                    Track::Hashed(s) if !hashed_seeds.contains(&s) => hashed_seeds.push(s),
-                    Track::Full => with_full = true,
-                    _ => {}
-                }
-            }
-        }
-        let spec = LadderSpec {
-            stride,
-            hashed_seeds,
-            with_full,
-        };
+        let spec = LadderSpec::for_techniques(stride, group.iter().map(|&i| jobs[i].technique));
         // The capture pass runs arbitrary simulation; isolate it like a
         // cell. On panic the group gracefully degrades to unaccelerated
         // execution — bit-identical results, only slower.
-        let captured = catch_unwind(AssertUnwindSafe(|| match store {
+        let captured = catch_unwind(AssertUnwindSafe(|| match &store {
             Some(st) => CheckpointLadder::load_or_capture(st, first.workload, &first.config, &spec),
             None => CheckpointLadder::capture(first.workload, &first.config, &spec),
         }));
-        let (ctx, ladder) = match captured {
+        let ladder = match captured {
             Ok(ladder) => {
                 report
                     .checkpoint_faults
                     .extend(ladder.fault_log().iter().cloned());
-                let ladder = Arc::new(ladder);
-                (SimContext::with_ladder(Arc::clone(&ladder)), Some(ladder))
+                Some(Arc::new(ladder))
             }
             Err(payload) => {
                 report.checkpoint_faults.push(format!(
@@ -935,23 +891,17 @@ pub fn run_checkpointed_with(
                     first.workload.name(),
                     panic_message(payload)
                 ));
-                (SimContext::none(), None)
+                None
             }
         };
-        execute(
-            jobs,
-            group,
-            threads,
-            &ctx,
-            &retry,
-            &mut results,
-            &mut report,
-        );
+        let ctx = ladder.as_ref().map_or_else(SimContext::none, |ladder| {
+            SimContext::with_ladder(Arc::clone(ladder))
+        });
+        execute(jobs, group, &ctx, config, results, report);
         if let Some(ladder) = ladder {
             report.ladder.merge(&ladder.report());
         }
     }
-    drop(campaign_span);
     // Mirror the ladder accounting as campaign-scope counters so the
     // JSONL export carries the acceleration story alongside the cells.
     campaign_rec.add("ckpt.ladder.jumps", report.ladder.jumps);
@@ -962,9 +912,6 @@ pub fn run_checkpointed_with(
         "campaign.checkpoint_faults",
         report.checkpoint_faults.len() as u64,
     );
-    report.failures.sort_unstable_by_key(|f| f.job_index);
-    finalize(&mut report, results, &campaign_rec);
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -1013,10 +960,7 @@ mod tests {
         fn name(&self) -> String {
             format!("Exploder({})", self.inner.name())
         }
-        fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-            self.run_traced(workload, config).0
-        }
-        fn run_traced_ctx(
+        fn run_traced(
             &self,
             workload: &Workload,
             config: &MachineConfig,
@@ -1027,7 +971,7 @@ mod tests {
                 "{INJECTED_PANIC_TAG} deliberate test panic for {}",
                 self.on
             );
-            self.inner.run_traced_ctx(workload, config, ctx)
+            self.inner.run_traced(workload, config, ctx)
         }
     }
 
@@ -1043,10 +987,7 @@ mod tests {
         fn name(&self) -> String {
             format!("Flaky({})", self.inner.name())
         }
-        fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-            self.run_traced(workload, config).0
-        }
-        fn run_traced_ctx(
+        fn run_traced(
             &self,
             workload: &Workload,
             config: &MachineConfig,
@@ -1059,7 +1000,7 @@ mod tests {
                     .is_ok();
                 assert!(!left, "{INJECTED_PANIC_TAG} transient test panic");
             }
-            self.inner.run_traced_ctx(workload, config, ctx)
+            self.inner.run_traced(workload, config, ctx)
         }
     }
 
@@ -1082,7 +1023,7 @@ mod tests {
         let healthy = pgss_workloads::gzip(0.01);
         let (smarts, _, _) = techniques();
         let jobs = vec![Job::new(&faulty, &smarts), Job::new(&healthy, &smarts)];
-        let report = run_on(&jobs, 2).unwrap();
+        let report = run_with(&jobs, &CampaignConfig::with_workers(2)).unwrap();
         assert_eq!(report.failures.len(), 1);
         let failure = &report.failures[0];
         assert_eq!(failure.workload, "faulty");
@@ -1119,8 +1060,8 @@ mod tests {
         let (smarts, turbo, pgss) = techniques();
         let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &turbo, &pgss];
         let jobs = grid(&workloads, &techs, MachineConfig::default());
-        let serial = run_on(&jobs, 1).unwrap();
-        let parallel = run_on(&jobs, 4).unwrap();
+        let serial = run_with(&jobs, &CampaignConfig::with_workers(1)).unwrap();
+        let parallel = run_with(&jobs, &CampaignConfig::with_workers(4)).unwrap();
         assert_eq!(serial, parallel);
         assert!(serial.is_complete());
         assert_eq!(serial.retries, 0);
@@ -1138,8 +1079,9 @@ mod tests {
         let w = pgss_workloads::gzip(0.01);
         let (smarts, _, _) = techniques();
         let jobs = vec![Job::new(&w, &smarts)];
-        let report = run(&jobs);
-        let (estimate, trace) = smarts.run_traced(&w, &MachineConfig::default());
+        let report = run_with(&jobs, &CampaignConfig::default()).unwrap();
+        let (estimate, trace) =
+            smarts.run_traced(&w, &MachineConfig::default(), &SimContext::none());
         assert_eq!(report.cells[0].estimate, estimate);
         assert_eq!(report.cells[0].trace, trace);
         assert_eq!(report.cells[0].workload, "164.gzip");
@@ -1152,8 +1094,11 @@ mod tests {
 
     #[test]
     fn empty_campaign_is_empty() {
-        assert!(run_on(&[], 8).unwrap().cells.is_empty());
-        let report = run_checkpointed(&[], 100_000, None).unwrap();
+        assert!(run_with(&[], &CampaignConfig::with_workers(8))
+            .unwrap()
+            .cells
+            .is_empty());
+        let report = run_checkpointed_with(&[], 100_000, None, &CampaignConfig::default()).unwrap();
         assert!(report.cells.is_empty());
         assert!(report.is_complete());
         assert_eq!(report.ladder, crate::ckpt::LadderReport::default());
@@ -1165,8 +1110,8 @@ mod tests {
         let (smarts, turbo, pgss) = techniques();
         let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &turbo, &pgss];
         let jobs = grid(&workloads, &techs, MachineConfig::default());
-        let plain = run(&jobs);
-        let fast = run_checkpointed(&jobs, 25_000, None).unwrap();
+        let plain = run_with(&jobs, &CampaignConfig::default()).unwrap();
+        let fast = run_checkpointed_with(&jobs, 25_000, None, &CampaignConfig::default()).unwrap();
         assert_eq!(
             plain.cells, fast.cells,
             "acceleration must not change any cell"
@@ -1199,8 +1144,8 @@ mod tests {
         let (smarts, _, pgss) = techniques();
         let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
         let jobs = grid(&workloads, &techs, MachineConfig::default());
-        let a = run_on(&jobs, 1).unwrap();
-        let b = run_on(&jobs, 4).unwrap();
+        let a = run_with(&jobs, &CampaignConfig::with_workers(1)).unwrap();
+        let b = run_with(&jobs, &CampaignConfig::with_workers(4)).unwrap();
         assert_eq!(a.metrics, b.metrics, "metrics must not depend on workers");
         assert_eq!(a.metrics.to_jsonl(), b.metrics.to_jsonl());
 
@@ -1246,7 +1191,7 @@ mod tests {
         let w = pgss_workloads::twolf(0.002);
         let (smarts, _, _) = techniques();
         let jobs = vec![Job::new(&w, &smarts)];
-        let err = run_on(&jobs, 0).unwrap_err();
+        let err = run_with(&jobs, &CampaignConfig::with_workers(0)).unwrap_err();
         assert!(matches!(
             err,
             CampaignError::InvalidConfig {
@@ -1255,15 +1200,14 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("at least one worker"));
-        let err = run_on_with(
-            &jobs,
-            2,
-            &RetryPolicy {
+        let config = CampaignConfig {
+            workers: 2,
+            retry: RetryPolicy {
                 max_attempts: 0,
                 seed: 0,
             },
-        )
-        .unwrap_err();
+        };
+        let err = run_with(&jobs, &config).unwrap_err();
         assert!(matches!(
             err,
             CampaignError::InvalidConfig {
@@ -1278,7 +1222,7 @@ mod tests {
         let w = pgss_workloads::twolf(0.002);
         let (smarts, _, _) = techniques();
         let jobs = vec![Job::new(&w, &smarts)];
-        let err = run_checkpointed(&jobs, 0, None).unwrap_err();
+        let err = run_checkpointed_with(&jobs, 0, None, &CampaignConfig::default()).unwrap_err();
         assert!(matches!(
             err,
             CampaignError::InvalidConfig {
@@ -1299,7 +1243,7 @@ mod tests {
         };
         let techs: Vec<&(dyn Technique + Sync)> = vec![&exploder, &smarts];
         let jobs = grid(&workloads, &techs, MachineConfig::default());
-        let report = run_on(&jobs, 4).unwrap();
+        let report = run_with(&jobs, &CampaignConfig::with_workers(4)).unwrap();
 
         // Exactly the poisoned cell failed, after the full retry budget.
         assert_eq!(report.failures.len(), 1);
@@ -1321,14 +1265,15 @@ mod tests {
         assert!(report.into_cells().is_err());
 
         // Every other cell is bit-identical to a direct, fault-free run.
-        let report = run_on(&jobs, 4).unwrap();
+        let report = run_with(&jobs, &CampaignConfig::with_workers(4)).unwrap();
         assert_eq!(report.cells.len(), jobs.len() - 1);
         for cell in &report.cells {
             let w = workloads
                 .iter()
                 .find(|w| w.name() == cell.workload)
                 .unwrap();
-            let (estimate, trace) = smarts.run_traced(w, &MachineConfig::default());
+            let (estimate, trace) =
+                smarts.run_traced(w, &MachineConfig::default(), &SimContext::none());
             assert_eq!(
                 cell.estimate, estimate,
                 "{} × {}",
@@ -1351,7 +1296,7 @@ mod tests {
             };
             let techs: Vec<&(dyn Technique + Sync)> = vec![&flaky];
             let jobs = grid(&workloads, &techs, MachineConfig::default());
-            run_on(&jobs, 2).unwrap()
+            run_with(&jobs, &CampaignConfig::with_workers(2)).unwrap()
         };
         let report = run_once();
         assert!(report.is_complete(), "retry must heal a transient fault");
@@ -1359,7 +1304,11 @@ mod tests {
         assert_eq!(report.cells.len(), 3);
         // The healed cell's result is bit-identical to the underlying
         // technique's fault-free run.
-        let (estimate, trace) = smarts.run_traced(&workloads[2], &MachineConfig::default());
+        let (estimate, trace) = smarts.run_traced(
+            &workloads[2],
+            &MachineConfig::default(),
+            &SimContext::none(),
+        );
         assert_eq!(report.cells[2].estimate, estimate);
         assert_eq!(report.cells[2].trace, trace);
         // Same faults, same seed: byte-identical reports.
@@ -1384,7 +1333,7 @@ mod tests {
             max_attempts: 3,
             seed: 7,
         };
-        let report = run_on_with(&jobs, 2, &retry).unwrap();
+        let report = run_with(&jobs, &CampaignConfig { workers: 2, retry }).unwrap();
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].attempts, 3);
         assert_eq!(report.retries, 2, "two retry passes over the one cell");

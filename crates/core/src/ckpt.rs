@@ -13,7 +13,7 @@
 //! 3. [`crate::driver::SimDriver`] — when a ladder is attached, *jumps*
 //!    over functional segments by restoring the highest rung inside the
 //!    segment instead of executing it.
-//! 4. [`crate::campaign::run_checkpointed`] — captures each workload's
+//! 4. [`crate::campaign::run_checkpointed_with`] — captures each workload's
 //!    ladder once and fans restores out to every technique in the grid.
 //!
 //! This is the paper's TurboSMARTS idea (SMARTS with live-state
@@ -49,6 +49,8 @@ use pgss_cpu::{
     MachineStateMut, MachineStateRef, MemSystemState, Mode, ModeOps,
 };
 use pgss_workloads::Workload;
+
+use crate::{Technique, Track};
 
 /// Version of the *payload* encoding produced by this module (the store
 /// has its own record-layout version,
@@ -188,7 +190,7 @@ impl SnapshotShape {
 /// length, and no trailing bytes. Returns the declared shape.
 fn validate_machine_snapshot(bytes: &[u8]) -> Result<SnapshotShape, CodecError> {
     let mut d = Decoder::new(bytes);
-    check_snapshot_version(&mut d)?;
+    d.expect_version(SNAPSHOT_FORMAT_VERSION, "snapshot format version mismatch")?;
     d.skip(4 + 32 * 8 + 32 * 8)?; // pc, integer and float registers
     let mem = d.skip_i64_slice_rle()?;
     d.get_bool()?;
@@ -213,7 +215,7 @@ fn validate_machine_snapshot(bytes: &[u8]) -> Result<SnapshotShape, CodecError> 
 /// Writes validated snapshot bytes into `state`, whose shape matches
 /// theirs.
 fn fill_machine_state(d: &mut Decoder<'_>, state: MachineStateMut<'_>) -> Result<(), CodecError> {
-    check_snapshot_version(d)?;
+    d.expect_version(SNAPSHOT_FORMAT_VERSION, "snapshot format version mismatch")?;
     *state.pc = d.get_u32()?;
     for r in state.regs {
         *r = d.get_i64()?;
@@ -244,14 +246,6 @@ fn fill_machine_state(d: &mut Decoder<'_>, state: MachineStateMut<'_>) -> Result
     Ok(())
 }
 
-fn check_snapshot_version(d: &mut Decoder<'_>) -> Result<(), CodecError> {
-    if d.get_u32()? == SNAPSHOT_FORMAT_VERSION {
-        Ok(())
-    } else {
-        Err(CodecError::Malformed("snapshot format version mismatch"))
-    }
-}
-
 fn put_mode_ops(e: &mut Encoder, ops: ModeOps) {
     e.put_u64(ops.fast_forward);
     e.put_u64(ops.functional);
@@ -273,8 +267,8 @@ fn put_hashed_bbv(e: &mut Encoder, bbv: &HashedBbv) {
 }
 
 fn get_hashed_bbv(d: &mut Decoder<'_>) -> Result<HashedBbv, CodecError> {
-    let counts = d.get_u64_slice()?;
-    let counts: [u64; HASHED_BBV_DIM] = counts
+    let counts: [u64; HASHED_BBV_DIM] = d
+        .get_counts()?
         .try_into()
         .map_err(|_| CodecError::Malformed("hashed BBV dimension"))?;
     Ok(HashedBbv::from_counts(counts))
@@ -376,8 +370,8 @@ pub fn config_digest(config: &MachineConfig) -> u64 {
 ///
 /// Jumping into a BBV-tracked pass requires the ladder to carry that
 /// track's *cumulative* counts, so the union of every consuming
-/// technique's tracks must be declared up front (the campaign derives it
-/// from [`crate::Technique::tracks`]).
+/// technique's tracks must be declared up front
+/// ([`LadderSpec::for_techniques`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LadderSpec {
     /// Distance between rungs, in retired ops.
@@ -396,6 +390,25 @@ impl LadderSpec {
             hashed_seeds: Vec::new(),
             with_full: false,
         }
+    }
+
+    /// The spec a set of techniques sharing one ladder needs: `stride`,
+    /// plus the union of their [`Technique::tracks`]. Hashed seeds keep
+    /// their first-seen order, because store keys hash the spec: the same
+    /// techniques in the same order must find the same rungs.
+    pub fn for_techniques<'t, T: Technique + ?Sized + 't>(
+        stride: u64,
+        techniques: impl IntoIterator<Item = &'t T>,
+    ) -> LadderSpec {
+        let mut spec = LadderSpec::machine_only(stride);
+        for track in techniques.into_iter().flat_map(|t| t.tracks()) {
+            match track {
+                Track::Hashed(s) if !spec.hashed_seeds.contains(&s) => spec.hashed_seeds.push(s),
+                Track::Full => spec.with_full = true,
+                _ => {}
+            }
+        }
+        spec
     }
 }
 
@@ -606,14 +619,10 @@ impl CheckpointLadder {
                 Err(())
             }
             Err(RecordError::Invalid(fault)) => {
-                let dest = match store.quarantine(key) {
-                    Ok(Some(path)) => format!("quarantined to {}", path.display()),
-                    Ok(None) => "already gone".to_string(),
-                    Err(e) => format!("quarantine failed: {e}"),
-                };
                 log.push(format!(
-                    "{}: corrupt {what} (key {key:016x}): {fault}; {dest}; recapturing",
-                    workload.name()
+                    "{}: corrupt {what} (key {key:016x}): {fault}; {}; recapturing",
+                    workload.name(),
+                    quarantine_note(store, key)
                 ));
                 Err(())
             }
@@ -639,14 +648,7 @@ impl CheckpointLadder {
     ) -> Option<Self> {
         let meta =
             Self::read_healing(store, meta_key, "ladder meta record", true, workload, log).ok()?;
-        let mut d = Decoder::new(&meta);
-        let count = (|| {
-            d.get_u64()?; // capture_ops of the original capture; unused
-            let count = d.get_u64()?;
-            d.finish()?;
-            Ok::<u64, CodecError>(count)
-        })()
-        .ok()?;
+        let count = decode_meta_count(&meta).ok()?;
         let mut rungs = Vec::with_capacity(count as usize);
         for i in 1..=count {
             let offset = i * spec.stride;
@@ -658,14 +660,10 @@ impl CheckpointLadder {
                 // The record checksummed clean but its payload is not the
                 // rung the key promises — quarantine it like corruption.
                 _ => {
-                    let dest = match store.quarantine(key) {
-                        Ok(Some(path)) => format!("quarantined to {}", path.display()),
-                        Ok(None) => "already gone".to_string(),
-                        Err(e) => format!("quarantine failed: {e}"),
-                    };
                     log.push(format!(
-                        "{}: undecodable {what} (key {key:016x}); {dest}; recapturing",
-                        workload.name()
+                        "{}: undecodable {what} (key {key:016x}); {}; recapturing",
+                        workload.name(),
+                        quarantine_note(store, key)
                     ));
                     return None;
                 }
@@ -706,14 +704,7 @@ impl CheckpointLadder {
         let Ok(meta) = store.get_checked(meta_key) else {
             return keys;
         };
-        let mut d = Decoder::new(&meta);
-        let count = (|| {
-            d.get_u64()?; // capture_ops; irrelevant to liveness
-            let count = d.get_u64()?;
-            d.finish()?;
-            Ok::<u64, CodecError>(count)
-        })()
-        .unwrap_or(0);
+        let count = decode_meta_count(&meta).unwrap_or(0);
         for i in 1..=count {
             keys.push(CheckpointKey::new(workload, config, i * spec.stride).hash_with_tag(tag));
         }
@@ -792,6 +783,24 @@ impl CheckpointLadder {
     }
 }
 
+/// Quarantines the record at `key`, saying where it went for the fault log.
+fn quarantine_note(store: &Store, key: u64) -> String {
+    match store.quarantine(key) {
+        Ok(Some(path)) => format!("quarantined to {}", path.display()),
+        Ok(None) => "already gone".to_string(),
+        Err(e) => format!("quarantine failed: {e}"),
+    }
+}
+
+/// The rung count of a ladder meta record (capture ops, rung count).
+fn decode_meta_count(bytes: &[u8]) -> Result<u64, CodecError> {
+    let mut d = Decoder::new(bytes);
+    d.get_u64()?; // capture_ops of the original capture; unused
+    let count = d.get_u64()?;
+    d.finish()?;
+    Ok(count)
+}
+
 fn encode_rung(rung: &LadderRung) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_u64(rung.retired);
@@ -825,7 +834,7 @@ fn decode_rung(bytes: &[u8], spec: &LadderSpec) -> Result<LadderRung, CodecError
     }
     let full_cum = d
         .get_bool()?
-        .then(|| d.get_u64_slice().map(FullBbv::from_counts))
+        .then(|| d.get_counts().map(FullBbv::from_counts))
         .transpose()?;
     if full_cum.is_some() != spec.with_full {
         return Err(CodecError::Malformed("ladder full-BBV mismatch"));
@@ -839,7 +848,7 @@ fn decode_rung(bytes: &[u8], spec: &LadderSpec) -> Result<LadderRung, CodecError
     })
 }
 
-/// Per-run context threaded to [`crate::Technique::run_traced_ctx`]:
+/// Per-run context threaded to [`crate::Technique::run_traced`]:
 /// carries the checkpoint ladder (if any) and the metrics recorder every
 /// driver pass of the run should attach — see [`SimContext::bind`].
 #[derive(Debug, Clone)]
@@ -869,8 +878,8 @@ impl Default for SimContext {
 }
 
 impl SimContext {
-    /// A context with no acceleration and no metrics — techniques behave
-    /// exactly as their plain `run_traced`.
+    /// A context with no acceleration and no metrics: what
+    /// [`crate::Technique::run`] passes.
     pub fn none() -> SimContext {
         SimContext::default()
     }
@@ -883,24 +892,10 @@ impl SimContext {
         }
     }
 
-    /// A context carrying `recorder`.
-    pub fn with_recorder(recorder: std::sync::Arc<dyn pgss_obs::Recorder>) -> SimContext {
-        SimContext {
-            recorder,
-            ..SimContext::default()
-        }
-    }
-
     /// The first machine fault deposited by any driver pass bound to this
     /// context, if one occurred.
     pub fn first_fault(&self) -> Option<pgss_cpu::MachineFault> {
         self.fault.get().copied()
-    }
-
-    /// The same context with `recorder` attached (builder-style).
-    pub fn and_recorder(mut self, recorder: std::sync::Arc<dyn pgss_obs::Recorder>) -> SimContext {
-        self.recorder = recorder;
-        self
     }
 
     /// Attaches everything this context carries to a driver pass: the
@@ -953,6 +948,63 @@ mod tests {
         assert!(decode_machine_snapshot(&bytes).is_err());
         let good = encode_machine_snapshot(&snap);
         assert!(decode_machine_snapshot(&good[..good.len() - 3]).is_err());
+    }
+
+    #[test]
+    fn rung_decoder_fails_typed_on_corrupt_bytes() {
+        // The in-place decoder fuzz of `tests/checkpoints.rs`, on a rung
+        // with both BBV kinds, small enough to try every bit flip.
+        use pgss_stats::DetRng;
+        use pgss_workloads::{Kernel, WorkloadBuilder};
+        let mut b = WorkloadBuilder::new("fuzz", 11);
+        let branchy = b.add_segment(Kernel::Branchy {
+            table_words: 256,
+            bias: 100,
+            work_per_side: 2,
+        });
+        b.run(branchy, 40_000);
+        let w = b.finish();
+        let mut cfg = MachineConfig {
+            memory_words: 1 << 12,
+            ..MachineConfig::default()
+        };
+        cfg.l1i.size_bytes = 1 << 10;
+        cfg.l1d.size_bytes = 1 << 10;
+        cfg.l2.size_bytes = 1 << 13;
+        cfg.bpred.history_bits = 6;
+        cfg.bpred.btb_entries = 16;
+        let spec = LadderSpec {
+            stride: 20_000,
+            hashed_seeds: vec![7],
+            with_full: true,
+        };
+        let ladder = CheckpointLadder::capture(&w, &cfg, &spec);
+        let valid = encode_rung(&ladder.rungs[0]);
+        let decode = |bytes: &[u8]| decode_rung(bytes, &spec).map(drop);
+        assert_eq!(decode(&valid), Ok(()));
+        for cut in 0..valid.len() {
+            assert!(
+                decode(&valid[..cut]).is_err(),
+                "truncation at {cut} decoded"
+            );
+        }
+        for bit in 0..valid.len() * 8 {
+            let mut bytes = valid.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode(&bytes);
+        }
+        let mut rng = DetRng::seed_from_u64(0x2b9_f022);
+        for _ in 0..2_000 {
+            let mut bytes = if rng.range_u64(2) == 0 {
+                valid[..rng.range_usize(valid.len())].to_vec()
+            } else {
+                Vec::new()
+            };
+            for _ in 0..rng.range_usize(600) {
+                bytes.push(rng.next_u64() as u8);
+            }
+            let _ = decode(&bytes);
+        }
     }
 
     #[test]

@@ -100,8 +100,8 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
     (estimate - truth).abs() / truth
 }
 
-/// A sampled-simulation technique: given a workload (and machine
-/// configuration), produce an [`Estimate`].
+/// A sampled-simulation technique: given a workload, a machine
+/// configuration and a [`SimContext`], produce an [`Estimate`].
 ///
 /// All techniques in this crate implement the trait, so comparison
 /// harnesses can sweep a `Vec<Box<dyn Technique>>`.
@@ -111,35 +111,19 @@ pub trait Technique {
     fn name(&self) -> String;
 
     /// Runs the technique against `workload` on a machine built with
-    /// `config`.
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate;
-
-    /// Like [`Technique::run_with`], additionally returning the
-    /// [`RunTrace`] of what the underlying [`crate::driver::SimDriver`]
-    /// executed (segments per mode, samples taken vs. skipped and why,
-    /// phase-table events). Techniques running several driver passes merge
-    /// the passes' traces. The default implementation returns an empty
-    /// trace for implementations that predate the driver.
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        (self.run_with(workload, config), RunTrace::default())
-    }
-
-    /// Like [`Technique::run_traced`], threading a [`SimContext`] to the
-    /// technique's driver passes. With a checkpoint ladder in the context,
-    /// techniques that override this attach it to every pass, so
-    /// functional fast-forwarding is replaced by snapshot restores — the
-    /// returned estimate and trace are guaranteed identical to
-    /// [`Technique::run_traced`]; only physical work (tracked by the
-    /// ladder) shrinks. The default ignores the context.
-    fn run_traced_ctx(
+    /// `config`, returning the estimate and the merged [`RunTrace`] of
+    /// its [`crate::driver::SimDriver`] passes.
+    ///
+    /// Every pass is bound to `ctx` ([`SimContext::bind`]). With a
+    /// checkpoint ladder in `ctx`, functional fast-forwarding becomes
+    /// snapshot restores: the estimate and trace stay identical, only
+    /// physical work (tracked by the ladder) shrinks.
+    fn run_traced(
         &self,
         workload: &Workload,
         config: &MachineConfig,
         ctx: &SimContext,
-    ) -> (Estimate, RunTrace) {
-        let _ = ctx;
-        self.run_traced(workload, config)
-    }
+    ) -> (Estimate, RunTrace);
 
     /// The BBV tracks this technique's driver passes use — the union a
     /// checkpoint ladder must carry (see [`crate::ckpt::LadderSpec`]) for
@@ -149,12 +133,11 @@ pub trait Technique {
         vec![Track::None]
     }
 
-    /// Runs with the paper's default machine configuration.
-    fn run(&self, workload: &Workload) -> Estimate
-    where
-        Self: Sized,
-    {
-        self.run_with(workload, &MachineConfig::default())
+    /// Runs with the paper's default machine configuration and no
+    /// context ([`SimContext::none`]).
+    fn run(&self, workload: &Workload) -> Estimate {
+        self.run_traced(workload, &MachineConfig::default(), &SimContext::none())
+            .0
     }
 }
 

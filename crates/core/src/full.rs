@@ -3,6 +3,7 @@
 use pgss_cpu::{MachineConfig, Mode};
 use pgss_workloads::Workload;
 
+use crate::ckpt::SimContext;
 use crate::driver::{
     Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, SimDriver, Track,
 };
@@ -34,12 +35,8 @@ impl FullDetailed {
 
     /// Runs the full simulation and returns the reference result.
     pub fn ground_truth(&self, workload: &Workload) -> GroundTruth {
-        self.ground_truth_with(workload, &MachineConfig::default())
-    }
-
-    /// [`FullDetailed::ground_truth`] with a custom machine configuration.
-    pub fn ground_truth_with(&self, workload: &Workload, config: &MachineConfig) -> GroundTruth {
-        self.ground_truth_traced(workload, config).0
+        self.ground_truth_traced(workload, &MachineConfig::default())
+            .0
     }
 
     fn ground_truth_traced(
@@ -95,11 +92,12 @@ impl Technique for FullDetailed {
         "FullDetailed".to_string()
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
+    fn run_traced(
+        &self,
+        workload: &Workload,
+        config: &MachineConfig,
+        _ctx: &SimContext,
+    ) -> (Estimate, RunTrace) {
         let (truth, mut trace) = self.ground_truth_traced(workload, config);
         trace.samples_taken = 1;
         let estimate = Estimate {

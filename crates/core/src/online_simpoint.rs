@@ -158,19 +158,11 @@ impl Technique for OnlineSimPoint {
         )
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        self.run_traced_ctx(workload, config, &SimContext::none())
-    }
-
     fn tracks(&self) -> Vec<Track> {
         vec![self.signature.hashed_track(self.hash_seed), Track::None]
     }
 
-    fn run_traced_ctx(
+    fn run_traced(
         &self,
         workload: &Workload,
         config: &MachineConfig,

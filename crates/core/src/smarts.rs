@@ -139,15 +139,7 @@ impl Technique for Smarts {
         format!("SMARTS({}k/{})", self.period_ops / 1000, self.unit_ops)
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        self.run_traced_ctx(workload, config, &SimContext::none())
-    }
-
-    fn run_traced_ctx(
+    fn run_traced(
         &self,
         workload: &Workload,
         config: &MachineConfig,

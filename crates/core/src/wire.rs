@@ -40,20 +40,13 @@ use pgss_cpu::ModeOps;
 use pgss_obs::{json_f64, json_string, MetricsFrame, SpanStat};
 use pgss_stats::{ConfidenceInterval, Histogram, Welford};
 
-use crate::campaign::{CellFailure, CellResult};
+use crate::campaign::CellResult;
 use crate::driver::RunTrace;
 use crate::estimate::{Estimate, PhaseSummary};
 
 /// Version of every encoding in this module. Bump on any layout change;
 /// decoders reject other versions.
 pub const WIRE_FORMAT_VERSION: u32 = 1;
-
-fn check_version(d: &mut Decoder<'_>) -> Result<(), CodecError> {
-    if d.get_u32()? != WIRE_FORMAT_VERSION {
-        return Err(CodecError::Malformed("wire format version mismatch"));
-    }
-    Ok(())
-}
 
 // ---------------------------------------------------------------------------
 // Cell results
@@ -97,11 +90,7 @@ fn get_estimate(d: &mut Decoder<'_>) -> Result<Estimate, CodecError> {
             .map_err(|_| CodecError::Malformed("phase count overflow"))?;
         let changes = d.get_u64()?;
         let samples_per_phase = d.get_u64_slice()?;
-        let n = usize::try_from(d.get_u64()?)
-            .map_err(|_| CodecError::Malformed("weight count overflow"))?;
-        if n > d.remaining() / 8 {
-            return Err(CodecError::Truncated);
-        }
+        let n = d.get_len(8)?;
         let mut weights = Vec::with_capacity(n);
         for _ in 0..n {
             weights.push(d.get_f64()?);
@@ -177,7 +166,7 @@ pub fn encode_cell_record(cell: &CellResult, frame: &MetricsFrame) -> Vec<u8> {
 /// Decodes a record produced by [`encode_cell_record`].
 pub fn decode_cell_record(bytes: &[u8]) -> Result<(CellResult, MetricsFrame), CodecError> {
     let mut d = Decoder::new(bytes);
-    check_version(&mut d)?;
+    d.expect_version(WIRE_FORMAT_VERSION, "wire format version mismatch")?;
     let workload = d.get_str()?;
     let technique = d.get_str()?;
     let estimate = get_estimate(&mut d)?;
@@ -260,7 +249,7 @@ pub fn get_frame(d: &mut Decoder<'_>) -> Result<MetricsFrame, CodecError> {
         let k = d.get_str()?;
         let min = d.get_f64()?;
         let max = d.get_f64()?;
-        let counts = d.get_u64_slice()?;
+        let counts = d.get_counts()?;
         if counts.is_empty() || !(min.is_finite() && max.is_finite() && min < max) {
             return Err(CodecError::Malformed("histogram shape"));
         }
@@ -274,20 +263,20 @@ pub fn get_frame(d: &mut Decoder<'_>) -> Result<MetricsFrame, CodecError> {
 // ---------------------------------------------------------------------------
 // Failure-ledger entries
 
-/// Encodes one failure-ledger entry. The cause is stored **rendered**
-/// (its `Display` form): the ledger's purpose downstream of a campaign is
-/// the human-readable report line, and rendering at fail time keeps the
-/// record format independent of the `CellError` variant set.
-pub fn put_failure(e: &mut Encoder, f: &CellFailure) {
+/// Encodes one failure-ledger entry.
+pub fn put_failure(e: &mut Encoder, f: &WireFailure) {
     e.put_u64(f.job_index as u64);
     e.put_str(&f.workload);
     e.put_str(&f.technique);
     e.put_u32(f.attempts);
-    e.put_str(&f.error.to_string());
+    e.put_str(&f.error);
 }
 
-/// A decoded failure-ledger entry; the error is the rendered cause (see
-/// [`put_failure`]).
+/// A failure-ledger entry as persisted. The cause is stored **rendered**
+/// (the [`crate::CellError`] `Display` form): the ledger's purpose
+/// downstream of a campaign is the human-readable report line, and
+/// rendering at fail time keeps the record format independent of the
+/// `CellError` variant set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireFailure {
     /// Index of the failed cell in the campaign's job grid.
@@ -507,12 +496,12 @@ mod tests {
 
     #[test]
     fn failure_roundtrips() {
-        let f = CellFailure {
+        let f = WireFailure {
             job_index: 7,
             workload: "177.mesa".to_string(),
             technique: "PGSS".to_string(),
             attempts: 2,
-            error: crate::campaign::CellError::Panicked("boom".to_string()),
+            error: crate::campaign::CellError::Panicked("boom".to_string()).to_string(),
         };
         let mut e = Encoder::new();
         put_failure(&mut e, &f);

@@ -29,13 +29,6 @@ use crate::spec::CampaignSpec;
 /// Version of every job-record payload in this module.
 pub const JOB_RECORD_VERSION: u32 = 1;
 
-fn check_version(d: &mut Decoder<'_>) -> Result<(), CodecError> {
-    if d.get_u32()? != JOB_RECORD_VERSION {
-        return Err(CodecError::Malformed("job record version mismatch"));
-    }
-    Ok(())
-}
-
 /// Where a job is in its lifecycle. `Done` and `Cancelled` are terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobPhase {
@@ -112,13 +105,10 @@ impl IndexRecord {
     /// Deserialises [`IndexRecord::encode`]'s bytes.
     pub fn decode(bytes: &[u8]) -> Result<IndexRecord, CodecError> {
         let mut d = Decoder::new(bytes);
-        check_version(&mut d)?;
+        d.expect_version(JOB_RECORD_VERSION, "job record version mismatch")?;
         let next_seq = d.get_u64()?;
-        let n = d.get_u64()?;
-        if n > d.remaining() as u64 {
-            return Err(CodecError::Truncated);
-        }
-        let mut jobs = Vec::with_capacity(n as usize);
+        let n = d.get_len(1)?;
+        let mut jobs = Vec::with_capacity(n);
         for _ in 0..n {
             let id = d.get_u64()?;
             jobs.push((id, d.get_str()?));
@@ -153,7 +143,7 @@ impl SpecRecord {
     /// Deserialises [`SpecRecord::encode`]'s bytes.
     pub fn decode(bytes: &[u8]) -> Result<SpecRecord, CodecError> {
         let mut d = Decoder::new(bytes);
-        check_version(&mut d)?;
+        d.expect_version(JOB_RECORD_VERSION, "job record version mismatch")?;
         let tenant = d.get_str()?;
         let seq = d.get_u64()?;
         let spec_bytes = d.get_bytes()?;
@@ -186,13 +176,7 @@ impl StatusRecord {
         e.put_u64(self.retries);
         e.put_u64(self.failures.len() as u64);
         for f in &self.failures {
-            // Same field layout as `pgss::wire::put_failure`, but from
-            // the already-rendered ledger entry.
-            e.put_u64(f.job_index as u64);
-            e.put_str(&f.workload);
-            e.put_str(&f.technique);
-            e.put_u32(f.attempts);
-            e.put_str(&f.error);
+            pgss::wire::put_failure(&mut e, f);
         }
         e.into_bytes()
     }
@@ -200,14 +184,11 @@ impl StatusRecord {
     /// Deserialises [`StatusRecord::encode`]'s bytes.
     pub fn decode(bytes: &[u8]) -> Result<StatusRecord, CodecError> {
         let mut d = Decoder::new(bytes);
-        check_version(&mut d)?;
+        d.expect_version(JOB_RECORD_VERSION, "job record version mismatch")?;
         let phase = JobPhase::from_tag(d.get_u8()?)?;
         let retries = d.get_u64()?;
-        let n = d.get_u64()?;
-        if n > d.remaining() as u64 {
-            return Err(CodecError::Truncated);
-        }
-        let mut failures = Vec::with_capacity(n as usize);
+        let n = d.get_len(1)?;
+        let mut failures = Vec::with_capacity(n);
         for _ in 0..n {
             failures.push(pgss::wire::get_failure(&mut d)?);
         }

@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 
 use pgss::campaign::{annotate_cell_frame, run_cell, CellError, CellResult};
 use pgss::wire::{self, WireFailure};
-use pgss::{CheckpointLadder, LadderSpec, RetryPolicy, SimContext, Track};
+use pgss::{CheckpointLadder, LadderSpec, RetryPolicy, SimContext};
 use pgss_ckpt::{index_key, job_key, JobRecordKind, RecordError, Store};
 use pgss_obs::{
     json_string, scope_line, Clock, MetricsFrame, MetricsRecorder, MonotonicClock, Recorder,
@@ -379,26 +379,11 @@ fn group_count(mat: &Materialized) -> usize {
     mat.workloads.len() * mat.configs.len()
 }
 
-/// The ladder spec shared by every group of a job: BBV tracks collected
-/// over the techniques in first-appearance order, mirroring the library
-/// runner so ladder content addresses (and rungs) are identical.
+/// The ladder spec shared by every group of a job: the union of its
+/// techniques' tracks, derived exactly as the library runner derives it,
+/// so ladder content addresses (and rungs) are identical.
 fn ladder_spec(mat: &Materialized) -> LadderSpec {
-    let mut hashed_seeds: Vec<u64> = Vec::new();
-    let mut with_full = false;
-    for t in &mat.techniques {
-        for track in t.tracks() {
-            match track {
-                Track::Hashed(s) if !hashed_seeds.contains(&s) => hashed_seeds.push(s),
-                Track::Full => with_full = true,
-                _ => {}
-            }
-        }
-    }
-    LadderSpec {
-        stride: mat.stride,
-        hashed_seeds,
-        with_full,
-    }
+    LadderSpec::for_techniques(mat.stride, mat.techniques.iter().map(|t| &**t))
 }
 
 fn render_job_id(id: u64) -> String {

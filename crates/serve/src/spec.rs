@@ -459,29 +459,20 @@ impl CampaignSpec {
 
     /// Decodes [`CampaignSpec::encode`]'s bytes.
     pub fn decode(d: &mut Decoder<'_>) -> Result<CampaignSpec, CodecError> {
-        let n = d.get_u64()?;
-        if n > d.remaining() as u64 {
-            return Err(CodecError::Truncated);
-        }
-        let mut suite = Vec::with_capacity(n as usize);
+        let n = d.get_len(1)?;
+        let mut suite = Vec::with_capacity(n);
         for _ in 0..n {
             let name = d.get_str()?;
             let scale = d.get_f64()?;
             suite.push((name, scale));
         }
-        let n = d.get_u64()?;
-        if n > d.remaining() as u64 {
-            return Err(CodecError::Truncated);
-        }
-        let mut techniques = Vec::with_capacity(n as usize);
+        let n = d.get_len(1)?;
+        let mut techniques = Vec::with_capacity(n);
         for _ in 0..n {
             techniques.push(TechSpec::decode(d)?);
         }
-        let n = d.get_u64()?;
-        if n > d.remaining() as u64 {
-            return Err(CodecError::Truncated);
-        }
-        let mut configs = Vec::with_capacity(n as usize);
+        let n = d.get_len(1)?;
+        let mut configs = Vec::with_capacity(n);
         for _ in 0..n {
             configs.push(ConfigSpec::decode(d)?);
         }

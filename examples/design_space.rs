@@ -17,7 +17,7 @@
 //! expensive exhaustive baselines — runs in parallel with deterministic
 //! output ordering.
 
-use pgss::{campaign, FullDetailed, PgssSim};
+use pgss::{campaign, CampaignConfig, FullDetailed, PgssSim};
 use pgss_cpu::{CacheConfig, MachineConfig};
 
 fn main() {
@@ -60,7 +60,8 @@ fn main() {
     // Positional indexing below needs the full grid, so an incomplete
     // campaign (some cell exhausted its retries) is fatal here; the error
     // names the first ledger entry.
-    let cells = match campaign::run(&jobs).into_cells() {
+    let report = campaign::run_with(&jobs, &CampaignConfig::default());
+    let cells = match report.and_then(|r| r.into_cells()) {
         Ok(cells) => cells,
         Err(e) => {
             eprintln!("design-space campaign failed: {e}");

@@ -11,7 +11,7 @@
 //! against exhaustive simulation, including each run's [`pgss::RunTrace`]
 //! of what the shared sampling engine executed.
 
-use pgss::{campaign, FullDetailed, PgssSim, Smarts, Technique};
+use pgss::{campaign, CampaignConfig, FullDetailed, PgssSim, Smarts, Technique};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -38,7 +38,8 @@ fn main() {
     let techniques: Vec<&(dyn Technique + Sync)> = vec![&pgss, &smarts];
     let workloads = [workload];
     let jobs = campaign::grid(&workloads, &techniques, Default::default());
-    let report = campaign::run(&jobs);
+    let report = campaign::run_with(&jobs, &CampaignConfig::default())
+        .expect("the default campaign config is valid");
     if !report.is_complete() {
         eprintln!("campaign failure ledger:\n{}", report.ledger());
     }

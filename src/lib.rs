@@ -7,3 +7,9 @@
 
 pub use pgss;
 pub use pgss_serve;
+
+// Compiles every `rust` block of the README as a doctest, so the README
+// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

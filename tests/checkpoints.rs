@@ -21,8 +21,8 @@ use pgss::ckpt::{
     encode_machine_state, CheckpointKey,
 };
 use pgss::{
-    campaign, AdaptivePgss, CheckpointLadder, LadderSpec, OnlineSimPoint, PgssSim, SimContext,
-    SimPointOffline, Smarts, Technique, Track, TurboSmarts, SNAPSHOT_FORMAT_VERSION,
+    campaign, AdaptivePgss, CampaignConfig, CheckpointLadder, LadderSpec, OnlineSimPoint, PgssSim,
+    SimContext, SimPointOffline, Smarts, Technique, TurboSmarts, SNAPSHOT_FORMAT_VERSION,
 };
 use pgss_ckpt::{fnv1a64, CodecError, STORE_FORMAT_VERSION};
 use pgss_cpu::{BranchPredictorConfig, CacheConfig, Machine, MachineConfig, Mode, RunResult};
@@ -69,43 +69,16 @@ fn techniques() -> Vec<Box<dyn Technique + Sync>> {
     ]
 }
 
-/// A ladder whose spec is the technique's declared track union — exactly
-/// what the campaign derives.
-fn ladder_for(
-    t: &dyn Technique,
-    w: &Workload,
-    cfg: &MachineConfig,
-    stride: u64,
-) -> Arc<CheckpointLadder> {
-    let mut hashed_seeds: Vec<u64> = Vec::new();
-    let mut with_full = false;
-    for track in t.tracks() {
-        match track {
-            Track::Hashed(s) if !hashed_seeds.contains(&s) => hashed_seeds.push(s),
-            Track::Full => with_full = true,
-            _ => {}
-        }
-    }
-    Arc::new(CheckpointLadder::capture(
-        w,
-        cfg,
-        &LadderSpec {
-            stride,
-            hashed_seeds,
-            with_full,
-        },
-    ))
-}
-
 #[test]
 fn every_technique_is_bit_exact_under_checkpoint_acceleration() {
     let w = workload();
     let cfg = MachineConfig::default();
     for t in techniques() {
-        let plain = t.run_traced(&w, &cfg);
-        let ladder = ladder_for(t.as_ref(), &w, &cfg, 500_000);
+        let plain = t.run_traced(&w, &cfg, &SimContext::none());
+        let spec = LadderSpec::for_techniques(500_000, [t.as_ref()]);
+        let ladder = Arc::new(CheckpointLadder::capture(&w, &cfg, &spec));
         let ctx = SimContext::with_ladder(Arc::clone(&ladder));
-        let fast = t.run_traced_ctx(&w, &cfg, &ctx);
+        let fast = t.run_traced(&w, &cfg, &ctx);
         assert_eq!(
             plain,
             fast,
@@ -140,9 +113,9 @@ fn checkpointed_campaign_round_trips_through_the_store() {
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
 
-    let plain = campaign::run(&jobs);
+    let plain = campaign::run_with(&jobs, &CampaignConfig::default()).unwrap();
     assert!(plain.is_complete());
-    let first = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let first = util::checkpointed_campaign(&jobs, &store);
     assert_eq!(plain.cells, first.cells);
     assert!(first.is_complete());
     assert!(
@@ -155,7 +128,7 @@ fn checkpointed_campaign_round_trips_through_the_store() {
 
     // Second run: ladders come back from disk, so nothing is recaptured
     // and the cells are still identical.
-    let second = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let second = util::checkpointed_campaign(&jobs, &store);
     assert_eq!(plain.cells, second.cells);
     assert_eq!(second.ladder.capture_ops, 0, "second run must load");
     assert!(second.checkpoint_faults.is_empty());
@@ -171,7 +144,7 @@ fn checkpointed_campaign_round_trips_through_the_store() {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
     }
-    let third = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let third = util::checkpointed_campaign(&jobs, &store);
     assert_eq!(plain.cells, third.cells);
     assert!(third.ladder.capture_ops > 0, "corrupt store must recapture");
     assert!(
@@ -198,8 +171,8 @@ fn corrupt_rung_is_quarantined_recaptured_and_bit_exact() {
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
 
-    let plain = campaign::run(&jobs);
-    let first = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let plain = campaign::run_with(&jobs, &CampaignConfig::default()).unwrap();
+    let first = util::checkpointed_campaign(&jobs, &store);
     assert_eq!(plain.cells, first.cells);
 
     // Corrupt exactly one ladder rung: rung records carry a machine
@@ -219,7 +192,7 @@ fn corrupt_rung_is_quarantined_recaptured_and_bit_exact() {
 
     // The healed run is bit-identical to the unaccelerated campaign, and
     // the report names the quarantined record.
-    let healed = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let healed = util::checkpointed_campaign(&jobs, &store);
     assert_eq!(
         plain.cells, healed.cells,
         "healing must not change any cell"
@@ -239,7 +212,7 @@ fn corrupt_rung_is_quarantined_recaptured_and_bit_exact() {
     assert!(victim.is_file(), "recapture must write the rung back");
 
     // Next run loads clean: no recapture, no faults.
-    let clean = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let clean = util::checkpointed_campaign(&jobs, &store);
     assert_eq!(plain.cells, clean.cells);
     assert_eq!(clean.ladder.capture_ops, 0, "store must be healed");
     assert!(
@@ -284,62 +257,6 @@ const MODES: [Mode; 4] = [
     Mode::DetailedWarming,
     Mode::DetailedMeasured,
 ];
-
-/// A small random kernel.
-fn random_kernel(rng: &mut DetRng) -> Kernel {
-    match rng.range_u64(6) {
-        0 => {
-            let stride = 1 + rng.range_usize(3);
-            Kernel::Stream {
-                region_words: (1024 + rng.range_usize(8192)).max(stride * 8 + 1) * 2,
-                stride_words: stride,
-                compute_per_load: rng.range_u64(4) as u32,
-            }
-        }
-        1 => Kernel::Chase {
-            ring_words: 256 + rng.range_usize(4096),
-            chains: 1 + rng.range_u64(3) as u32,
-            compute_per_step: rng.range_u64(6) as u32,
-        },
-        2 => Kernel::ComputeInt {
-            chains: 1 + rng.range_u64(7) as u32,
-            ops_per_chain: 1 + rng.range_u64(5) as u32,
-        },
-        3 => Kernel::ComputeFp {
-            chains: 1 + rng.range_u64(7) as u32,
-            ops_per_chain: 1 + rng.range_u64(4) as u32,
-        },
-        4 => Kernel::Branchy {
-            table_words: 64 + rng.range_usize(2048),
-            bias: rng.range_u64(256) as u8,
-            work_per_side: rng.range_u64(4) as u32,
-        },
-        _ => {
-            let stride = 1 + rng.range_usize(3);
-            Kernel::StoreStream {
-                region_words: (1024 + rng.range_usize(8192)).max(stride * 8 + 1) * 2,
-                stride_words: stride,
-            }
-        }
-    }
-}
-
-/// A random workload: 1–3 kernels, 2–5 schedule entries of 10k–60k ops.
-fn random_workload(rng: &mut DetRng) -> Workload {
-    let mut b = WorkloadBuilder::new("transfer", rng.next_u64());
-    let segs: Vec<_> = (0..1 + rng.range_usize(3))
-        .map(|_| {
-            let k = random_kernel(rng);
-            b.add_segment(k)
-        })
-        .collect();
-    for _ in 0..2 + rng.range_usize(4) {
-        let seg = segs[rng.range_usize(segs.len())];
-        let ops = 10_000 + rng.range_u64(50_000);
-        b.run(seg, ops);
-    }
-    b.finish()
-}
 
 /// A machine shape small enough that whole-state comparisons are cheap
 /// (workloads grow the memory image to fit).
@@ -386,7 +303,7 @@ fn in_place_state_transfer_is_bit_exact_on_dirty_targets() {
     // continue exactly as `restore` of the snapshot into a fresh one.
     let mut rng = DetRng::seed_from_u64(0x7ea5_f3e7);
     for case in 0..24 {
-        let w = random_workload(&mut rng);
+        let w = util::random_workload(&mut rng);
         let cfg = if case % 6 == 5 {
             MachineConfig::default()
         } else {
@@ -439,26 +356,6 @@ fn in_place_state_transfer_is_bit_exact_on_dirty_targets() {
     }
 }
 
-/// Decodes `bytes` into `target` in place and, on error, checks that the
-/// target was left untouched; on success puts `before` back.
-fn decode_into_or_untouched(
-    bytes: &[u8],
-    target: &mut Machine,
-    before: &pgss_cpu::MachineSnapshot,
-) {
-    match decode_machine_snapshot_into(bytes, target) {
-        Err(CodecError::Truncated | CodecError::Malformed(_)) => {
-            assert!(
-                target.snapshot() == *before,
-                "failed decode mutated the target"
-            );
-        }
-        Ok(()) => target.restore(before),
-    }
-    // The allocating decoder is total over the same bytes too.
-    let _ = decode_machine_snapshot(bytes);
-}
-
 #[test]
 fn in_place_decoder_fails_safely_on_corrupt_bytes() {
     // A workload with a small data image keeps the rung to a few KiB, so
@@ -483,37 +380,19 @@ fn in_place_decoder_fails_safely_on_corrupt_bytes() {
     let mut target = dirty_machine(&w, cfg, &mut rng);
     let before = target.snapshot();
 
-    // Every truncation of a valid rung is an error.
-    for cut in 0..rung.len() {
-        assert!(
-            decode_machine_snapshot_into(&rung[..cut], &mut target).is_err(),
-            "truncation at {cut} decoded"
-        );
-        assert!(
-            target.snapshot() == before,
-            "truncation at {cut} mutated the target"
-        );
-    }
-    // Single-bit flips: some land in plain values and decode, the rest
-    // must fail cleanly.
-    for bit in 0..rung.len() * 8 {
-        let mut bytes = rung.clone();
-        bytes[bit / 8] ^= 1 << (bit % 8);
-        decode_into_or_untouched(&bytes, &mut target, &before);
-    }
-    // Byte soup, half of it behind a valid prefix so it gets past the
-    // version check into the variable-length fields.
-    for _ in 0..2_000 {
-        let mut bytes = if rng.range_u64(2) == 0 {
-            rung[..rng.range_usize(rung.len())].to_vec()
-        } else {
-            Vec::new()
-        };
-        for _ in 0..rng.range_usize(600) {
-            bytes.push(rng.next_u64() as u8);
+    util::fuzz_decoder(&rung, &mut rng, |bytes| {
+        let result = decode_machine_snapshot_into(bytes, &mut target);
+        match result {
+            Err(_) => assert!(
+                target.snapshot() == before,
+                "failed decode mutated the target"
+            ),
+            Ok(()) => target.restore(&before),
         }
-        decode_into_or_untouched(&bytes, &mut target, &before);
-    }
+        // The allocating decoder is total over the same bytes too.
+        let _ = decode_machine_snapshot(bytes);
+        result
+    });
     assert!(target.snapshot() == before);
 }
 

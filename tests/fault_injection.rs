@@ -17,7 +17,7 @@
 mod util;
 
 use pgss::faults::{self, CellPanic, FaultPlan, StoreFaultPlan};
-use pgss::{campaign, PgssSim, Smarts, Technique};
+use pgss::{campaign, CampaignConfig, PgssSim, Smarts, Technique};
 use pgss_ckpt::Store;
 use pgss_cpu::MachineConfig;
 use pgss_workloads::Workload;
@@ -65,7 +65,7 @@ fn injected_worker_panic_is_isolated_and_ledgered() {
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
 
-    let clean = fault_free(|| campaign::run(&jobs));
+    let clean = fault_free(|| campaign::run_with(&jobs, &CampaignConfig::default()).unwrap());
     assert!(clean.is_complete());
 
     // Permanently poison one exact cell.
@@ -77,7 +77,7 @@ fn injected_worker_panic_is_isolated_and_ledgered() {
         }],
         ..FaultPlan::default()
     });
-    let faulty = campaign::run(&jobs);
+    let faulty = campaign::run_with(&jobs, &CampaignConfig::default()).unwrap();
 
     // Exactly that cell failed, after its full retry budget, with its
     // workload / technique / cause in the ledger.
@@ -114,7 +114,7 @@ fn transient_injected_panic_heals_and_replays_byte_identically() {
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
 
-    let clean = fault_free(|| campaign::run(&jobs));
+    let clean = fault_free(|| campaign::run_with(&jobs, &CampaignConfig::default()).unwrap());
 
     // One transient fault: the cell's first attempt panics, the retry
     // heals it.
@@ -127,7 +127,7 @@ fn transient_injected_panic_heals_and_replays_byte_identically() {
             }],
             ..FaultPlan::default()
         });
-        campaign::run(&jobs)
+        campaign::run_with(&jobs, &CampaignConfig::default()).unwrap()
     };
     let healed = run_with_fault();
     assert!(healed.is_complete(), "{}", healed.ledger());
@@ -152,7 +152,7 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
     let (dir, store) = temp_store("corrupt");
 
-    let clean = fault_free(|| campaign::run_checkpointed(&jobs, 50_000, Some(&store))).unwrap();
+    let clean = fault_free(|| util::checkpointed_campaign(&jobs, &store));
     assert!(clean.checkpoint_faults.is_empty());
     assert!(clean.ladder.capture_ops > 0);
 
@@ -168,7 +168,7 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
             },
             ..FaultPlan::default()
         });
-        campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap()
+        util::checkpointed_campaign(&jobs, &store)
     };
     let healed = run_with_fault();
     assert_eq!(
@@ -203,7 +203,7 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
     assert_eq!(format!("{healed:?}"), format!("{replay:?}"));
 
     // With faults cleared the recaptured store loads clean.
-    let after = fault_free(|| campaign::run_checkpointed(&jobs, 50_000, Some(&store))).unwrap();
+    let after = fault_free(|| util::checkpointed_campaign(&jobs, &store));
     assert_eq!(clean.cells, after.cells);
     assert_eq!(after.ladder.capture_ops, 0);
     assert!(
@@ -221,7 +221,7 @@ fn injected_store_io_errors_degrade_gracefully() {
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
     let (_dir, store) = temp_store("io");
 
-    let plain = fault_free(|| campaign::run(&jobs));
+    let plain = fault_free(|| campaign::run_with(&jobs, &CampaignConfig::default()).unwrap());
 
     // First campaign: the very first rung write-back fails with an I/O
     // error. Capture still accelerates this run; only persistence is
@@ -234,7 +234,7 @@ fn injected_store_io_errors_degrade_gracefully() {
             },
             ..FaultPlan::default()
         });
-        let report = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+        let report = util::checkpointed_campaign(&jobs, &store);
         assert_eq!(plain.cells, report.cells);
         assert!(report.is_complete());
         assert!(
@@ -260,13 +260,13 @@ fn injected_store_io_errors_degrade_gracefully() {
             },
             ..FaultPlan::default()
         });
-        let report = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+        let report = util::checkpointed_campaign(&jobs, &store);
         assert_eq!(plain.cells, report.cells);
         assert!(report.is_complete());
     }
 
     // Faults cleared: the store heals to a fully-loadable state.
-    let healed = fault_free(|| campaign::run_checkpointed(&jobs, 50_000, Some(&store))).unwrap();
+    let healed = fault_free(|| util::checkpointed_campaign(&jobs, &store));
     assert_eq!(plain.cells, healed.cells);
     assert_eq!(
         healed.ladder.capture_ops, 0,
@@ -284,7 +284,7 @@ fn combined_panic_and_store_faults_in_one_campaign() {
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
     let (_dir, store) = temp_store("combined");
 
-    let clean = fault_free(|| campaign::run_checkpointed(&jobs, 50_000, Some(&store))).unwrap();
+    let clean = fault_free(|| util::checkpointed_campaign(&jobs, &store));
 
     // Everything at once: a transient worker panic on one cell plus a
     // corrupted rung read. The campaign heals both and stays bit-exact.
@@ -300,7 +300,7 @@ fn combined_panic_and_store_faults_in_one_campaign() {
         },
         ..FaultPlan::default()
     });
-    let report = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let report = util::checkpointed_campaign(&jobs, &store);
     assert!(report.is_complete(), "{}", report.ledger());
     assert_eq!(clean.cells, report.cells);
     assert_eq!(report.retries, 1);

@@ -8,7 +8,7 @@ use pgss::{
     AdaptivePgss, FullDetailed, OnlineSimPoint, PgssSim, RankedSet, Signature, SimPointOffline,
     Smarts, Technique, TurboSmarts, TwoPhaseStratified,
 };
-use pgss_cpu::{MachineConfig, ModeOps};
+use pgss_cpu::ModeOps;
 
 /// `(workload, technique, ipc_bits, mode_ops, samples)` recorded goldens.
 const GOLDENS: [(&str, &str, u64, ModeOps, u64); 20] = [
@@ -318,7 +318,7 @@ fn estimates_match_recorded_goldens() {
         for (t, &(gw, gname, ipc_bits, mode_ops, samples)) in techniques.iter().zip(chunk) {
             assert_eq!(w.name(), gw, "golden table out of order");
             assert_eq!(t.name(), gname, "golden table out of order");
-            let e = t.run_with(w, &MachineConfig::default());
+            let e = t.run(w);
             if e.ipc.to_bits() != ipc_bits || e.mode_ops != mode_ops || e.samples != samples {
                 failures.push(format!(
                     "{gw} / {gname}: got ipc=0x{:016x} {:?} samples={}, \

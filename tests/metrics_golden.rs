@@ -6,8 +6,8 @@
 mod util;
 
 use pgss::{
-    campaign, MetricsRecorder, MetricsReport, PgssSim, RankedSet, Recorder, Signature, Smarts,
-    Technique, TwoPhaseStratified,
+    campaign, CampaignConfig, MetricsRecorder, MetricsReport, PgssSim, RankedSet, Recorder,
+    Signature, Smarts, Technique, TwoPhaseStratified,
 };
 use pgss_cpu::MachineConfig;
 
@@ -39,7 +39,8 @@ fn jobs_jsonl(threads: usize) -> String {
     };
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss, &two_phase, &ranked, &pgss_mav];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
-    let report = campaign::run_on(&jobs, threads).expect("campaign runs");
+    let report =
+        campaign::run_with(&jobs, &CampaignConfig::with_workers(threads)).expect("campaign runs");
     assert!(report.is_complete());
     report.metrics.to_jsonl()
 }

@@ -11,6 +11,10 @@
 //!    oversized lines and a slow-loris half-request, must each get a
 //!    typed error line (or a clean close) while the server keeps serving
 //!    well-formed clients.
+//! 3. **Record-level**: the decoders of what the server persists — cell
+//!    records and the index, spec and status job records — get every
+//!    truncation, every single-bit flip and byte soup of a valid
+//!    encoding, and must return a typed `CodecError`, never panic.
 
 mod util;
 
@@ -18,8 +22,15 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use pgss_serve::{json, Client, Listen, ServeConfig, Server};
-use pgss_stats::DetRng;
+use pgss::campaign::{run_cell, Job};
+use pgss::wire::{decode_cell_record, encode_cell_record, WireFailure};
+use pgss::{PgssSim, SimContext};
+use pgss_ckpt::CodecError;
+use pgss_serve::{
+    json, CampaignSpec, Client, IndexRecord, JobPhase, Listen, ServeConfig, Server, SpecRecord,
+    StatusRecord,
+};
+use pgss_stats::{DetRng, Histogram};
 
 /// Every input must produce `Ok` or a typed error; a panic (caught here
 /// so one bad input doesn't hide the rest) or a hang fails the test.
@@ -104,6 +115,66 @@ fn mutated_real_requests_never_panic_the_parser() {
         }
         parses_without_panicking(&String::from_utf8_lossy(&bytes));
     }
+}
+
+#[test]
+fn cell_record_decoder_fails_typed_on_corrupt_bytes() {
+    // A PGSS cell carries every optional part of a record: phases, a CI,
+    // and a metric frame, here with every kind of metric.
+    let w = pgss_workloads::gzip(0.005);
+    let pgss = PgssSim {
+        ff_ops: 50_000,
+        spacing_ops: 50_000,
+        ..PgssSim::default()
+    };
+    let (cell, mut frame) = run_cell(&Job::new(&w, &pgss), &SimContext::none()).unwrap();
+    frame
+        .dists
+        .insert("ipc".into(), [1.0, 1.5].into_iter().collect());
+    let mut hist = Histogram::new(0.0, 1.0, 4);
+    hist.add(0.3);
+    frame.hists.insert("share".into(), hist);
+    let bytes = encode_cell_record(&cell, &frame);
+    assert_eq!(decode_cell_record(&bytes).unwrap(), (cell, frame));
+    let mut rng = DetRng::seed_from_u64(0xce11_f022);
+    util::fuzz_decoder(&bytes, &mut rng, |b| decode_cell_record(b).map(drop));
+}
+
+#[test]
+fn job_record_decoders_fail_typed_on_corrupt_bytes() {
+    let index = IndexRecord {
+        next_seq: 3,
+        jobs: vec![(0x0123_4567_89ab_cdef, "alice".into()), (7, "bob".into())],
+    };
+    let spec = json::parse(
+        r#"{"suite":[{"name":"164.gzip","scale":0.01},{"name":"300.twolf","scale":0.01}],
+            "techniques":[{"kind":"smarts","period_ops":50000},{"kind":"pgss","ff_ops":50000}],
+            "configs":[{},{"issue_width":2}],"stride":50000}"#,
+    )
+    .unwrap();
+    let spec = SpecRecord {
+        tenant: "alice".into(),
+        seq: 2,
+        spec: CampaignSpec::from_json(&spec).unwrap(),
+    };
+    let status = StatusRecord {
+        phase: JobPhase::Running,
+        retries: 1,
+        failures: vec![WireFailure {
+            job_index: 3,
+            workload: "300.twolf".into(),
+            technique: "SMARTS(50k)".into(),
+            attempts: 2,
+            error: "technique panicked: boom".into(),
+        }],
+    };
+    let mut rng = DetRng::seed_from_u64(0x10b_f022);
+    let mut fuzz = |bytes: Vec<u8>, decode: fn(&[u8]) -> Result<(), CodecError>| {
+        util::fuzz_decoder(&bytes, &mut rng, decode)
+    };
+    fuzz(index.encode(), |b| IndexRecord::decode(b).map(drop));
+    fuzz(spec.encode(), |b| SpecRecord::decode(b).map(drop));
+    fuzz(status.encode(), |b| StatusRecord::decode(b).map(drop));
 }
 
 /// Raw socket helper: send `payload` (no framing added) and collect

@@ -46,7 +46,7 @@ fn every_technique_yields_a_finite_plausible_estimate() {
     let truth = FullDetailed::new().ground_truth(&w);
     let config = pgss_cpu::MachineConfig::default();
     for t in all_techniques() {
-        let est = t.run_with(&w, &config);
+        let est = t.run(&w);
         assert!(
             est.ipc.is_finite() && est.ipc > 0.0,
             "{}: ipc {}",
@@ -129,8 +129,8 @@ fn cost_ordering_matches_the_paper() {
 fn techniques_are_deterministic() {
     let w = workload();
     for t in all_techniques() {
-        let a = t.run_with(&w, &pgss_cpu::MachineConfig::default());
-        let b = t.run_with(&w, &pgss_cpu::MachineConfig::default());
+        let a = t.run(&w);
+        let b = t.run(&w);
         assert_eq!(a, b, "{} is not deterministic", t.name());
     }
 }
