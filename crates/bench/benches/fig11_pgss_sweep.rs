@@ -6,8 +6,9 @@
 //! at the 100k period (their ~40–50k-op micro-phases alias against the BBV
 //! sampling).
 
-use pgss::{PgssSim, Technique};
-use pgss_bench::{banner, cached_ground_truth, pct, suite, Table};
+use pgss::{campaign, PgssSim, Technique};
+use pgss_bench::{banner, cached_ground_truth, pct, run_figure_campaign, suite, Table};
+use pgss_cpu::MachineConfig;
 
 fn main() {
     banner(
@@ -20,8 +21,18 @@ fn main() {
     let periods: [(u64, &str); 3] = [(100_000, "100k"), (1_000_000, "1M"), (10_000_000, "10M")];
     let thresholds = [0.05, 0.10, 0.15, 0.20, 0.25];
 
+    // One campaign over the whole sweep, period-major then threshold.
+    let pgsss: Vec<PgssSim> = periods
+        .iter()
+        .flat_map(|&(p, _)| thresholds.map(|t| PgssSim::with_params(p, t)))
+        .collect();
+    let techs: Vec<&(dyn Technique + Sync)> =
+        pgsss.iter().map(|t| t as &(dyn Technique + Sync)).collect();
+    let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
+    let cells = run_figure_campaign("fig11", &jobs).cells;
+
     let mut best_overall: Option<(f64, String)> = None;
-    for (period, period_name) in periods {
+    for (pi, (_, period_name)) in periods.into_iter().enumerate() {
         println!("\n--- {period_name} op BBV sampling period ---");
         let mut header: Vec<String> = vec!["benchmark".into()];
         header.extend(thresholds.iter().map(|t| format!(".{:02.0}π", t * 100.0)));
@@ -29,11 +40,11 @@ fn main() {
         let mut table = Table::new(&header_refs);
         let mut errs_by_thresh: Vec<Vec<f64>> = vec![Vec::new(); thresholds.len()];
 
-        for (w, truth) in workloads.iter().zip(&truths) {
+        for (wi, (w, truth)) in workloads.iter().zip(&truths).enumerate() {
             let mut row = vec![w.name().to_string()];
-            for (ti, &t) in thresholds.iter().enumerate() {
-                let est = PgssSim::with_params(period, t).run(w);
-                let err = est.error_vs(truth);
+            for ti in 0..thresholds.len() {
+                let cell = &cells[wi * techs.len() + pi * thresholds.len() + ti];
+                let err = cell.estimate.error_vs(truth);
                 errs_by_thresh[ti].push(err);
                 row.push(pct(err));
             }

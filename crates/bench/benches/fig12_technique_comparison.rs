@@ -10,16 +10,16 @@
 //! {100k, 1M, 10M} × thresholds {.05 … .25}π.
 //!
 //! Every (benchmark × configuration) cell is one campaign job, so the whole
-//! figure fans out across the host's cores via [`pgss::campaign`]; the
-//! "best" columns then pick per benchmark among their sweep's cells.
+//! figure fans out across the host's cores via
+//! [`pgss_bench::run_figure_campaign`]; the "best" columns then pick per
+//! benchmark among their sweep's cells.
 
 use std::ops::Range;
 
-use pgss::{
-    campaign, OnlineSimPoint, PgssSim, RankedSet, Signature, SimPointOffline, Smarts, Technique,
-    TurboSmarts, TwoPhaseStratified,
+use pgss::{campaign, OnlineSimPoint, PgssSim, SimPointOffline, Technique};
+use pgss_bench::{
+    banner, cached_ground_truth, fixed_techniques, ops_fmt, pct, run_figure_campaign, suite, Table,
 };
-use pgss_bench::{banner, cached_ground_truth, ops_fmt, pct, suite, Table};
 use pgss_cpu::MachineConfig;
 
 /// One column of the figure: a fixed configuration, or the per-benchmark
@@ -36,14 +36,7 @@ fn main() {
     );
     let cfg = MachineConfig::default();
 
-    let smarts = Smarts {
-        period_ops: 100_000,
-        ..Smarts::default()
-    };
-    let turbo = TurboSmarts {
-        smarts,
-        ..TurboSmarts::default()
-    };
+    let [smarts, turbo, simpoint, olsp, pgss, two_phase, ranked, pgss_mav] = fixed_techniques();
     let simpoints: Vec<SimPointOffline> = [100_000u64, 1_000_000]
         .iter()
         .flat_map(|&i| {
@@ -73,16 +66,7 @@ fn main() {
         })
         .collect();
 
-    // The PR-8 estimators at their defaults, plus PGSS on the MAV
-    // signature — one cell each, compared against the sweeps' best.
-    let two_phase = TwoPhaseStratified::default();
-    let ranked = RankedSet::default();
-    let pgss_mav = PgssSim {
-        signature: Signature::Mav,
-        ..PgssSim::default()
-    };
-
-    let mut techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &turbo];
+    let mut techs: Vec<&(dyn Technique + Sync)> = vec![&*smarts.1, &*turbo.1];
     let sp_start = techs.len();
     techs.extend(simpoints.iter().map(|t| t as &(dyn Technique + Sync)));
     let sp_range = sp_start..techs.len();
@@ -92,10 +76,10 @@ fn main() {
     let pgss_start = techs.len();
     techs.extend(pgsss.iter().map(|t| t as &(dyn Technique + Sync)));
     let pgss_range = pgss_start..techs.len();
+    // The related-work estimators and PGSS on the MAV signature: one cell
+    // each, compared against the sweeps' best.
     let extra_start = techs.len();
-    techs.push(&two_phase);
-    techs.push(&ranked);
-    techs.push(&pgss_mav);
+    techs.extend([&*two_phase.1, &*ranked.1, &*pgss_mav.1]);
     // The fixed best-overall configurations are members of their sweeps.
     let index_of = |range: &Range<usize>, name: &str| {
         range
@@ -103,25 +87,17 @@ fn main() {
             .find(|&i| techs[i].name() == name)
             .expect("fixed config is in its sweep")
     };
-    let sp_fixed = index_of(
-        &sp_range,
-        &SimPointOffline {
-            interval_ops: 1_000_000,
-            k: 10,
-            ..SimPointOffline::default()
-        }
-        .name(),
-    );
-    let olsp_fixed = index_of(&olsp_range, &OnlineSimPoint::new().name());
-    let pgss_fixed = index_of(&pgss_range, &PgssSim::new().name());
+    let sp_fixed = index_of(&sp_range, &simpoint.1.name());
+    let olsp_fixed = index_of(&olsp_range, &olsp.1.name());
+    let pgss_fixed = index_of(&pgss_range, &pgss.1.name());
 
     let columns: Vec<Column> = vec![
         Column {
-            name: "SMARTS",
+            name: smarts.0,
             select: 0..1,
         },
         Column {
-            name: "TurboSMARTS",
+            name: turbo.0,
             select: 1..2,
         },
         Column {
@@ -129,7 +105,7 @@ fn main() {
             select: sp_range,
         },
         Column {
-            name: "SimPoint(10x1M)",
+            name: simpoint.0,
             select: sp_fixed..sp_fixed + 1,
         },
         Column {
@@ -137,7 +113,7 @@ fn main() {
             select: olsp_range,
         },
         Column {
-            name: "OLSimPoint(1M/.10)",
+            name: olsp.0,
             select: olsp_fixed..olsp_fixed + 1,
         },
         Column {
@@ -145,19 +121,19 @@ fn main() {
             select: pgss_range,
         },
         Column {
-            name: "PGSS(1M/.05)",
+            name: pgss.0,
             select: pgss_fixed..pgss_fixed + 1,
         },
         Column {
-            name: "TwoPhase(1M/b60)",
+            name: two_phase.0,
             select: extra_start..extra_start + 1,
         },
         Column {
-            name: "RankedSet(1M/r2x5)",
+            name: ranked.0,
             select: extra_start + 1..extra_start + 2,
         },
         Column {
-            name: "PGSS-MAV(1M/.05)",
+            name: pgss_mav.0,
             select: extra_start + 2..extra_start + 3,
         },
     ];
@@ -165,65 +141,10 @@ fn main() {
     let workloads = suite();
     let truths: Vec<_> = workloads.iter().map(cached_ground_truth).collect();
 
-    eprintln!(
-        "running {} campaign cells (checkpoint-accelerated) ...",
-        workloads.len() * techs.len()
-    );
     let jobs = campaign::grid(&workloads, &techs, cfg);
-    // Checkpoint-accelerated: each benchmark's functional fast-forward
-    // prefix is captured once (or restored from the on-disk store) and
-    // every cell jumps through it instead of re-executing it.
-    let store = pgss_bench::checkpoint_store();
-    // PGSS_WORKERS is resolved here at the harness boundary; the
-    // library takes an explicit worker count.
-    let config = pgss::CampaignConfig::with_workers(campaign::worker_threads());
-    let campaign_report =
-        match campaign::run_checkpointed_with(&jobs, 1_000_000, store.as_ref(), &config) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fig12 campaign failed to run: {e}");
-                std::process::exit(1);
-            }
-        };
-    for fault in &campaign_report.checkpoint_faults {
-        eprintln!("checkpoint fault healed: {fault}");
-    }
-    let report = campaign_report.ladder;
-    // The campaign-scope metrics summarize where the figure's time went
-    // (the full per-cell breakdown is `campaign_metrics --jsonl`).
-    if let Some(scope) = campaign_report.metrics.scope("campaign") {
-        eprintln!(
-            "campaign metrics: {} cells ok / {} retries, wall {:.1} s, mean detail share {}",
-            scope.counter("campaign.cells.ok"),
-            scope.counter("campaign.retries"),
-            scope
-                .span("campaign.run")
-                .map_or(0.0, |s| s.total_ns as f64 / 1e9),
-            scope
-                .dists
-                .get("campaign.detail_share")
-                .map_or_else(|| "-".to_string(), |d| pct(d.mean())),
-        );
-    }
-    // The figure indexes the grid positionally, so every cell must exist.
-    let cells = match campaign_report.into_cells() {
-        Ok(cells) => cells,
-        Err(e) => {
-            eprintln!("fig12 campaign incomplete: {e}");
-            std::process::exit(1);
-        }
-    };
+    // The figure indexes the grid positionally; the report is complete.
+    let cells = run_figure_campaign("fig12", &jobs).cells;
     let cell = |w: usize, t: usize| &cells[w * techs.len() + t];
-    eprintln!(
-        "checkpointing: {} jumps skipped {} ops; executed {} of {} baseline \
-         ops (ratio {:.3}, capture {} ops)",
-        report.jumps,
-        ops_fmt(report.skipped_ops),
-        ops_fmt(report.total_executed()),
-        ops_fmt(report.baseline_ops()),
-        report.executed_ratio(),
-        ops_fmt(report.capture_ops),
-    );
 
     // results[column][benchmark]
     let mut errors: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
@@ -282,9 +203,9 @@ fn main() {
     let mean_det = |c: usize| detailed[c].iter().sum::<u64>() as f64 / detailed[c].len() as f64;
     let pgss_fixed_col = columns
         .iter()
-        .position(|c| c.name == "PGSS(1M/.05)")
+        .position(|c| c.name == pgss.0)
         .expect("fixed PGSS column exists");
-    println!("\ndetailed-simulation ratios vs PGSS(1M/.05):");
+    println!("\ndetailed-simulation ratios vs {}:", pgss.0);
     for (c, col) in columns.iter().enumerate() {
         if c != pgss_fixed_col {
             println!(

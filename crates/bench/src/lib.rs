@@ -19,6 +19,13 @@
 //! labelled in each harness: the SMARTS period becomes 100k (≈500 samples
 //! per benchmark instead of the paper's ~100,000) and SimPoint interval
 //! sizes become {100k, 1M} with {5, 10, 20} clusters.
+//!
+//! # Campaigns
+//!
+//! Every harness that runs a grid of techniques over the suite builds its
+//! jobs with [`pgss::campaign::grid`] and runs them through
+//! [`run_figure_campaign`]; Figures 12 and 13 draw their fixed
+//! configurations from [`fixed_techniques`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +33,11 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use pgss::{FullDetailed, GroundTruth};
+use pgss::campaign::{self, CampaignConfig, CampaignReport, Job};
+use pgss::{
+    FullDetailed, GroundTruth, OnlineSimPoint, PgssSim, RankedSet, Signature, SimPointOffline,
+    Smarts, Technique, TurboSmarts, TwoPhaseStratified,
+};
 use pgss_ckpt::{fnv1a64, Decoder, Encoder, Store};
 use pgss_workloads::Workload;
 
@@ -151,6 +162,94 @@ fn cache_path() -> PathBuf {
 /// — campaigns then fall back to in-memory capture.
 pub fn checkpoint_store() -> Option<Store> {
     Store::open(target_dir().join("pgss_ckpt_store")).ok()
+}
+
+/// The eight fixed configurations Figures 12 and 13 compare, labelled as
+/// their columns: SMARTS (100k period), TurboSMARTS, SimPoint (10 × 1M),
+/// Online SimPoint (1M/.10π), PGSS (1M/.05π), then the related-work
+/// estimators at their defaults — two-phase stratified, ranked-set, and
+/// PGSS on the MAV signature.
+pub fn fixed_techniques() -> [(&'static str, Box<dyn Technique + Sync>); 8] {
+    let smarts = Smarts {
+        period_ops: 100_000,
+        ..Smarts::default()
+    };
+    [
+        ("SMARTS", Box::new(smarts)),
+        (
+            "TurboSMARTS",
+            Box::new(TurboSmarts {
+                smarts,
+                ..TurboSmarts::default()
+            }),
+        ),
+        (
+            "SimPoint(10x1M)",
+            Box::new(SimPointOffline {
+                interval_ops: 1_000_000,
+                k: 10,
+                ..SimPointOffline::default()
+            }),
+        ),
+        ("OLSimPoint(1M/.10)", Box::new(OnlineSimPoint::new())),
+        ("PGSS(1M/.05)", Box::new(PgssSim::new())),
+        ("TwoPhase(1M/b60)", Box::new(TwoPhaseStratified::default())),
+        ("RankedSet(1M/r2x5)", Box::new(RankedSet::default())),
+        (
+            "PGSS-MAV(1M/.05)",
+            Box::new(PgssSim {
+                signature: Signature::Mav,
+                ..PgssSim::default()
+            }),
+        ),
+    ]
+}
+
+/// Runs a figure's campaign: checkpoint-accelerated at a 1M-op rung
+/// stride through the shared [`checkpoint_store`], on `PGSS_WORKERS`
+/// workers (resolved here, at the harness boundary; the library takes an
+/// explicit count). Results equal an unaccelerated run's.
+///
+/// Progress, healed checkpoint faults and a one-line summary go to
+/// stderr, so stdout carries only the figure. When the campaign cannot
+/// run or any cell failed, prints the failure ledger and exits with
+/// status 1 — a returned report is complete, its `cells` the whole grid
+/// in job order. `label` names the figure in these messages.
+pub fn run_figure_campaign(label: &str, jobs: &[Job<'_>]) -> CampaignReport {
+    eprintln!(
+        "{label}: running {} campaign cells (checkpoint-accelerated) ...",
+        jobs.len()
+    );
+    let store = checkpoint_store();
+    let config = CampaignConfig::with_workers(campaign::worker_threads());
+    let report = match campaign::run_checkpointed_with(jobs, 1_000_000, store.as_ref(), &config) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("{label} campaign failed to run: {e}");
+            std::process::exit(1);
+        }
+    };
+    if !report.is_complete() {
+        eprintln!("{label} campaign incomplete: {}", report.ledger());
+        std::process::exit(1);
+    }
+    for fault in &report.checkpoint_faults {
+        eprintln!("checkpoint fault healed: {fault}");
+    }
+    let wall_s = report
+        .metrics
+        .scope("campaign")
+        .and_then(|scope| scope.span("campaign.run"))
+        .map_or(0.0, |span| span.total_ns as f64 / 1e9);
+    eprintln!(
+        "{label}: {} cells ok, {} retries, wall {wall_s:.1} s; checkpointing executed \
+         {:.1}% of baseline ops ({} jumps)",
+        report.cells.len(),
+        report.retries,
+        report.ladder.executed_ratio() * 100.0,
+        report.ladder.jumps,
+    );
+    report
 }
 
 /// Health-checks every on-disk cache this crate maintains (the

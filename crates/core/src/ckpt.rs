@@ -648,8 +648,17 @@ impl CheckpointLadder {
     ) -> Option<Self> {
         let meta =
             Self::read_healing(store, meta_key, "ladder meta record", true, workload, log).ok()?;
-        let count = decode_meta_count(&meta).ok()?;
-        let mut rungs = Vec::with_capacity(count as usize);
+        let Ok(count) = decode_meta_count(&meta, spec.stride) else {
+            log.push(format!(
+                "{}: undecodable ladder meta record (key {meta_key:016x}); {}; recapturing",
+                workload.name(),
+                quarantine_note(store, meta_key)
+            ));
+            return None;
+        };
+        // Grown as rungs load: the count is bounded by the record's own
+        // capture length, not by what the store actually holds.
+        let mut rungs = Vec::new();
         for i in 1..=count {
             let offset = i * spec.stride;
             let key = CheckpointKey::new(workload, config, offset).hash_with_tag(tag);
@@ -704,7 +713,7 @@ impl CheckpointLadder {
         let Ok(meta) = store.get_checked(meta_key) else {
             return keys;
         };
-        let count = decode_meta_count(&meta).unwrap_or(0);
+        let count = decode_meta_count(&meta, spec.stride).unwrap_or(0);
         for i in 1..=count {
             keys.push(CheckpointKey::new(workload, config, i * spec.stride).hash_with_tag(tag));
         }
@@ -792,13 +801,22 @@ fn quarantine_note(store: &Store, key: u64) -> String {
     }
 }
 
-/// The rung count of a ladder meta record (capture ops, rung count).
-fn decode_meta_count(bytes: &[u8]) -> Result<u64, CodecError> {
+/// The rung count of a ladder meta record (capture ops, rung count) for a
+/// ladder of rungs every `stride` ops. A capture retires at least
+/// `count × stride` ops, so a count whose rungs would lie beyond the
+/// record's own capture length is malformed — rejected here, before any
+/// caller iterates by it.
+fn decode_meta_count(bytes: &[u8], stride: u64) -> Result<u64, CodecError> {
     let mut d = Decoder::new(bytes);
-    d.get_u64()?; // capture_ops of the original capture; unused
+    let capture_ops = d.get_u64()?;
     let count = d.get_u64()?;
     d.finish()?;
-    Ok(count)
+    match count.checked_mul(stride) {
+        Some(last_rung) if last_rung <= capture_ops => Ok(count),
+        _ => Err(CodecError::Malformed(
+            "ladder meta rung count exceeds its capture",
+        )),
+    }
 }
 
 fn encode_rung(rung: &LadderRung) -> Vec<u8> {
@@ -1109,6 +1127,51 @@ mod tests {
         assert!(healed.fault_log().is_empty());
         for (a, b) in healed.rungs.iter().zip(&captured.rungs) {
             assert_eq!(a.machine, b.machine, "healed rung differs from capture");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn crafted_meta_rung_count_is_rejected_not_allocated() {
+        let dir = std::env::temp_dir().join(format!("pgss-ladder-meta-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let w = workload();
+        let cfg = MachineConfig::default();
+        let spec = LadderSpec::machine_only(40_000);
+        let fresh = CheckpointLadder::capture(&w, &cfg, &spec);
+        let capture_ops = fresh.report().capture_ops;
+        let meta_key =
+            CheckpointKey::new(&w, &cfg, u64::MAX).hash_with_tag(CheckpointLadder::spec_tag(&spec));
+        // Checksummed records whose rung count overflows `count × stride`
+        // or lies beyond the record's own capture length.
+        for count in [u64::MAX, 1 << 40] {
+            let mut e = Encoder::new();
+            e.put_u64(capture_ops);
+            e.put_u64(count);
+            store.put(meta_key, &e.into_bytes()).unwrap();
+            assert_eq!(
+                CheckpointLadder::live_keys(&store, &w, &cfg, &spec),
+                vec![meta_key],
+                "count {count}"
+            );
+            let recaptured = CheckpointLadder::load_or_capture(&store, &w, &cfg, &spec);
+            assert_eq!(
+                recaptured.report().capture_ops,
+                capture_ops,
+                "count {count}"
+            );
+            assert_eq!(recaptured.len(), fresh.len());
+            for (a, b) in recaptured.rungs.iter().zip(&fresh.rungs) {
+                assert_eq!((a.retired, &a.machine), (b.retired, &b.machine));
+            }
+            let clean = CheckpointLadder::load_or_capture(&store, &w, &cfg, &spec);
+            assert_eq!(clean.report().capture_ops, 0, "count {count}: not healed");
+            assert!(clean.fault_log().is_empty());
+            assert_eq!(
+                CheckpointLadder::live_keys(&store, &w, &cfg, &spec).len(),
+                1 + fresh.len()
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -50,20 +50,39 @@ use pgss_workloads::Workload;
 
 use crate::ckpt::{decode_machine_snapshot_into, CheckpointLadder};
 
-/// The `driver.ops.*` / `driver.segments.*` counter names for a mode.
-fn mode_metric_keys(mode: Mode) -> (&'static str, &'static str) {
+/// The `driver.segments.*` counter name for a mode.
+fn mode_segments_key(mode: Mode) -> &'static str {
     match mode {
-        Mode::FastForward => ("driver.ops.fast_forward", "driver.segments.fast_forward"),
-        Mode::Functional => ("driver.ops.functional", "driver.segments.functional"),
-        Mode::DetailedWarming => ("driver.ops.warm", "driver.segments.warm"),
-        Mode::DetailedMeasured => ("driver.ops.detail", "driver.segments.detail"),
+        Mode::FastForward => "driver.segments.fast_forward",
+        Mode::Functional => "driver.segments.functional",
+        Mode::DetailedWarming => "driver.segments.warm",
+        Mode::DetailedMeasured => "driver.segments.detail",
     }
 }
 
+/// The `driver.ops.*` counter name for a mode: the *logical* ops charged
+/// to that mode's segments, including distance a ladder jump covered
+/// without executing it (also counted under [`JUMPED_OPS_KEY`]). Paired
+/// with [`mode_wall_key`]; [`crate::timing`] derives per-mode rates from
+/// the two.
+pub fn mode_ops_key(mode: Mode) -> &'static str {
+    match mode {
+        Mode::FastForward => "driver.ops.fast_forward",
+        Mode::Functional => "driver.ops.functional",
+        Mode::DetailedWarming => "driver.ops.warm",
+        Mode::DetailedMeasured => "driver.ops.detail",
+    }
+}
+
+/// The counter of functional ops that ladder jumps skipped: charged under
+/// [`mode_ops_key`]`(Mode::Functional)` but never executed.
+pub const JUMPED_OPS_KEY: &str = "driver.ops.jumped";
+
 /// The `driver.wall.*` span name for a mode: wall time spent inside
 /// `Machine::run_with` for that mode's segments. Dividing the matching
-/// `driver.ops.*` counter by this span's total yields per-mode interpreter
-/// throughput (see [`pgss_obs::MetricsFrame::rate_per_sec`]). Span *counts*
+/// [`mode_ops_key`] counter, net of jumped ops, by this span's total
+/// yields per-mode interpreter throughput
+/// ([`crate::timing::ModeRates::from_frame`]). Span *counts*
 /// are deterministic (one per executed segment); the wall total is real
 /// time and stays out of the byte-stable export, like every span.
 pub fn mode_wall_key(mode: Mode) -> &'static str {
@@ -568,12 +587,11 @@ impl SimDriver {
             self.trace.truncated_segments += 1;
         }
         if let Some(rec) = &self.recorder {
-            let (ops_key, seg_key) = mode_metric_keys(segment.mode);
-            rec.add(ops_key, ops);
-            rec.add(seg_key, 1);
+            rec.add(mode_ops_key(segment.mode), ops);
+            rec.add(mode_segments_key(segment.mode), 1);
             if skipped > 0 {
                 rec.add("driver.jumps", 1);
-                rec.add("driver.ops.jumped", skipped);
+                rec.add(JUMPED_OPS_KEY, skipped);
             }
         }
         let bbv = if segment.take_bbv {

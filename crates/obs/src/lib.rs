@@ -25,7 +25,7 @@
 //! durations. [`SpanStat`] therefore carries `total_ns` but excludes it
 //! from `PartialEq`, `Debug`, and the JSONL export: reports compare and
 //! print identically across runs and thread counts, while a live caller
-//! (e.g. the `campaign_metrics` bin) can still read real timings off the
+//! (e.g. the `fig13_simulation_time` harness) can still read real timings off the
 //! in-memory report. Tests that need exact span durations inject a
 //! [`ManualClock`] instead of the default [`MonotonicClock`].
 //!
@@ -277,24 +277,6 @@ impl MetricsFrame {
     /// Adds `delta` to counter `name`.
     pub fn add(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Events per second: counter `counter` divided by the wall time
-    /// accumulated under span `span`. `None` when the counter is absent,
-    /// the span never closed, or no wall time was observed (e.g. under a
-    /// [`ManualClock`] that never advanced) — callers render that as
-    /// "unknown rate", never as infinity.
-    ///
-    /// This is the derived, *report-time* view of throughput; like span
-    /// wall totals themselves it is nondeterministic and must stay out of
-    /// byte-compared artifacts.
-    pub fn rate_per_sec(&self, counter: &str, span: &str) -> Option<f64> {
-        let events = self.counters.get(counter).copied()?;
-        let wall_ns = self.spans.get(span)?.total_ns;
-        if wall_ns == 0 {
-            return None;
-        }
-        Some(events as f64 * 1e9 / wall_ns as f64)
     }
 
     /// Folds `other` into `self`: counters add, spans add, Welford
@@ -673,37 +655,6 @@ mod tests {
         assert_eq!(ab.span("run").unwrap().count, 3);
         assert_eq!(ab.span("run").unwrap().total_ns, 40);
         assert_eq!(ab.hists["share"].total(), 2);
-    }
-
-    #[test]
-    fn rate_per_sec_derives_from_counter_and_span() {
-        let mut f = MetricsFrame::new();
-        f.add("driver.ops.functional", 2_000);
-        f.spans.insert(
-            "driver.wall.functional".to_string(),
-            SpanStat {
-                count: 1,
-                total_ns: 1_000_000, // 1 ms → 2M ops/sec
-            },
-        );
-        let rate = f
-            .rate_per_sec("driver.ops.functional", "driver.wall.functional")
-            .unwrap();
-        assert!((rate - 2.0e6).abs() < 1e-6);
-        // Missing counter, missing span, and zero wall time all yield None.
-        assert!(f.rate_per_sec("nope", "driver.wall.functional").is_none());
-        assert!(f.rate_per_sec("driver.ops.functional", "nope").is_none());
-        f.spans.insert(
-            "driver.wall.detail".to_string(),
-            SpanStat {
-                count: 3,
-                total_ns: 0,
-            },
-        );
-        f.add("driver.ops.detail", 10);
-        assert!(f
-            .rate_per_sec("driver.ops.detail", "driver.wall.detail")
-            .is_none());
     }
 
     #[test]

@@ -384,7 +384,8 @@ impl Client {
     pub fn report(&mut self, job: &str) -> Result<Vec<String>, ClientError> {
         let v = self.round_trip(&Self::job_request("report", job))?;
         let n = Self::field_u64(&v, "lines")?;
-        let mut lines = Vec::with_capacity(n as usize);
+        // Grown as lines arrive: `n` is the server's claim, not a bound.
+        let mut lines = Vec::new();
         for _ in 0..n {
             lines.push(self.read_raw_line()?);
         }
@@ -543,5 +544,33 @@ mod tests {
             });
         assert!(matches!(got, Err(ClientError::Io(_))));
         assert_eq!(slept, vec![10, 20]);
+    }
+
+    #[test]
+    fn report_line_count_is_not_trusted_for_allocation() {
+        use std::io::{BufRead, Write};
+        // u64::MAX (unrepresentable as a JSON integer here) and 2^53, the
+        // largest count the parser accepts: a pre-sized Vec of 2^53
+        // Strings would abort the process on allocation failure.
+        for lines in ["18446744073709551615", "9007199254740992"] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+                let mut request = String::new();
+                reader.read_line(&mut request).unwrap();
+                let mut stream = stream;
+                writeln!(stream, "{{\"ok\":true,\"lines\":{lines}}}").unwrap();
+                // Dropping the stream closes the connection.
+            });
+            let mut client = Client::connect(&BoundAddr::Tcp(addr)).unwrap();
+            let got = client.report("0123456789abcdef");
+            assert!(
+                matches!(got, Err(ClientError::Protocol(_))),
+                "lines {lines}: {got:?}"
+            );
+            server.join().unwrap();
+        }
     }
 }

@@ -95,7 +95,7 @@ fn main() {
     // Every campaign also carries a structured metrics report — the same
     // numbers as above, per cell and campaign-wide, exportable as stable
     // JSONL (byte-identical regardless of PGSS_WORKERS). See the
-    // `campaign_metrics` bin for the full table + `--jsonl` export.
+    // `fig13_simulation_time` bench for the full table + `--jsonl` export.
     let scope = report
         .metrics
         .scope("campaign")

@@ -10,6 +10,10 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+echo "== cargo clippy -p pgss-bench --benches --bins -- -D warnings (figure harnesses)"
+# The workspace lint and test runs never compile bench targets.
+cargo clippy -p pgss-bench --benches --bins -- -D warnings
+
 echo "== cargo build --release"
 cargo build --release
 
@@ -84,6 +88,18 @@ trap 'rm -rf "$perf_out"' EXIT
 cargo run --release -q -p pgss-bench --bin perf -- --smoke --out "$perf_out" \
     --check scripts/perf-baseline.txt
 rm -rf "$perf_out"
+trap - EXIT
+
+echo "== fig13 smoke run (figure campaign end to end, JSONL metrics export)"
+fig_out=$(mktemp -d)
+trap 'rm -rf "$fig_out"' EXIT
+PGSS_SCALE=0.1 timeout 900 cargo bench -q -p pgss-bench --bench fig13_simulation_time -- \
+    --jsonl "$fig_out/m.jsonl" >/dev/null
+if [ ! -s "$fig_out/m.jsonl" ]; then
+    echo "fig13 wrote an empty metrics export"
+    exit 1
+fi
+rm -rf "$fig_out"
 trap - EXIT
 
 echo "== cargo doc --no-deps (warnings are errors)"
