@@ -142,7 +142,7 @@ mod tests {
         t.data_access(7);
         let v = t.take();
         assert_eq!(t.current().total_ops(), 0);
-        t.set_current(v.clone());
+        t.set_current(v);
         assert_eq!(*t.current(), v);
     }
 

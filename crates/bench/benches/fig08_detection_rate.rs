@@ -5,8 +5,8 @@
 //! larger IPC changes. Per the paper, benchmarks are weighted equally: the
 //! detection rate is computed per benchmark and averaged.
 
-use pgss::analysis::{detection_rate, Delta};
-use pgss_bench::{banner, suite_deltas, Table};
+use pgss::analysis::detection_rate;
+use pgss_bench::{banner, mean_rate, suite_deltas, Table};
 
 fn main() {
     banner(
@@ -38,13 +38,4 @@ fn main() {
     table.print();
     println!("\nExpected shape (paper): high plateau at tiny thresholds with a");
     println!("knee near 0.05π, then decay; larger IPC changes are caught better.");
-}
-
-/// Equal-weight mean of a per-benchmark rate.
-fn mean_rate(
-    per_benchmark: &[(String, Vec<Delta>)],
-    f: impl Fn(&[Delta]) -> Option<f64>,
-) -> Option<f64> {
-    let rates: Vec<f64> = per_benchmark.iter().filter_map(|(_, d)| f(d)).collect();
-    pgss_stats::amean(&rates)
 }

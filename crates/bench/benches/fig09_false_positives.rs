@@ -5,8 +5,8 @@
 //! False positives cost excess samples; the paper argues for setting the
 //! threshold as high as possible without missing real performance changes.
 
-use pgss::analysis::{false_positive_rate, Delta};
-use pgss_bench::{banner, suite_deltas, Table};
+use pgss::analysis::false_positive_rate;
+use pgss_bench::{banner, mean_rate, suite_deltas, Table};
 
 fn main() {
     banner(
@@ -39,12 +39,4 @@ fn main() {
     println!("\nExpected shape (paper): the false-positive fraction falls as the");
     println!("threshold rises (and is higher when more changes count as noise,");
     println!("i.e. at larger σ levels).");
-}
-
-fn mean_rate(
-    per_benchmark: &[(String, Vec<Delta>)],
-    f: impl Fn(&[Delta]) -> Option<f64>,
-) -> Option<f64> {
-    let rates: Vec<f64> = per_benchmark.iter().filter_map(|(_, d)| f(d)).collect();
-    pgss_stats::amean(&rates)
 }

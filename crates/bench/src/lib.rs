@@ -134,6 +134,17 @@ pub fn suite_deltas(period_ops: u64) -> Vec<(String, Vec<pgss::analysis::Delta>)
         .collect()
 }
 
+/// Equal-weight mean over benchmarks of a per-benchmark rate computed
+/// from [`suite_deltas`] output (Figures 8 and 9); benchmarks where `f`
+/// is undefined are skipped.
+pub fn mean_rate(
+    per_benchmark: &[(String, Vec<pgss::analysis::Delta>)],
+    f: impl Fn(&[pgss::analysis::Delta]) -> Option<f64>,
+) -> Option<f64> {
+    let rates: Vec<f64> = per_benchmark.iter().filter_map(|(_, d)| f(d)).collect();
+    pgss_stats::amean(&rates)
+}
+
 fn target_dir() -> PathBuf {
     // CARGO_TARGET_DIR is not set by default; fall back to the workspace's
     // target/. Anchor to the workspace root (two levels above this crate's

@@ -63,6 +63,7 @@ use pgss_workloads::Workload;
 use crate::ckpt::{CheckpointLadder, LadderReport, LadderSpec, SimContext};
 use crate::driver::RunTrace;
 use crate::estimate::{Estimate, Technique};
+use crate::wire::WireFailure;
 
 /// One campaign cell: a technique applied to a workload on a machine
 /// configuration.
@@ -104,6 +105,13 @@ pub struct CellResult {
     pub estimate: Estimate,
     /// What the technique's driver passes executed.
     pub trace: RunTrace,
+}
+
+impl CellResult {
+    /// The name of the cell's metric scope: `"workload/technique"`.
+    pub fn scope_name(&self) -> String {
+        format!("{}/{}", self.workload, self.technique)
+    }
 }
 
 /// Why a single campaign cell failed (the *cause* part of a
@@ -414,36 +422,20 @@ impl CampaignReport {
     /// and a warm-store rerun. The remainder is **byte-identical** across
     /// worker counts, checkpoint acceleration, store temperature, and a
     /// campaign-server run resumed after a crash, which is exactly the
-    /// equivalence the server's tests pin. Line formats live in
-    /// [`crate::wire`].
+    /// equivalence the server's tests pin. The layout is
+    /// [`crate::wire::canonical_artifact`], which the server renders its
+    /// reports with too.
     pub fn canonical_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&crate::wire::canonical_header(
-            self.cells.len(),
-            self.failures.len(),
-            self.retries,
-        ));
+        let failures: Vec<WireFailure> = self.failures.iter().map(WireFailure::from).collect();
+        let scopes = self
+            .metrics
+            .scopes
+            .iter()
+            .filter(|(name, _)| name != "campaign")
+            .map(|(name, frame)| (name.as_str(), frame));
+        let mut out = crate::wire::canonical_artifact(&self.cells, &failures, self.retries, scopes)
+            .join("\n");
         out.push('\n');
-        for cell in &self.cells {
-            out.push_str(&crate::wire::canonical_cell_line(cell));
-            out.push('\n');
-        }
-        for f in &self.failures {
-            out.push_str(&crate::wire::canonical_failure_line(
-                f.job_index,
-                &f.workload,
-                &f.technique,
-                f.attempts,
-                &f.error.to_string(),
-            ));
-            out.push('\n');
-        }
-        for (name, frame) in &self.metrics.scopes {
-            if name != "campaign" {
-                out.push_str(&pgss_obs::scope_line(name, frame));
-                out.push('\n');
-            }
-        }
         out
     }
 }
@@ -466,6 +458,79 @@ pub fn grid<'a>(
             })
         })
         .collect()
+}
+
+/// Cells of a checkpointed campaign that run the same workload on the same
+/// machine configuration, and so share one [`CheckpointLadder`].
+#[derive(Debug, Clone)]
+pub struct LadderGroup {
+    /// The group's cells: indices into the job slice, in job order.
+    pub cells: Vec<usize>,
+    /// The group's ladder: rungs every stride ops, carrying every BBV
+    /// track the group's techniques declare
+    /// ([`LadderSpec::for_techniques`]).
+    pub spec: LadderSpec,
+}
+
+/// Partitions `jobs` into [`LadderGroup`]s, in order of each group's first
+/// cell: cells share a group when they run the same workload (by
+/// identity) on the same configuration. [`run_checkpointed_with`] and the
+/// campaign server both group with this, so their ladders have the same
+/// content addresses.
+pub fn ladder_groups(jobs: &[Job<'_>], stride: u64) -> Vec<LadderGroup> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        match groups.iter_mut().find(|g| {
+            let j = &jobs[g[0]];
+            std::ptr::eq(j.workload, job.workload) && j.config == job.config
+        }) {
+            Some(g) => g.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    groups
+        .into_iter()
+        .map(|cells| LadderGroup {
+            spec: LadderSpec::for_techniques(stride, cells.iter().map(|&i| jobs[i].technique)),
+            cells,
+        })
+        .collect()
+}
+
+impl LadderGroup {
+    /// Loads the group's ladder from `store` (capturing and writing it
+    /// back when absent or corrupt), or captures it when there is no
+    /// store. The capture pass runs arbitrary simulation, so it is
+    /// isolated like a cell: a panic comes back as `Err` with a one-line
+    /// description, and the group's cells should then run unaccelerated —
+    /// bit-identical results, only slower.
+    pub fn build(
+        &self,
+        jobs: &[Job<'_>],
+        store: Option<&Store>,
+    ) -> Result<CheckpointLadder, String> {
+        let first = &jobs[self.cells[0]];
+        catch_unwind(AssertUnwindSafe(|| match store {
+            Some(st) => {
+                CheckpointLadder::load_or_capture(st, first.workload, &first.config, &self.spec)
+            }
+            None => CheckpointLadder::capture(first.workload, &first.config, &self.spec),
+        }))
+        .map_err(|payload| {
+            format!(
+                "{}: checkpoint capture panicked: {}; group ran unaccelerated",
+                first.workload.name(),
+                panic_message(payload)
+            )
+        })
+    }
+
+    /// The store keys the group's persisted ladder occupies
+    /// ([`CheckpointLadder::live_keys`]): GC liveness roots.
+    pub fn live_keys(&self, jobs: &[Job<'_>], store: &Store) -> Vec<u64> {
+        let first = &jobs[self.cells[0]];
+        CheckpointLadder::live_keys(store, first.workload, &first.config, &self.spec)
+    }
 }
 
 /// The **CLI-boundary** worker-count resolver: the `PGSS_WORKERS`
@@ -742,7 +807,7 @@ fn finalize(
     report.cells = results
         .into_iter()
         .map(|(_, cell, frame)| {
-            metrics.push_scope(format!("{}/{}", cell.workload, cell.technique), frame);
+            metrics.push_scope(cell.scope_name(), frame);
             cell
         })
         .collect();
@@ -857,47 +922,25 @@ fn run_groups(
     // campaign scope. All store traffic happens on this thread (groups
     // are processed sequentially), so the counters are deterministic.
     let store = store.map(|st| st.clone().with_recorder(Arc::clone(campaign_rec) as _));
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        match groups.iter_mut().find(|g| {
-            let j = &jobs[g[0]];
-            std::ptr::eq(j.workload, job.workload) && j.config == job.config
-        }) {
-            Some(g) => g.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
+    let groups = ladder_groups(jobs, stride);
     campaign_rec.add("campaign.groups", groups.len() as u64);
     for group in &groups {
-        let first = &jobs[group[0]];
-        let spec = LadderSpec::for_techniques(stride, group.iter().map(|&i| jobs[i].technique));
-        // The capture pass runs arbitrary simulation; isolate it like a
-        // cell. On panic the group gracefully degrades to unaccelerated
-        // execution — bit-identical results, only slower.
-        let captured = catch_unwind(AssertUnwindSafe(|| match &store {
-            Some(st) => CheckpointLadder::load_or_capture(st, first.workload, &first.config, &spec),
-            None => CheckpointLadder::capture(first.workload, &first.config, &spec),
-        }));
-        let ladder = match captured {
+        let ladder = match group.build(jobs, store.as_ref()) {
             Ok(ladder) => {
                 report
                     .checkpoint_faults
                     .extend(ladder.fault_log().iter().cloned());
                 Some(Arc::new(ladder))
             }
-            Err(payload) => {
-                report.checkpoint_faults.push(format!(
-                    "{}: checkpoint capture panicked: {}; group ran unaccelerated",
-                    first.workload.name(),
-                    panic_message(payload)
-                ));
+            Err(fault) => {
+                report.checkpoint_faults.push(fault);
                 None
             }
         };
         let ctx = ladder.as_ref().map_or_else(SimContext::none, |ladder| {
             SimContext::with_ladder(Arc::clone(ladder))
         });
-        execute(jobs, group, &ctx, config, results, report);
+        execute(jobs, &group.cells, &ctx, config, results, report);
         if let Some(ladder) = ladder {
             report.ladder.merge(&ladder.report());
         }
@@ -1022,19 +1065,26 @@ mod tests {
         };
         let healthy = pgss_workloads::gzip(0.01);
         let (smarts, _, _) = techniques();
-        let jobs = vec![Job::new(&faulty, &smarts), Job::new(&healthy, &smarts)];
+        let full = crate::FullDetailed::new();
+        let jobs = vec![
+            Job::new(&faulty, &smarts),
+            Job::new(&faulty, &full),
+            Job::new(&healthy, &smarts),
+        ];
         let report = run_with(&jobs, &CampaignConfig::with_workers(2)).unwrap();
-        assert_eq!(report.failures.len(), 1);
-        let failure = &report.failures[0];
-        assert_eq!(failure.workload, "faulty");
-        assert!(
-            matches!(
-                failure.error,
-                CellError::MachineFault(pgss_cpu::MachineFault::IndirectJumpOutOfRange { .. })
-            ),
-            "expected a typed machine fault, got {:?}",
-            failure.error
-        );
+        assert_eq!(report.failures.len(), 2);
+        for (failure, technique) in report.failures.iter().zip([smarts.name(), full.name()]) {
+            assert_eq!(failure.workload, "faulty");
+            assert_eq!(failure.technique, technique);
+            assert!(
+                matches!(
+                    failure.error,
+                    CellError::MachineFault(pgss_cpu::MachineFault::IndirectJumpOutOfRange { .. })
+                ),
+                "expected a typed machine fault, got {:?}",
+                failure.error
+            );
+        }
         // Faults are deterministic, so retrying the cell cannot help and
         // the healthy cell must be unaffected.
         assert!(report.cell("164.gzip", &smarts.name()).is_some());

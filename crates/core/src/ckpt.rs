@@ -690,15 +690,17 @@ impl CheckpointLadder {
 
     /// The content addresses a persisted ladder for `workload` × `config`
     /// × `spec` occupies in `store`: the meta record plus every rung the
-    /// meta record declares. These are GC liveness roots — a
-    /// [`Store::gc`] caller marks them live to keep accelerated campaigns
-    /// warm across sweeps.
+    /// meta record declares, up to the first rung whose record file is
+    /// absent (where `load_or_capture` would stop and recapture too).
+    /// These are GC liveness roots — a [`Store::gc`] caller marks them
+    /// live to keep accelerated campaigns warm across sweeps.
     ///
     /// When the meta record is missing or corrupt the ladder is already
     /// unreachable (`load_or_capture` would recapture), so only the meta
     /// key itself is reported; any orphaned rungs are legitimately
     /// collectable and will be transparently re-created on the next
-    /// capture. Callers must not run a sweep concurrently with a ladder
+    /// capture. Rungs are probed by file existence, never read, so a
+    /// meta record forging a huge capture length costs one probe. Callers must not run a sweep concurrently with a ladder
     /// *capture*: rungs are written before their meta record, so a sweep
     /// in that window would (harmlessly but wastefully) collect them.
     pub fn live_keys(
@@ -715,7 +717,11 @@ impl CheckpointLadder {
         };
         let count = decode_meta_count(&meta, spec.stride).unwrap_or(0);
         for i in 1..=count {
-            keys.push(CheckpointKey::new(workload, config, i * spec.stride).hash_with_tag(tag));
+            let key = CheckpointKey::new(workload, config, i * spec.stride).hash_with_tag(tag);
+            if !store.path_for(key).is_file() {
+                break;
+            }
+            keys.push(key);
         }
         keys
     }
@@ -1172,6 +1178,41 @@ mod tests {
                 CheckpointLadder::live_keys(&store, &w, &cfg, &spec).len(),
                 1 + fresh.len()
             );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_capture_length_does_not_inflate_live_keys() {
+        let dir = std::env::temp_dir().join(format!("pgss-ladder-live-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let w = workload();
+        let cfg = MachineConfig::default();
+        let spec = LadderSpec::machine_only(40_000);
+        let meta_key =
+            CheckpointKey::new(&w, &cfg, u64::MAX).hash_with_tag(CheckpointLadder::spec_tag(&spec));
+        // A well-formed meta record whose capture length (and so its rung
+        // count) is forged, with no rung records behind it.
+        let mut e = Encoder::new();
+        e.put_u64(u64::MAX);
+        e.put_u64(u64::MAX / spec.stride);
+        store.put(meta_key, &e.into_bytes()).unwrap();
+        // Trusting the count would list ~4.6e14 keys and never return.
+        assert_eq!(
+            CheckpointLadder::live_keys(&store, &w, &cfg, &spec),
+            vec![meta_key]
+        );
+
+        // A real ladder: the meta record plus every rung.
+        store.remove(meta_key).unwrap();
+        let captured = CheckpointLadder::load_or_capture(&store, &w, &cfg, &spec);
+        assert!(!captured.is_empty());
+        let keys = CheckpointLadder::live_keys(&store, &w, &cfg, &spec);
+        assert_eq!(keys.len(), 1 + captured.len());
+        assert_eq!(keys[0], meta_key);
+        for key in &keys {
+            assert!(store.get_checked(*key).is_ok(), "key {key:016x} not live");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

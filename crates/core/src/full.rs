@@ -35,7 +35,7 @@ impl FullDetailed {
 
     /// Runs the full simulation and returns the reference result.
     pub fn ground_truth(&self, workload: &Workload) -> GroundTruth {
-        self.ground_truth_traced(workload, &MachineConfig::default())
+        self.ground_truth_traced(workload, &MachineConfig::default(), &SimContext::none())
             .0
     }
 
@@ -43,8 +43,10 @@ impl FullDetailed {
         &self,
         workload: &Workload,
         config: &MachineConfig,
+        ctx: &SimContext,
     ) -> (GroundTruth, RunTrace) {
         let mut driver = SimDriver::new(workload, config, Track::None);
+        ctx.bind(&mut driver);
         let mut policy = ExhaustivePolicy {
             total_ops: 0,
             cycles: 0,
@@ -96,9 +98,9 @@ impl Technique for FullDetailed {
         &self,
         workload: &Workload,
         config: &MachineConfig,
-        _ctx: &SimContext,
+        ctx: &SimContext,
     ) -> (Estimate, RunTrace) {
-        let (truth, mut trace) = self.ground_truth_traced(workload, config);
+        let (truth, mut trace) = self.ground_truth_traced(workload, config, ctx);
         trace.samples_taken = 1;
         let estimate = Estimate {
             ipc: truth.ipc,

@@ -9,9 +9,10 @@
 //!   [`MetricsFrame`], and failure-ledger entries, versioned by
 //!   [`WIRE_FORMAT_VERSION`] so a layout change orphans old records
 //!   instead of misreading them;
-//! * the *canonical campaign artifact* line formatters behind
-//!   [`crate::CampaignReport::canonical_jsonl`], shared verbatim by the
-//!   server's report assembly so both sides emit the same bytes.
+//! * the *canonical campaign artifact* renderer,
+//!   [`canonical_artifact`], behind both
+//!   [`crate::CampaignReport::canonical_jsonl`] and the server's report
+//!   assembly, so both sides emit the same bytes.
 //!
 //! # What the canonical artifact contains
 //!
@@ -37,10 +38,10 @@ use std::fmt::Write as _;
 
 use pgss_ckpt::{CodecError, Decoder, Encoder};
 use pgss_cpu::ModeOps;
-use pgss_obs::{json_f64, json_string, MetricsFrame, SpanStat};
+use pgss_obs::{json_f64, json_string, scope_line, MetricsFrame, SpanStat};
 use pgss_stats::{ConfidenceInterval, Histogram, Welford};
 
-use crate::campaign::CellResult;
+use crate::campaign::{CellFailure, CellResult};
 use crate::driver::RunTrace;
 use crate::estimate::{Estimate, PhaseSummary};
 
@@ -291,6 +292,18 @@ pub struct WireFailure {
     pub error: String,
 }
 
+impl From<&CellFailure> for WireFailure {
+    fn from(f: &CellFailure) -> WireFailure {
+        WireFailure {
+            job_index: f.job_index,
+            workload: f.workload.clone(),
+            technique: f.technique.clone(),
+            attempts: f.attempts,
+            error: f.error.to_string(),
+        }
+    }
+}
+
 /// Decodes an entry written by [`put_failure`].
 pub fn get_failure(d: &mut Decoder<'_>) -> Result<WireFailure, CodecError> {
     Ok(WireFailure {
@@ -306,6 +319,29 @@ pub fn get_failure(d: &mut Decoder<'_>) -> Result<WireFailure, CodecError> {
 // ---------------------------------------------------------------------------
 // Canonical campaign artifact
 
+/// The canonical campaign artifact, one JSONL line per element: the
+/// header, every successful cell in job order, the failure ledger, then
+/// the per-cell metric `scopes` (name and annotated frame, in job order)
+/// on the pinned `pgss-obs` schema. The one layout behind both
+/// [`crate::CampaignReport::canonical_jsonl`] and the campaign server's
+/// reports.
+pub fn canonical_artifact<'a>(
+    cells: &[CellResult],
+    failures: &[WireFailure],
+    retries: u64,
+    scopes: impl IntoIterator<Item = (&'a str, &'a MetricsFrame)>,
+) -> Vec<String> {
+    let mut lines = vec![canonical_header(cells.len(), failures.len(), retries)];
+    lines.extend(cells.iter().map(canonical_cell_line));
+    lines.extend(failures.iter().map(canonical_failure_line));
+    lines.extend(
+        scopes
+            .into_iter()
+            .map(|(name, frame)| scope_line(name, frame)),
+    );
+    lines
+}
+
 /// The artifact's header line: campaign-level counts.
 pub fn canonical_header(cells: usize, failed: usize, retries: u64) -> String {
     format!(
@@ -316,7 +352,7 @@ pub fn canonical_header(cells: usize, failed: usize, retries: u64) -> String {
 
 /// One successful cell's artifact line: the full estimate and driver
 /// trace, floats in shortest-roundtrip form.
-pub fn canonical_cell_line(cell: &CellResult) -> String {
+fn canonical_cell_line(cell: &CellResult) -> String {
     let mut out = String::new();
     let _ = write!(out, "{{\"v\":{WIRE_FORMAT_VERSION},\"kind\":\"cell\",");
     out.push_str("\"workload\":");
@@ -385,24 +421,19 @@ pub fn canonical_cell_line(cell: &CellResult) -> String {
     out
 }
 
-/// One failure-ledger artifact line; `error` is the rendered cause.
-pub fn canonical_failure_line(
-    job_index: usize,
-    workload: &str,
-    technique: &str,
-    attempts: u32,
-    error: &str,
-) -> String {
+/// One failure-ledger artifact line.
+fn canonical_failure_line(f: &WireFailure) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"v\":{WIRE_FORMAT_VERSION},\"kind\":\"failure\",\"job\":{job_index},\"workload\":"
+        "{{\"v\":{WIRE_FORMAT_VERSION},\"kind\":\"failure\",\"job\":{},\"workload\":",
+        f.job_index
     );
-    json_string(&mut out, workload);
+    json_string(&mut out, &f.workload);
     out.push_str(",\"technique\":");
-    json_string(&mut out, technique);
-    let _ = write!(out, ",\"attempts\":{attempts},\"error\":");
-    json_string(&mut out, error);
+    json_string(&mut out, &f.technique);
+    let _ = write!(out, ",\"attempts\":{},\"error\":", f.attempts);
+    json_string(&mut out, &f.error);
     out.push('}');
     out
 }
@@ -509,17 +540,12 @@ mod tests {
         let mut d = Decoder::new(&bytes);
         let back = get_failure(&mut d).unwrap();
         d.finish().unwrap();
-        assert_eq!(back.job_index, 7);
+        assert_eq!(back, f);
         assert_eq!(back.error, "technique panicked: boom");
         assert_eq!(
-            canonical_failure_line(
-                back.job_index,
-                &back.workload,
-                &back.technique,
-                back.attempts,
-                &back.error
-            ),
-            canonical_failure_line(7, "177.mesa", "PGSS", 2, &f.error.to_string())
+            canonical_failure_line(&back),
+            "{\"v\":1,\"kind\":\"failure\",\"job\":7,\"workload\":\"177.mesa\",\
+             \"technique\":\"PGSS\",\"attempts\":2,\"error\":\"technique panicked: boom\"}"
         );
     }
 

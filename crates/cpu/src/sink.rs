@@ -311,6 +311,10 @@ mod tests {
         NoopSink.data_access(7); // default body: no-op
 
         let mut r = Counting::default();
+        #[allow(
+            clippy::needless_borrow,
+            reason = "the explicit borrow exercises the `&mut S` forwarding impl"
+        )]
         (&mut r).data_access(1);
         assert_eq!(r.accesses, vec![1]);
 

@@ -336,6 +336,8 @@ impl Parser<'_> {
 }
 
 #[cfg(test)]
+// Tests may unwrap: a panic here is a test failure, not a dead server.
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -11,12 +11,15 @@
 //! never starves a short one — idle workers steal whatever runnable cell
 //! any job has, subject to per-tenant concurrency quotas.
 //!
-//! Every cell executes through [`pgss::campaign::run_cell`] — the same
-//! isolation + typed-fault path the library's own campaign runner uses —
-//! with the cell's group ladder attached, so a server-side cell is
-//! bit-identical to a library-side one. Completed cells are persisted
-//! immediately ([`pgss::wire::encode_cell_record`] under the job-record
-//! key namespace) and streamed to any watchers out of order.
+//! The server re-derives none of the library's campaign engine: cell
+//! order is [`Materialized::job`], ladders are built per
+//! [`pgss::campaign::ladder_groups`], every cell executes through
+//! [`pgss::campaign::run_cell`] with its group's ladder attached, and
+//! reports render through [`pgss::wire::canonical_artifact`] — so a
+//! server-side cell and report are bit-identical to a library-side one.
+//! Completed cells are persisted immediately
+//! ([`pgss::wire::encode_cell_record`] under the job-record key
+//! namespace) and streamed to any watchers out of order.
 //!
 //! # Durability and resume
 //!
@@ -64,15 +67,15 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use pgss::campaign::{annotate_cell_frame, run_cell, CellError, CellResult};
+use pgss::campaign::{annotate_cell_frame, ladder_groups, run_cell, CellError, CellResult};
+use pgss::campaign::{LadderGroup, RetryPolicy};
 use pgss::wire::{self, WireFailure};
-use pgss::{CheckpointLadder, LadderSpec, RetryPolicy, SimContext};
+use pgss::{CheckpointLadder, SimContext};
 use pgss_ckpt::{index_key, job_key, JobRecordKind, RecordError, Store};
 use pgss_obs::{
     json_string, scope_line, Clock, MetricsFrame, MetricsRecorder, MonotonicClock, Recorder,
@@ -290,14 +293,39 @@ enum WatchMsg {
 enum LadderState {
     NotBuilt,
     Building,
-    /// `None` means the build panicked and the group runs unaccelerated,
-    /// exactly like the library runner's degradation path.
+    /// `None` means the build panicked and the group runs unaccelerated
+    /// (see [`LadderGroup::build`]).
     Ready(Option<Arc<CheckpointLadder>>),
+}
+
+/// A job's runnable grid: the materialised spec, the ladder groups the
+/// library runner would form over its jobs, and each cell's group.
+struct Grid {
+    mat: Materialized,
+    groups: Vec<LadderGroup>,
+    group_of: Vec<usize>,
+}
+
+impl Grid {
+    fn new(mat: Materialized) -> Grid {
+        let groups = ladder_groups(&mat.jobs(), mat.stride);
+        let mut group_of = vec![0; mat.cell_count()];
+        for (g, group) in groups.iter().enumerate() {
+            for &i in &group.cells {
+                group_of[i] = g;
+            }
+        }
+        Grid {
+            mat,
+            groups,
+            group_of,
+        }
+    }
 }
 
 struct JobState {
     tenant: String,
-    mat: Option<Arc<Materialized>>,
+    grid: Arc<Grid>,
     phase: JobPhase,
     total: usize,
     done: Vec<bool>,
@@ -309,7 +337,8 @@ struct JobState {
     cancelled: bool,
     retries: u64,
     failures: Vec<WireFailure>,
-    groups: Vec<LadderState>,
+    /// Build state of each of `grid.groups`' ladders.
+    ladders: Vec<LadderState>,
     watchers: Vec<mpsc::Sender<WatchMsg>>,
     started: Option<Instant>,
     /// Lease expiry (clock ns) per in-flight cell, when supervision is on.
@@ -320,6 +349,36 @@ struct JobState {
 }
 
 impl JobState {
+    /// A freshly queued job over `mat`: every cell pending, no ladder
+    /// built.
+    fn new(tenant: String, mat: Materialized) -> JobState {
+        let grid = Grid::new(mat);
+        let total = grid.group_of.len();
+        JobState {
+            tenant,
+            ladders: grid.groups.iter().map(|_| LadderState::NotBuilt).collect(),
+            grid: Arc::new(grid),
+            phase: JobPhase::Queued,
+            total,
+            done: vec![false; total],
+            done_count: 0,
+            pending: (0..total).collect(),
+            attempts: BTreeMap::new(),
+            inflight: 0,
+            cancelled: false,
+            retries: 0,
+            failures: Vec::new(),
+            watchers: Vec::new(),
+            started: None,
+            leases: BTreeMap::new(),
+            reaped: BTreeSet::new(),
+        }
+    }
+
+    fn ladder_of(&self, cell: usize) -> &LadderState {
+        &self.ladders[self.grid.group_of[cell]]
+    }
+
     fn settled(&self) -> bool {
         self.done_count + self.failures.len() == self.total
             && self.pending.is_empty()
@@ -354,36 +413,6 @@ struct Inner {
 enum WorkItem {
     Build { id: u64, group: usize },
     Cell { id: u64, cell: usize },
-}
-
-/// The cell's [`pgss::Job`]: canonical order is workload-major, then
-/// configuration, then technique.
-fn cell_job(mat: &Materialized, i: usize) -> pgss::Job<'_> {
-    let t = mat.techniques.len();
-    let c = mat.configs.len();
-    let (w, rem) = (i / (c * t), i % (c * t));
-    pgss::Job {
-        workload: &mat.workloads[w],
-        technique: &*mat.techniques[rem % t],
-        config: mat.configs[rem / t],
-    }
-}
-
-/// The (workload × config) ladder group a cell belongs to; cells of a
-/// group are contiguous in cell order.
-fn cell_group(mat: &Materialized, i: usize) -> usize {
-    i / mat.techniques.len()
-}
-
-fn group_count(mat: &Materialized) -> usize {
-    mat.workloads.len() * mat.configs.len()
-}
-
-/// The ladder spec shared by every group of a job: the union of its
-/// techniques' tracks, derived exactly as the library runner derives it,
-/// so ladder content addresses (and rungs) are identical.
-fn ladder_spec(mat: &Materialized) -> LadderSpec {
-    LadderSpec::for_techniques(mat.stride, mat.techniques.iter().map(|t| &**t))
 }
 
 fn render_job_id(id: u64) -> String {
@@ -455,13 +484,12 @@ impl Inner {
             if self.running_cells(st, &job.tenant) >= quota.max_concurrent_cells {
                 continue;
             }
-            let Some(mat) = job.mat.clone() else { continue };
             // Prefer a cell whose ladder is ready; otherwise start
             // building the first pending cell's ladder.
             let ready_pos = job
                 .pending
                 .iter()
-                .position(|&i| matches!(job.groups[cell_group(&mat, i)], LadderState::Ready(_)));
+                .position(|&i| matches!(job.ladder_of(i), LadderState::Ready(_)));
             let Some(job) = st.jobs.get_mut(&id) else {
                 continue;
             };
@@ -480,8 +508,7 @@ impl Inner {
                     if job.started.is_none() {
                         job.started = Some(Instant::now());
                     }
-                    let snapshot = &st.jobs[&id];
-                    self.write_status(id, snapshot);
+                    self.write_status(id, job);
                 }
                 st.rr = (idx + 1) % n;
                 return Some(WorkItem::Cell { id, cell });
@@ -489,10 +516,10 @@ impl Inner {
             let build = job
                 .pending
                 .iter()
-                .map(|&i| cell_group(&mat, i))
-                .find(|&g| matches!(job.groups[g], LadderState::NotBuilt));
+                .map(|&i| job.grid.group_of[i])
+                .find(|&g| matches!(job.ladders[g], LadderState::NotBuilt));
             if let Some(g) = build {
-                job.groups[g] = LadderState::Building;
+                job.ladders[g] = LadderState::Building;
                 st.rr = (idx + 1) % n;
                 return Some(WorkItem::Build { id, group: g });
             }
@@ -535,7 +562,7 @@ impl Inner {
         done: usize,
         total: usize,
     ) -> String {
-        let frame_line = scope_line(&format!("{}/{}", result.workload, result.technique), frame);
+        let frame_line = scope_line(&result.scope_name(), frame);
         let mut out = String::new();
         out.push_str("{\"ok\":true,\"event\":\"cell\",\"job\":\"");
         out.push_str(&render_job_id(id));
@@ -603,53 +630,33 @@ impl Inner {
     }
 
     fn run_build(&self, id: u64, group: usize) {
-        let mat = {
-            let st = self.lock();
-            st.jobs.get(&id).and_then(|j| j.mat.clone())
+        let Some(grid) = self.lock().jobs.get(&id).map(|j| Arc::clone(&j.grid)) else {
+            return;
         };
-        let ladder = mat.as_ref().and_then(|mat| {
-            let spec = ladder_spec(mat);
-            let w = group / mat.configs.len();
-            let c = group % mat.configs.len();
-            let workload = &mat.workloads[w];
-            let config = &mat.configs[c];
-            // The capture pass runs arbitrary simulation; isolate it and
-            // degrade to unaccelerated on panic, like the library runner.
-            catch_unwind(AssertUnwindSafe(|| {
-                CheckpointLadder::load_or_capture(&self.store, workload, config, &spec)
-            }))
-            .ok()
-            .map(Arc::new)
-        });
-        if ladder.is_none() {
-            self.rec.add("serve.ladders.degraded", 1);
-        }
-        let mut st = self.lock();
-        if let Some(job) = st.jobs.get_mut(&id) {
-            job.groups[group] = LadderState::Ready(ladder);
+        let ladder = match grid.groups[group].build(&grid.mat.jobs(), Some(&self.store)) {
+            Ok(ladder) => Some(Arc::new(ladder)),
+            Err(_) => {
+                self.rec.add("serve.ladders.degraded", 1);
+                None
+            }
+        };
+        if let Some(job) = self.lock().jobs.get_mut(&id) {
+            job.ladders[group] = LadderState::Ready(ladder);
         }
     }
 
     fn run_one_cell(&self, id: u64, cell: usize) {
-        let Some(mat) = ({
-            let st = self.lock();
-            st.jobs.get(&id).and_then(|j| j.mat.clone())
+        let Some((grid, ladder)) = self.lock().jobs.get(&id).map(|j| {
+            let ladder = match j.ladder_of(cell) {
+                LadderState::Ready(l) => l.clone(),
+                _ => None,
+            };
+            (Arc::clone(&j.grid), ladder)
         }) else {
             return;
         };
-        let ladder = {
-            let st = self.lock();
-            match st.jobs.get(&id).map(|j| &j.groups[cell_group(&mat, cell)]) {
-                Some(LadderState::Ready(l)) => l.clone(),
-                _ => None,
-            }
-        };
-        let job_desc = cell_job(&mat, cell);
-        let ctx = match ladder {
-            Some(l) => SimContext::with_ladder(l),
-            None => SimContext::none(),
-        };
-        let outcome = run_cell(&job_desc, &ctx);
+        let ctx = ladder.map_or_else(SimContext::none, SimContext::with_ladder);
+        let outcome = run_cell(&grid.mat.job(cell), &ctx);
 
         let mut st = self.lock();
         let Some(job) = st.jobs.get_mut(&id) else {
@@ -663,12 +670,7 @@ impl Inner {
             self.rec.add("serve.lease.late_result", 1);
             return;
         }
-        job.inflight -= 1;
-        if job.cancelled {
-            // Result discarded; the worker is free again.
-            if job.inflight == 0 && !job.phase.is_terminal() {
-                self.finish_cancel(id, job);
-            }
+        if !self.release_cell(id, job) {
             return;
         }
         match outcome {
@@ -690,38 +692,53 @@ impl Inner {
                 let line =
                     self.event_line(id, cell, &result, &annotated, job.done_count, job.total);
                 self.notify_watchers(job, &line);
-            }
-            Err(error) => {
-                let attempts = job.attempts.entry(cell).or_insert(0);
-                *attempts += 1;
-                if *attempts < self.cfg.retry.max_attempts {
-                    job.retries += 1;
-                    job.pending.push_back(cell);
-                    self.rec.add("serve.cells.retried", 1);
-                } else {
-                    let attempts = *attempts;
-                    job.attempts.remove(&cell);
-                    job.failures.push(WireFailure {
-                        job_index: cell,
-                        workload: job_desc.workload.name().to_string(),
-                        technique: job_desc.technique.name(),
-                        attempts,
-                        error: error.to_string(),
-                    });
-                    self.rec.add("serve.cells.failed", 1);
-                    let snapshot = &st.jobs[&id];
-                    self.write_status(id, snapshot);
-                    // Reborrow after the read-only snapshot.
-                    let Some(job) = st.jobs.get_mut(&id) else {
-                        return;
-                    };
-                    if job.settled() {
-                        self.complete_job(id, job);
-                    }
-                    return;
+                if job.settled() {
+                    self.complete_job(id, job);
                 }
             }
+            Err(error) => self.settle_failure(id, job, cell, &error),
         }
+    }
+
+    /// Frees the worker slot a finished or reaped cell held. Returns
+    /// false when the job was cancelled: the cell's outcome is then
+    /// discarded, and the cancel is finished once nothing is in flight.
+    fn release_cell(&self, id: u64, job: &mut JobState) -> bool {
+        job.inflight -= 1;
+        if !job.cancelled {
+            return true;
+        }
+        if job.inflight == 0 && !job.phase.is_terminal() {
+            self.finish_cancel(id, job);
+        }
+        false
+    }
+
+    /// Settles one failed attempt of `cell` — a worker's error or a
+    /// lease reap: requeues the cell while its retry budget lasts,
+    /// otherwise enters it in the failure ledger, persists the status,
+    /// and completes the job if that was its last open cell.
+    fn settle_failure(&self, id: u64, job: &mut JobState, cell: usize, error: &CellError) {
+        let attempts = job.attempts.entry(cell).or_insert(0);
+        *attempts += 1;
+        let attempts = *attempts;
+        if attempts < self.cfg.retry.max_attempts {
+            job.retries += 1;
+            job.pending.push_back(cell);
+            self.rec.add("serve.cells.retried", 1);
+            return;
+        }
+        job.attempts.remove(&cell);
+        let desc = job.grid.mat.job(cell);
+        job.failures.push(WireFailure {
+            job_index: cell,
+            workload: desc.workload.name().to_string(),
+            technique: desc.technique.name(),
+            attempts,
+            error: error.to_string(),
+        });
+        self.rec.add("serve.cells.failed", 1);
+        self.write_status(id, job);
         if job.settled() {
             self.complete_job(id, job);
         }
@@ -729,9 +746,9 @@ impl Inner {
 
     /// Settles every cell whose lease has expired on the injected clock:
     /// frees its scheduler slot, marks it reaped (so the zombie worker's
-    /// late result is discarded), and runs the standard retry/failure
-    /// logic with [`CellError::DeadlineExceeded`]. Determinism comes from
-    /// the clock and the cell identity, not from when this happens to be
+    /// late result is discarded), and settles it like any failed attempt
+    /// with [`CellError::DeadlineExceeded`]. Determinism comes from the
+    /// clock and the cell identity, not from when this happens to be
     /// polled.
     fn reap_overdue(&self) {
         let Some(deadline_ns) = self.cfg.lease_deadline_ns else {
@@ -754,9 +771,6 @@ impl Inner {
             return;
         }
         for (id, cell) in overdue {
-            let Some(mat) = st.jobs.get(&id).and_then(|j| j.mat.clone()) else {
-                continue;
-            };
             let Some(job) = st.jobs.get_mut(&id) else {
                 continue;
             };
@@ -764,40 +778,9 @@ impl Inner {
                 continue; // the worker finished while we walked the list
             }
             job.reaped.insert(cell);
-            job.inflight -= 1;
             self.rec.add("serve.lease.reaped", 1);
-            if job.cancelled {
-                if job.inflight == 0 && !job.phase.is_terminal() {
-                    self.finish_cancel(id, job);
-                }
-                continue;
-            }
-            let attempts_entry = job.attempts.entry(cell).or_insert(0);
-            *attempts_entry += 1;
-            let attempts = *attempts_entry;
-            if attempts < self.cfg.retry.max_attempts {
-                job.retries += 1;
-                job.pending.push_back(cell);
-                self.rec.add("serve.cells.retried", 1);
-            } else {
-                job.attempts.remove(&cell);
-                let desc = cell_job(&mat, cell);
-                job.failures.push(WireFailure {
-                    job_index: cell,
-                    workload: desc.workload.name().to_string(),
-                    technique: desc.technique.name(),
-                    attempts,
-                    error: CellError::DeadlineExceeded { deadline_ns }.to_string(),
-                });
-                self.rec.add("serve.cells.failed", 1);
-                let snapshot = &st.jobs[&id];
-                self.write_status(id, snapshot);
-                let Some(job) = st.jobs.get_mut(&id) else {
-                    continue;
-                };
-                if job.settled() {
-                    self.complete_job(id, job);
-                }
+            if self.release_cell(id, job) {
+                self.settle_failure(id, job, cell, &CellError::DeadlineExceeded { deadline_ns });
             }
         }
         drop(st);
@@ -805,12 +788,30 @@ impl Inner {
         self.work.notify_all();
     }
 
+    /// Reads cell `i`'s durable record: `Ok(None)` if it was never
+    /// written, an error if it is unreadable or corrupt, else the result
+    /// and its annotated frame.
+    fn read_cell(&self, id: u64, i: usize) -> Result<Option<(CellResult, MetricsFrame)>, String> {
+        let bytes = match self
+            .store
+            .get_checked(job_key(JobRecordKind::Cell, id, i as u64))
+        {
+            Ok(b) => b,
+            Err(RecordError::Missing) => return Ok(None),
+            Err(e) => return Err(format!("cell {i} record unreadable: {e:?}")),
+        };
+        let (cell, mut frame) =
+            wire::decode_cell_record(&bytes).map_err(|e| format!("cell {i} corrupt: {e}"))?;
+        annotate_cell_frame(&cell, &mut frame);
+        Ok(Some((cell, frame)))
+    }
+
     /// True when no worker holds a cell or ladder build — the drain
     /// completion condition.
     fn drained(&self) -> bool {
         let st = self.lock();
         st.jobs.values().all(|j| {
-            j.inflight == 0 && !j.groups.iter().any(|g| matches!(g, LadderState::Building))
+            j.inflight == 0 && !j.ladders.iter().any(|g| matches!(g, LadderState::Building))
         })
     }
 
@@ -969,20 +970,15 @@ impl Server {
 /// Startup resume: rebuild scheduler state from the store's job records.
 fn resume_jobs(inner: &Arc<Inner>) {
     let index = match inner.store.get_checked(index_key()) {
-        Ok(bytes) => match IndexRecord::decode(&bytes) {
-            Ok(idx) => idx,
-            Err(_) => {
+        Err(RecordError::Missing) => IndexRecord::default(),
+        read => match read.ok().and_then(|b| IndexRecord::decode(&b).ok()) {
+            Some(index) => index,
+            None => {
                 let _ = inner.store.quarantine(index_key());
                 inner.rec.add("serve.store.index_corrupt", 1);
                 IndexRecord::default()
             }
         },
-        Err(RecordError::Missing) => IndexRecord::default(),
-        Err(_) => {
-            let _ = inner.store.quarantine(index_key());
-            inner.rec.add("serve.store.index_corrupt", 1);
-            IndexRecord::default()
-        }
     };
     let mut st = inner.lock();
     st.next_seq = index.next_seq;
@@ -1013,31 +1009,17 @@ fn resume_jobs(inner: &Arc<Inner>) {
             inner.rec.add("serve.jobs.unresumable", 1);
             continue;
         };
-        let mat = Arc::new(mat);
-        let total = spec_rec.spec.cell_count();
-        let mut done = vec![false; total];
-        let mut done_count = 0usize;
-        for (i, slot) in done.iter_mut().enumerate() {
-            match inner
-                .store
-                .get_checked(job_key(JobRecordKind::Cell, id, i as u64))
-            {
-                Ok(bytes) => match wire::decode_cell_record(&bytes) {
-                    Ok(_) => {
-                        *slot = true;
-                        done_count += 1;
-                    }
-                    Err(_) => {
-                        // Store checksum passed but the payload didn't
-                        // decode: quarantine and re-run the cell.
-                        let _ = inner
-                            .store
-                            .quarantine(job_key(JobRecordKind::Cell, id, i as u64));
-                        inner.rec.add("serve.cells.requeued_corrupt", 1);
-                    }
-                },
-                Err(RecordError::Missing) => {}
+        let mut job = JobState::new(tenant, mat);
+        for i in 0..job.total {
+            match inner.read_cell(id, i) {
+                Ok(Some(_)) => {
+                    job.done[i] = true;
+                    job.done_count += 1;
+                }
+                Ok(None) => {}
                 Err(_) => {
+                    // Unreadable, or checksummed clean but undecodable:
+                    // quarantine and re-run the cell.
                     let _ = inner
                         .store
                         .quarantine(job_key(JobRecordKind::Cell, id, i as u64));
@@ -1045,42 +1027,20 @@ fn resume_jobs(inner: &Arc<Inner>) {
                 }
             }
         }
-        let failed: Vec<usize> = status.failures.iter().map(|f| f.job_index).collect();
         let terminal = status.phase.is_terminal();
-        let pending: VecDeque<usize> = if terminal {
-            VecDeque::new()
+        if terminal {
+            job.pending.clear();
         } else {
-            (0..total)
-                .filter(|i| !done[*i] && !failed.contains(i))
-                .collect()
-        };
-        let mut job = JobState {
-            tenant: tenant.clone(),
-            mat: Some(mat),
-            phase: status.phase,
-            total,
-            done,
-            done_count,
-            pending,
-            attempts: BTreeMap::new(),
-            inflight: 0,
-            cancelled: status.phase == JobPhase::Cancelled,
-            retries: status.retries,
-            failures: status.failures,
-            groups: Vec::new(),
-            watchers: Vec::new(),
-            started: None,
-            leases: BTreeMap::new(),
-            reaped: BTreeSet::new(),
-        };
-        if let Some(mat) = &job.mat {
-            job.groups = (0..group_count(mat))
-                .map(|_| LadderState::NotBuilt)
-                .collect();
+            let failed: Vec<usize> = status.failures.iter().map(|f| f.job_index).collect();
+            job.pending.retain(|i| !job.done[*i] && !failed.contains(i));
         }
+        job.phase = status.phase;
+        job.cancelled = status.phase == JobPhase::Cancelled;
+        job.retries = status.retries;
+        job.failures = status.failures;
         if !terminal {
             inner.rec.add("serve.jobs.resumed", 1);
-            inner.rec.add("serve.cells.resumed", done_count as u64);
+            inner.rec.add("serve.cells.resumed", job.done_count as u64);
             if job.settled() {
                 // Everything finished before the kill, but the Done
                 // status never landed: settle it now.
@@ -1387,8 +1347,8 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
             return err_line(&e);
         }
     };
-    let mat = match spec.materialize() {
-        Ok(m) => Arc::new(m),
+    let job = match spec.materialize() {
+        Ok(mat) => JobState::new(tenant.clone(), mat),
         Err(e) => {
             inner.rec.add("serve.jobs.rejected", 1);
             return err_line(&e);
@@ -1417,28 +1377,7 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
         e.put_bytes(&spec.encode());
         pgss_ckpt::fnv1a64(&e.into_bytes())
     };
-    let total = spec.cell_count();
-    let job = JobState {
-        tenant: tenant.clone(),
-        mat: Some(Arc::clone(&mat)),
-        phase: JobPhase::Queued,
-        total,
-        done: vec![false; total],
-        done_count: 0,
-        pending: (0..total).collect(),
-        attempts: BTreeMap::new(),
-        inflight: 0,
-        cancelled: false,
-        retries: 0,
-        failures: Vec::new(),
-        groups: (0..group_count(&mat))
-            .map(|_| LadderState::NotBuilt)
-            .collect(),
-        watchers: Vec::new(),
-        started: None,
-        leases: BTreeMap::new(),
-        reaped: BTreeSet::new(),
-    };
+    let total = job.total;
     // Durable order matters: spec and status first, then the index that
     // names them — a crash between writes leaves an unnamed record, not
     // a dangling index entry.
@@ -1525,8 +1464,8 @@ fn handle_cancel(inner: &Arc<Inner>, req: &Value) -> String {
 /// - the job index, plus every indexed job's spec and status records;
 /// - **all** cell records `0..total` of every job, finished or not —
 ///   unfinished jobs never lose what they already computed;
-/// - every ladder record ([`CheckpointLadder::live_keys`]: meta plus the
-///   rungs the meta declares) of every job's workload × config grid.
+/// - every ladder record ([`LadderGroup::live_keys`]: meta plus the
+///   rungs the meta declares) of every job's ladder groups.
 ///
 /// A ladder *capture*'s write-back runs outside the scheduler lock
 /// (rungs land before their meta record), so GC defers with a `busy`
@@ -1540,7 +1479,7 @@ fn handle_gc(inner: &Arc<Inner>) -> String {
     let building = st
         .jobs
         .values()
-        .any(|j| j.groups.iter().any(|g| matches!(g, LadderState::Building)));
+        .any(|j| j.ladders.iter().any(|g| matches!(g, LadderState::Building)));
     if building {
         inner.rec.add("serve.backpressure.rejections", 1);
         return busy_line(
@@ -1556,18 +1495,9 @@ fn handle_gc(inner: &Arc<Inner>) -> String {
         for i in 0..job.total {
             live.insert(job_key(JobRecordKind::Cell, id, i as u64));
         }
-        if let Some(mat) = &job.mat {
-            let spec = ladder_spec(mat);
-            for workload in &mat.workloads {
-                for config in &mat.configs {
-                    live.extend(CheckpointLadder::live_keys(
-                        &inner.store,
-                        workload,
-                        config,
-                        &spec,
-                    ));
-                }
-            }
+        let jobs = job.grid.mat.jobs();
+        for group in &job.grid.groups {
+            live.extend(group.live_keys(&jobs, &inner.store));
         }
     }
     let report = inner.store.gc(|key| live.contains(&key));
@@ -1582,9 +1512,9 @@ fn handle_gc(inner: &Arc<Inner>) -> String {
 }
 
 /// Re-assembles a terminal job's canonical campaign artifact from its
-/// durable records. Line-for-line the same bytes as
-/// [`pgss::CampaignReport::canonical_jsonl`] on an equivalent library
-/// run: header, cells in job order, failure ledger, per-cell scopes.
+/// durable records with [`wire::canonical_artifact`], the renderer behind
+/// [`pgss::CampaignReport::canonical_jsonl`] — so an equivalent library
+/// run yields the same bytes.
 fn assemble_report(inner: &Arc<Inner>, req: &Value) -> Result<Vec<String>, String> {
     let mut st = inner.lock();
     let (id, job) = job_from_req(req, &mut st)?;
@@ -1594,46 +1524,21 @@ fn assemble_report(inner: &Arc<Inner>, req: &Value) -> Result<Vec<String>, Strin
             job.phase.as_str()
         ));
     }
-    let (total, retries) = (job.total, job.retries);
-    let failures = job.failures.clone();
-    let mut cell_lines = Vec::new();
-    let mut scope_lines = Vec::new();
-    for i in 0..total {
-        let bytes = match inner
-            .store
-            .get_checked(job_key(JobRecordKind::Cell, id, i as u64))
-        {
-            Ok(b) => b,
-            Err(RecordError::Missing) => continue,
-            Err(e) => return Err(format!("cell {i} record unreadable: {e:?}")),
-        };
-        let (cell, mut frame) =
-            wire::decode_cell_record(&bytes).map_err(|e| format!("cell {i} corrupt: {e}"))?;
-        annotate_cell_frame(&cell, &mut frame);
-        scope_lines.push(scope_line(
-            &format!("{}/{}", cell.workload, cell.technique),
-            &frame,
-        ));
-        cell_lines.push(wire::canonical_cell_line(&cell));
+    let mut cells = Vec::new();
+    let mut scopes = Vec::new();
+    for i in 0..job.total {
+        if let Some((cell, frame)) = inner.read_cell(id, i)? {
+            scopes.push((cell.scope_name(), frame));
+            cells.push(cell);
+        }
     }
-    let mut lines = Vec::with_capacity(1 + cell_lines.len() * 2 + failures.len());
-    lines.push(wire::canonical_header(
-        cell_lines.len(),
-        failures.len(),
-        retries,
-    ));
-    lines.extend(cell_lines);
-    for f in &failures {
-        lines.push(wire::canonical_failure_line(
-            f.job_index,
-            &f.workload,
-            &f.technique,
-            f.attempts,
-            &f.error,
-        ));
-    }
-    lines.extend(scope_lines);
-    Ok(lines)
+    let scopes = scopes.iter().map(|(name, frame)| (name.as_str(), frame));
+    Ok(wire::canonical_artifact(
+        &cells,
+        &job.failures,
+        job.retries,
+        scopes,
+    ))
 }
 
 fn handle_watch(inner: &Arc<Inner>, req: &Value, w: &mut Stream) -> io::Result<()> {
@@ -1644,28 +1549,14 @@ fn handle_watch(inner: &Arc<Inner>, req: &Value, w: &mut Stream) -> io::Result<(
             Err(e) => return write_line(w, &err_line(&e)),
         };
         // Replay what already finished, in job order, before going live.
-        let mut replay = Vec::new();
-        let done_count = job.done_count;
-        let total = job.total;
-        let done = job.done.clone();
-        for (i, is_done) in done.iter().enumerate() {
-            if !is_done {
-                continue;
-            }
-            if let Ok(bytes) = inner
-                .store
-                .get_checked(job_key(JobRecordKind::Cell, id, i as u64))
-            {
-                if let Ok((cell, mut frame)) = wire::decode_cell_record(&bytes) {
-                    annotate_cell_frame(&cell, &mut frame);
-                    replay.push(inner.event_line(id, i, &cell, &frame, done_count, total));
-                }
-            }
-        }
+        let replay: Vec<String> = (0..job.total)
+            .filter(|&i| job.done[i])
+            .filter_map(|i| {
+                let (cell, frame) = inner.read_cell(id, i).ok()??;
+                Some(inner.event_line(id, i, &cell, &frame, job.done_count, job.total))
+            })
+            .collect();
         inner.rec.add("serve.cells.streamed", replay.len() as u64);
-        let Some(job) = st.jobs.get_mut(&id) else {
-            return write_line(w, &err_line("job vanished"));
-        };
         if job.phase.is_terminal() {
             let end = format!(
                 "{{\"ok\":true,\"event\":\"end\",\"phase\":\"{}\"}}",

@@ -484,11 +484,6 @@ impl CampaignSpec {
         })
     }
 
-    /// Cells in the grid: `suite × configs × techniques`.
-    pub fn cell_count(&self) -> usize {
-        self.suite.len() * self.configs.len() * self.techniques.len()
-    }
-
     /// Instantiates the workloads and techniques this spec names.
     ///
     /// Fails only if a workload name became unknown between validation
@@ -525,24 +520,26 @@ pub struct Materialized {
 }
 
 impl Materialized {
-    /// The grid as [`pgss::Job`]s in canonical cell order: workload-major,
-    /// then configuration, then technique. With one configuration this is
-    /// [`pgss::campaign::grid`]'s order exactly.
-    pub fn jobs(&self) -> Vec<pgss::Job<'_>> {
-        let mut jobs =
-            Vec::with_capacity(self.workloads.len() * self.configs.len() * self.techniques.len());
-        for w in &self.workloads {
-            for c in &self.configs {
-                for t in &self.techniques {
-                    jobs.push(pgss::Job {
-                        workload: w,
-                        technique: &**t,
-                        config: *c,
-                    });
-                }
-            }
+    /// Cells in the grid: `workloads × configs × techniques`.
+    pub fn cell_count(&self) -> usize {
+        self.workloads.len() * self.configs.len() * self.techniques.len()
+    }
+
+    /// Cell `i` as a [`pgss::Job`]. Canonical cell order is
+    /// workload-major, then configuration, then technique; with one
+    /// configuration this is [`pgss::campaign::grid`]'s order exactly.
+    pub fn job(&self, i: usize) -> pgss::Job<'_> {
+        let (t, c) = (self.techniques.len(), self.configs.len());
+        pgss::Job {
+            workload: &self.workloads[i / (c * t)],
+            technique: &*self.techniques[i % t],
+            config: self.configs[i / t % c],
         }
-        jobs
+    }
+
+    /// The whole grid as [`pgss::Job`]s, in cell order.
+    pub fn jobs(&self) -> Vec<pgss::Job<'_>> {
+        (0..self.cell_count()).map(|i| self.job(i)).collect()
     }
 }
 
@@ -565,7 +562,7 @@ mod tests {
     #[test]
     fn parses_and_roundtrips() {
         let spec = sample();
-        assert_eq!(spec.cell_count(), 4);
+        assert_eq!(spec.materialize().unwrap().cell_count(), 4);
         assert_eq!(spec.configs, vec![ConfigSpec::default()]);
         let bytes = spec.encode();
         let mut d = Decoder::new(&bytes);
@@ -667,13 +664,15 @@ mod tests {
                 "configs":[{"issue_width":2},{"issue_width":8,"mshrs":16}]}"#,
         )
         .unwrap();
-        let spec = CampaignSpec::from_json(&v).unwrap();
-        assert_eq!(spec.cell_count(), 2);
-        let m = spec.materialize().unwrap();
+        let m = CampaignSpec::from_json(&v).unwrap().materialize().unwrap();
+        assert_eq!(m.cell_count(), 2);
         assert_eq!(m.configs[0].issue_width, 2);
         assert_eq!(m.configs[1].issue_width, 8);
         assert_eq!(m.configs[1].mshrs, 16);
         assert_eq!(m.configs[0].mshrs, MachineConfig::default().mshrs);
+        // Cell order is workload-major, then configuration.
+        let widths: Vec<u32> = m.jobs().iter().map(|j| j.config.issue_width).collect();
+        assert_eq!(widths, [2, 8]);
     }
 
     #[test]

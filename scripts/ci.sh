@@ -7,12 +7,9 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
-
-echo "== cargo clippy -p pgss-bench --benches --bins -- -D warnings (figure harnesses)"
-# The workspace lint and test runs never compile bench targets.
-cargo clippy -p pgss-bench --benches --bins -- -D warnings
+echo "== cargo clippy --workspace --all-targets --all-features -- -D warnings"
+# Every target (tests, benches, examples) and the fault-inject code.
+cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 echo "== cargo build --release"
 cargo build --release

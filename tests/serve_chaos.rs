@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pgss::campaign::RetryPolicy;
-use pgss::faults::{self, CellStall, FaultPlan, StoreFaultPlan};
+use pgss::faults::{self, CellPanic, CellStall, FaultPlan, StoreFaultPlan};
 use pgss_ckpt::{is_budget_error, RecordError, RecordFault, Store};
 use pgss_obs::ManualClock;
 use pgss_serve::{json, BoundAddr, Client, ClientError, Listen, ServeConfig, Server};
@@ -216,6 +216,62 @@ fn stalled_cell_is_reaped_into_the_ledger_as_deadline_exceeded() {
     let after = Client::connect(&addr).unwrap().status(&job).unwrap();
     assert_eq!((after.done, after.failed), (1, 1), "late result leaked in");
     server.stop();
+}
+
+/// A cell that panics on every attempt fails the same way through the
+/// server as through the library: both canonical artifacts — failure
+/// line, `attempts` and `retries` included — are byte-identical.
+#[test]
+fn failing_cell_artifact_is_byte_identical_to_the_library() {
+    let spec = pgss_serve::CampaignSpec::from_json(&json::parse(WIDE_SPEC).unwrap()).unwrap();
+    let mat = spec.materialize().unwrap();
+    let jobs = mat.jobs();
+    let _guard = faults::install(FaultPlan {
+        cell_panics: vec![CellPanic {
+            workload: "183.equake".to_string(),
+            technique: mat.techniques[0].name(),
+            times: u32::MAX,
+        }],
+        ..FaultPlan::default()
+    });
+
+    let (_lib_tmp, store) = util::temp_store("pgss-chaos-fail-lib");
+    let config = pgss::CampaignConfig::with_workers(2);
+    let report =
+        pgss::campaign::run_checkpointed_with(&jobs, spec.stride, Some(&store), &config).unwrap();
+    assert_eq!(report.failures.len(), 1);
+    assert_eq!(report.failures[0].job_index, 4);
+    let expected = report.canonical_jsonl();
+
+    let tmp = util::TempDir::new("pgss-chaos-fail-srv");
+    let cfg = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(tmp.path(), Listen::Tcp("127.0.0.1:0".into()), cfg).unwrap();
+    let addr = server.addr().clone();
+    let job = Client::connect(&addr)
+        .unwrap()
+        .submit("chaos", WIDE_SPEC)
+        .unwrap();
+    let done = wait_for("the job to finish", || {
+        let s = Client::connect(&addr).unwrap().status(&job).unwrap();
+        (s.phase == "done").then_some(s)
+    });
+    assert_eq!((done.done, done.failed, done.retries), (7, 1, 1));
+    let mut actual = Client::connect(&addr)
+        .unwrap()
+        .report(&job)
+        .unwrap()
+        .join("\n");
+    actual.push('\n');
+    server.stop();
+
+    assert!(expected.contains("\"kind\":\"failure\",\"job\":4,"));
+    assert_eq!(
+        actual, expected,
+        "server artifact diverged from the library's on a failing cell"
+    );
 }
 
 /// `drain` stops admission and claiming, lets in-flight cells finish,
