@@ -21,9 +21,7 @@ use pgss_cpu::{MachineConfig, Mode};
 use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
-use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, SimDriver, Track,
-};
+use crate::driver::{RunTrace, Segment, SimDriver, Track};
 use crate::estimate::{Estimate, Technique};
 use crate::pgss_sim::PgssSim;
 
@@ -86,18 +84,32 @@ impl AdaptivePgss {
         config: &MachineConfig,
         ctx: &SimContext,
     ) -> (f64, u64, RunTrace) {
-        let mut driver = SimDriver::new(workload, config, Track::Hashed(self.base.hash_seed));
-        ctx.bind(&mut driver);
-        let mut policy = PilotPolicy {
-            ff_ops: self.base.ff_ops,
-            budget: (workload.nominal_ops() as f64 * self.pilot_fraction) as u64,
-            spent: 0,
-            angles: Vec::new(),
-            prev: None,
-            done: false,
-        };
-        driver.run(&mut policy);
-        let PilotPolicy { angles, spent, .. } = policy;
+        let mut driver = SimDriver::new(workload, config, Track::Hashed(self.base.hash_seed), ctx);
+        // The functional pilot: consume BBV intervals until the op budget
+        // is spent (or the program halts), collecting consecutive-interval
+        // angles.
+        let budget = (workload.nominal_ops() as f64 * self.pilot_fraction) as u64;
+        let mut spent = 0;
+        let mut angles = Vec::new();
+        let mut prev: Option<HashedBbv> = None;
+        while spent < budget {
+            let interval = driver.execute(Segment::with_bbv(Mode::Functional, self.base.ff_ops));
+            spent += interval.ops;
+            if interval.complete() {
+                let bbv = interval
+                    .bbv
+                    .as_ref()
+                    .expect("pilot intervals close a BBV")
+                    .hashed();
+                if let Some(p) = &prev {
+                    angles.push(bbv.angle(p));
+                }
+                prev = Some(*bbv);
+            }
+            if interval.halted || interval.ops == 0 {
+                break;
+            }
+        }
         let trace = *driver.trace();
         if angles.len() < 4 {
             return (self.base.threshold_rad, spent, trace);
@@ -122,45 +134,6 @@ impl AdaptivePgss {
             spent,
             trace,
         )
-    }
-}
-
-/// The functional pilot: consume BBV intervals until the op budget is spent
-/// (or the program halts), collecting consecutive-interval angles.
-struct PilotPolicy {
-    ff_ops: u64,
-    budget: u64,
-    spent: u64,
-    angles: Vec<f64>,
-    prev: Option<HashedBbv>,
-    done: bool,
-}
-
-impl SamplingPolicy for PilotPolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        if self.done || self.spent >= self.budget {
-            Directive::Finish
-        } else {
-            Directive::Run(Segment::with_bbv(Mode::Functional, self.ff_ops))
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, _trace: &mut RunTrace) {
-        self.spent += outcome.ops;
-        if outcome.complete() {
-            let bbv = outcome
-                .bbv
-                .as_ref()
-                .expect("pilot intervals close a BBV")
-                .hashed();
-            if let Some(p) = &self.prev {
-                self.angles.push(bbv.angle(p));
-            }
-            self.prev = Some(*bbv);
-        }
-        if outcome.halted || outcome.ops == 0 {
-            self.done = true;
-        }
     }
 }
 

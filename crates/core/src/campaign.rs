@@ -3,7 +3,7 @@
 //!
 //! The paper's figures are all *campaigns* — every benchmark in the suite
 //! run under every technique under comparison. Because a technique run is
-//! "construct [`crate::driver::SimDriver`]s, run policies" with no shared
+//! "construct [`crate::driver::SimDriver`]s, loop over segments" with no shared
 //! mutable state, cells are embarrassingly parallel: workers claim jobs
 //! from an atomic counter and results are returned **in job order**
 //! regardless of thread count or scheduling, so campaign output is

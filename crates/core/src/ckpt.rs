@@ -10,7 +10,7 @@
 //!    derives content-address keys from (workload identity, machine
 //!    config, op offset), and builds [`CheckpointLadder`]s: snapshots at
 //!    a fixed op stride with *cumulative* BBV tracker state per rung.
-//! 3. [`crate::driver::SimDriver`] — when a ladder is attached, *jumps*
+//! 3. [`crate::driver::SimDriver`] — when built with a ladder, *jumps*
 //!    over functional segments by restoring the highest rung inside the
 //!    segment instead of executing it.
 //! 4. [`crate::campaign::run_checkpointed_with`] — captures each workload's
@@ -437,7 +437,7 @@ pub struct LadderReport {
     pub jumps: u64,
     /// Ops skipped via those restores (charged logically, not executed).
     pub skipped_ops: u64,
-    /// Ops actually executed by drivers attached to this ladder.
+    /// Ops actually executed by drivers bound to this ladder.
     pub executed_ops: u64,
     /// Ops the capture pass itself executed (0 when the ladder was
     /// loaded from a store).
@@ -478,7 +478,7 @@ impl LadderReport {
 /// A ladder of checkpoints up a workload's execution: snapshots every
 /// [`LadderSpec::stride`] retired ops, each carrying cumulative BBV
 /// tracker state, captured by one functional pass (or loaded from a
-/// [`Store`]). Attached to [`crate::driver::SimDriver`]s via
+/// [`Store`]). Bound to [`crate::driver::SimDriver`]s through
 /// [`crate::SimContext`], it lets every functional fast-forward segment
 /// be replaced by a restore of the highest rung the segment spans —
 /// with identical observable results, because functional warming is
@@ -873,8 +873,9 @@ fn decode_rung(bytes: &[u8], spec: &LadderSpec) -> Result<LadderRung, CodecError
 }
 
 /// Per-run context threaded to [`crate::Technique::run_traced`]:
-/// carries the checkpoint ladder (if any) and the metrics recorder every
-/// driver pass of the run should attach — see [`SimContext::bind`].
+/// carries the checkpoint ladder (if any), the metrics recorder and the
+/// fault slot that every driver pass of the run is bound to when it is
+/// built ([`crate::driver::SimDriver::new`]).
 #[derive(Debug, Clone)]
 pub struct SimContext {
     /// The workload's checkpoint ladder, shared across the techniques of
@@ -920,18 +921,6 @@ impl SimContext {
     /// context, if one occurred.
     pub fn first_fault(&self) -> Option<pgss_cpu::MachineFault> {
         self.fault.get().copied()
-    }
-
-    /// Attaches everything this context carries to a driver pass: the
-    /// ladder (if any) and the recorder. Every technique calls this on
-    /// each [`crate::driver::SimDriver`] it constructs, so instrumented
-    /// campaigns see every pass.
-    pub fn bind(&self, driver: &mut crate::driver::SimDriver) {
-        if let Some(ladder) = &self.ladder {
-            driver.attach_ladder(std::sync::Arc::clone(ladder));
-        }
-        driver.attach_recorder(std::sync::Arc::clone(&self.recorder));
-        driver.attach_fault_sink(std::sync::Arc::clone(&self.fault));
     }
 }
 

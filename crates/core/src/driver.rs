@@ -1,44 +1,40 @@
 //! The shared sampling engine: [`SimDriver`] owns the machine loop every
-//! technique used to hand-roll, and [`SamplingPolicy`] is the per-technique
-//! brain that decides which segment to execute next from what it has
-//! observed so far.
+//! technique used to hand-roll, and each technique drives it directly with
+//! plain loops over [`SimDriver::execute`].
 //!
 //! The split mirrors live-sampling systems such as Pac-Sim: one engine
 //! executes a stream of *segments* (a [`pgss_cpu::Mode`] plus an op budget),
 //! handles halt and truncation uniformly, accumulates the per-mode retired
 //! counts and the retired-op position, and maintains a [`RunTrace`] of what
-//! happened; policies are small state machines that never touch the machine
-//! directly. A technique is then "construct driver(s), run policy(ies),
-//! compose an [`crate::Estimate`]" — and a campaign runner can fan many such
-//! runs across threads because the engine has no global state.
+//! happened; techniques decide the next segment from the last outcome and
+//! never touch the machine directly. A technique is then "construct
+//! driver(s) bound to the run's [`SimContext`], loop over segments, compose
+//! an [`crate::Estimate`]" — and a campaign runner can fan many such runs
+//! across threads because the engine has no global state.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use pgss::driver::{Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, SimDriver, Track};
+//! use pgss::driver::{Segment, SimDriver, Track};
+//! use pgss::SimContext;
 //! use pgss_cpu::Mode;
 //!
-//! /// Measure one 10k-op detailed sample and stop.
-//! struct OneSample(Option<SegmentOutcome>);
-//! impl SamplingPolicy for OneSample {
-//!     fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-//!         if self.0.is_some() {
-//!             Directive::Finish
-//!         } else {
-//!             Directive::Run(Segment::new(Mode::DetailedMeasured, 10_000))
-//!         }
+//! // Measure 10k-op detailed samples every 100k ops until the halt.
+//! let w = pgss_workloads::gzip(0.01);
+//! let config = pgss_cpu::MachineConfig::default();
+//! let mut driver = SimDriver::new(&w, &config, Track::None, &SimContext::none());
+//! let mut cpis = Vec::new();
+//! loop {
+//!     let sample = driver.execute(Segment::new(Mode::DetailedMeasured, 10_000));
+//!     if sample.complete() {
+//!         cpis.push(sample.cpi());
+//!         driver.trace_mut().samples_taken += 1;
 //!     }
-//!     fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
-//!         trace.samples_taken += 1;
-//!         self.0 = Some(outcome.clone());
+//!     if sample.halted || driver.execute(Segment::new(Mode::Functional, 90_000)).halted {
+//!         break;
 //!     }
 //! }
-//!
-//! let w = pgss_workloads::gzip(0.01);
-//! let mut driver = SimDriver::new(&w, &pgss_cpu::MachineConfig::default(), Track::None);
-//! let mut policy = OneSample(None);
-//! driver.run(&mut policy);
-//! println!("retired {} ops", driver.retired());
+//! println!("{} samples over {} ops", cpis.len(), driver.retired());
 //! ```
 
 use std::sync::{Arc, OnceLock};
@@ -48,7 +44,7 @@ use pgss_cpu::{Machine, MachineConfig, MachineFault, Mode, ModeOps};
 use pgss_obs::{Recorder, Span};
 use pgss_workloads::Workload;
 
-use crate::ckpt::{decode_machine_snapshot_into, CheckpointLadder};
+use crate::ckpt::{decode_machine_snapshot_into, CheckpointLadder, SimContext};
 
 /// The `driver.segments.*` counter name for a mode.
 fn mode_segments_key(mode: Mode) -> &'static str {
@@ -192,7 +188,7 @@ impl Segment {
 }
 
 /// A basic-block vector taken at a segment boundary.
-// A `SegmentOutcome` is consumed immediately by the policy, never stored in
+// A `SegmentOutcome` is consumed immediately by the technique, never stored in
 // bulk, so the inline 264-byte `HashedBbv` beats a per-segment allocation.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
@@ -204,7 +200,7 @@ pub enum Bbv {
 }
 
 impl Bbv {
-    /// The hashed vector, panicking for other kinds (policy/driver
+    /// The hashed vector, panicking for other kinds (technique/driver
     /// tracking-mode mismatch is a programming error).
     pub fn hashed(&self) -> &HashedBbv {
         match self {
@@ -253,16 +249,6 @@ impl SegmentOutcome {
     }
 }
 
-/// What a policy wants next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Directive {
-    /// Execute this segment, then call
-    /// [`SamplingPolicy::observe`] with its outcome.
-    Run(Segment),
-    /// The run is over.
-    Finish,
-}
-
 /// Counters describing one run through the driver — which segments
 /// executed, which samples were taken or skipped and why, and what the
 /// phase table did. Cheap plain counters, always on.
@@ -274,7 +260,7 @@ pub struct RunTrace {
     /// Segments that ended before their op budget (halt), excluding
     /// run-to-halt segments (`max_ops == u64::MAX`).
     pub truncated_segments: u64,
-    /// Measured samples credited to the estimate (policy-maintained).
+    /// Measured samples credited to the estimate (technique-maintained).
     pub samples_taken: u64,
     /// Samples skipped because the phase's confidence interval was met.
     pub skipped_ci_met: u64,
@@ -311,20 +297,6 @@ impl RunTrace {
     }
 }
 
-/// A sampling technique's decision procedure, driven by [`SimDriver::run`]:
-/// `next` picks the segment to execute (or finishes), `observe` digests the
-/// outcome. Both receive the run's [`RunTrace`] so policies can record
-/// sample/skip/phase events next to the driver's segment counters.
-pub trait SamplingPolicy {
-    /// The next segment to execute, or [`Directive::Finish`].
-    fn next(&mut self, trace: &mut RunTrace) -> Directive;
-
-    /// Digests the outcome of the segment most recently issued by
-    /// [`SamplingPolicy::next`]. Called for every executed segment,
-    /// including ones cut short by a halt.
-    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace);
-}
-
 /// The tracking sink composed into every segment execution: all trackers
 /// optional, so one monomorphized `run_with` path covers all techniques.
 type TrackSink = (
@@ -348,9 +320,7 @@ pub struct SimDriver {
     /// Checkpoint ladder to jump with / charge executed ops to, if any.
     ladder: Option<Arc<CheckpointLadder>>,
     /// Whether functional segments may be replaced by ladder restores:
-    /// requires the ladder to cover this driver's track, and (for tracked
-    /// drivers) attachment before any execution so the taken-interval
-    /// cumulative below is complete.
+    /// requires the ladder to cover this driver's track.
     jumps_ok: bool,
     /// Index of this driver's hash seed in the ladder's carried tracks.
     seed_idx: Option<usize>,
@@ -365,13 +335,39 @@ pub struct SimDriver {
     recorder: Option<Arc<dyn Recorder>>,
     /// Shared slot where the first machine fault of the run is deposited,
     /// so campaign plumbing can surface it as a typed cell error without
-    /// unwinding. `None` when no one is listening.
-    fault_sink: Option<Arc<OnceLock<MachineFault>>>,
+    /// unwinding.
+    fault_sink: Arc<OnceLock<MachineFault>>,
 }
 
 impl SimDriver {
-    /// Builds a fresh machine for `workload` and a tracker per `track`.
-    pub fn new(workload: &Workload, config: &MachineConfig, track: Track) -> SimDriver {
+    /// Builds a fresh machine for `workload`, a tracker per `track`, and
+    /// binds the pass to everything `ctx` carries:
+    ///
+    /// - **Ladder.** Every op this driver executes is charged to the
+    ///   ladder's counters, and — when the ladder covers this driver's
+    ///   track — functional segments are *jumped*: instead of executing up
+    ///   to a rung inside the segment, the rung is restored, the skipped
+    ///   ops are charged as functional (so [`crate::Estimate`]s stay
+    ///   byte-identical), and only the remainder executes. MAV drivers
+    ///   never jump: ladders carry no region-access cumulatives.
+    /// - **Recorder.** Every executed segment reports
+    ///   `driver.segments.<mode>` (+1), `driver.ops.<mode>` (the segment's
+    ///   *logical* ops, including any distance covered by a ladder jump),
+    ///   and `driver.ops.jumped` / `driver.jumps` for skipped work. All
+    ///   values are deterministic, so recorded frames are byte-comparable
+    ///   across runs. A disabled recorder is not retained — the hot path
+    ///   stays a single `Option` check.
+    /// - **Fault slot.** If any segment aborts on a [`MachineFault`] (e.g.
+    ///   an out-of-range indirect jump), the first such fault is deposited
+    ///   into the slot; later faults — from this driver or from sibling
+    ///   passes sharing the context — are dropped, so the slot always
+    ///   reports the run's *first* structured abort.
+    pub fn new(
+        workload: &Workload,
+        config: &MachineConfig,
+        track: Track,
+        ctx: &SimContext,
+    ) -> SimDriver {
         let machine = workload.machine_with(*config);
         let sink = match track {
             Track::None => (None, None, None),
@@ -383,19 +379,34 @@ impl SimDriver {
             Track::Full => (None, Some(FullBbvTracker::new(workload.program())), None),
             Track::Mav => (None, None, Some(MavTracker::new(machine.memory().len()))),
         };
+        let (jumps_ok, seed_idx) = match (&ctx.ladder, track) {
+            (None, _) => (false, None),
+            (Some(_), Track::None) => (true, None),
+            (Some(ladder), Track::Hashed(seed)) => {
+                let idx = ladder.seed_index(seed);
+                (idx.is_some(), idx)
+            }
+            (Some(ladder), Track::Full) => (ladder.has_full(), None),
+            (Some(_), Track::Mav) => (false, None),
+        };
+        let full_taken = sink
+            .1
+            .as_ref()
+            .filter(|_| jumps_ok)
+            .map(|t| FullBbv::zeroed(t.current().dim()));
         SimDriver {
             machine,
             sink,
             track,
             retired: 0,
             trace: RunTrace::default(),
-            ladder: None,
-            jumps_ok: false,
-            seed_idx: None,
+            ladder: ctx.ladder.clone(),
+            jumps_ok,
+            seed_idx,
             hashed_taken: HashedBbv::new(),
-            full_taken: None,
-            recorder: None,
-            fault_sink: None,
+            full_taken,
+            recorder: ctx.recorder.enabled().then(|| Arc::clone(&ctx.recorder)),
+            fault_sink: Arc::clone(&ctx.fault),
         }
     }
 
@@ -405,8 +416,8 @@ impl SimDriver {
     /// tracker vectors, so this driver continues exactly as `src` would.
     /// The trace, ladder, recorder and fault sink stay this driver's own,
     /// so one bound driver can replay many positions and report one
-    /// trace. A tracked driver stops jumping, as one attached mid-run
-    /// would.
+    /// trace. A tracked driver stops jumping: its taken-interval
+    /// cumulative no longer describes the adopted tracker state.
     ///
     /// # Panics
     ///
@@ -444,81 +455,16 @@ impl SimDriver {
         self.jumps_ok &= matches!(self.track, Track::None);
     }
 
-    /// Attaches a checkpoint ladder. From here on, every op this driver
-    /// executes is charged to the ladder's counters, and — when the
-    /// ladder covers this driver's track — functional segments are
-    /// *jumped*: instead of executing up to a rung inside the segment,
-    /// the rung is restored, the skipped ops are charged as functional
-    /// (so [`crate::Estimate`]s stay byte-identical), and only the
-    /// remainder executes.
-    ///
-    /// Tracked drivers ([`Track::Hashed`] / [`Track::Full`]) must attach
-    /// before executing anything; attached later they still charge
-    /// executed ops but never jump, because the taken-interval cumulative
-    /// needed to reconstruct tracker state is unknown.
-    pub fn attach_ladder(&mut self, ladder: Arc<CheckpointLadder>) {
-        let covers = match self.track {
-            Track::None => true,
-            Track::Hashed(seed) => {
-                self.seed_idx = ladder.seed_index(seed);
-                self.seed_idx.is_some()
-            }
-            Track::Full => ladder.has_full(),
-            // Ladders carry no region-access cumulatives, so MAV drivers
-            // charge executed ops but never jump.
-            Track::Mav => false,
-        };
-        self.jumps_ok = covers && (self.retired == 0 || matches!(self.track, Track::None));
-        if self.jumps_ok {
-            self.hashed_taken = HashedBbv::new();
-            self.full_taken = self
-                .sink
-                .1
-                .as_ref()
-                .map(|t| FullBbv::zeroed(t.current().dim()));
-        }
-        self.ladder = Some(ladder);
-    }
-
-    /// Attaches a metrics recorder. Every executed segment then reports
-    /// `driver.segments.<mode>` (+1), `driver.ops.<mode>` (the segment's
-    /// *logical* ops, including any distance covered by a ladder jump),
-    /// and `driver.ops.jumped` / `driver.jumps` for skipped work. All
-    /// values are deterministic, so recorded frames are byte-comparable
-    /// across runs. A disabled recorder is not retained — the hot path
-    /// stays a single `Option` check.
-    pub fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = recorder.enabled().then_some(recorder);
-    }
-
-    /// Attaches a shared fault slot. If any segment of this run aborts on
-    /// a [`MachineFault`] (e.g. an out-of-range indirect jump), the first
-    /// such fault is deposited into the slot; later faults — from this
-    /// driver or from sibling passes sharing the slot — are dropped, so
-    /// the slot always reports the run's *first* structured abort.
-    pub fn attach_fault_sink(&mut self, slot: Arc<OnceLock<MachineFault>>) {
-        self.fault_sink = Some(slot);
-    }
-
     /// The fault that halted this driver's machine, if any.
     pub fn fault(&self) -> Option<MachineFault> {
         self.machine.fault()
-    }
-
-    /// Runs `policy` to completion: alternately asks it for a segment and
-    /// hands back the outcome, until it answers [`Directive::Finish`].
-    pub fn run<P: SamplingPolicy + ?Sized>(&mut self, policy: &mut P) {
-        while let Directive::Run(segment) = policy.next(&mut self.trace) {
-            let outcome = self.execute(segment);
-            policy.observe(&outcome, &mut self.trace);
-        }
     }
 
     /// Executes a single segment: one `run_with` call with the composed
     /// tracking sink, uniform halt/truncation handling, position and trace
     /// accounting.
     ///
-    /// With a covering [`CheckpointLadder`] attached, a functional
+    /// With a covering [`CheckpointLadder`] in its context, a functional
     /// segment that spans a rung restores the highest such rung and
     /// executes only the remainder. The outcome — ops, halt flag,
     /// truncation, position, any taken BBV — and the machine's logical
@@ -553,7 +499,7 @@ impl SimDriver {
                         let taken = self
                             .full_taken
                             .as_ref()
-                            .expect("full taken cumulative initialised at attach");
+                            .expect("full taken cumulative initialised with the ladder");
                         tr.set_current(cum.diff(taken));
                     }
                     self.retired = rung.retired;
@@ -573,9 +519,7 @@ impl SimDriver {
                 .run_with(segment.mode, segment.max_ops - skipped, &mut self.sink)
         };
         if let Some(fault) = self.machine.fault() {
-            if let Some(slot) = &self.fault_sink {
-                let _ = slot.set(fault);
-            }
+            let _ = self.fault_sink.set(fault);
         }
         if let Some(ladder) = &self.ladder {
             ladder.record_executed(r.ops);
@@ -643,6 +587,13 @@ impl SimDriver {
         &self.trace
     }
 
+    /// The run's trace counters, for the technique's own events: samples
+    /// taken or skipped, phases created. The driver maintains the segment
+    /// counters itself.
+    pub fn trace_mut(&mut self) -> &mut RunTrace {
+        &mut self.trace
+    }
+
     /// Whether the underlying machine has halted.
     pub fn halted(&self) -> bool {
         self.machine.halted()
@@ -663,64 +614,38 @@ mod tests {
         b.finish()
     }
 
-    /// Runs a fixed segment plan, recording outcomes.
-    struct Plan {
-        segments: Vec<Segment>,
-        next: usize,
-        outcomes: Vec<SegmentOutcome>,
-        stop_on_halt: bool,
+    /// A driver for `w` on the default machine with no context.
+    fn driver(w: &Workload, track: Track) -> SimDriver {
+        SimDriver::new(w, &MachineConfig::default(), track, &SimContext::none())
     }
 
-    impl Plan {
-        fn new(segments: Vec<Segment>) -> Plan {
-            Plan {
-                segments,
-                next: 0,
-                outcomes: Vec::new(),
-                stop_on_halt: false,
-            }
-        }
-    }
-
-    impl SamplingPolicy for Plan {
-        fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-            if self.stop_on_halt && self.outcomes.last().is_some_and(|o| o.halted) {
-                return Directive::Finish;
-            }
-            match self.segments.get(self.next) {
-                Some(&s) => {
-                    self.next += 1;
-                    Directive::Run(s)
-                }
-                None => Directive::Finish,
-            }
-        }
-
-        fn observe(&mut self, outcome: &SegmentOutcome, _trace: &mut RunTrace) {
-            self.outcomes.push(outcome.clone());
-        }
+    /// Executes `segments` in order, returning every outcome.
+    fn execute_all(d: &mut SimDriver, segments: &[Segment]) -> Vec<SegmentOutcome> {
+        segments.iter().map(|&s| d.execute(s)).collect()
     }
 
     #[test]
     fn op_accounting_matches_machine() {
         let w = tiny_workload();
-        let mut d = SimDriver::new(&w, &MachineConfig::default(), Track::None);
-        let mut p = Plan::new(vec![
-            Segment::new(Mode::Functional, 50_000),
-            Segment::new(Mode::DetailedWarming, 3_000),
-            Segment::new(Mode::DetailedMeasured, 1_000),
-            Segment::new(Mode::Functional, 50_000),
-        ]);
-        d.run(&mut p);
+        let mut d = driver(&w, Track::None);
+        let outcomes = execute_all(
+            &mut d,
+            &[
+                Segment::new(Mode::Functional, 50_000),
+                Segment::new(Mode::DetailedWarming, 3_000),
+                Segment::new(Mode::DetailedMeasured, 1_000),
+                Segment::new(Mode::Functional, 50_000),
+            ],
+        );
         let ops = d.mode_ops();
         assert_eq!(ops.functional, 100_000);
         assert_eq!(ops.detailed_warming, 3_000);
         assert_eq!(ops.detailed_measured, 1_000);
         assert_eq!(d.retired(), ops.total());
         // Outcomes carry the running position.
-        assert_eq!(p.outcomes[0].retired, 50_000);
-        assert_eq!(p.outcomes[2].retired, 54_000);
-        assert_eq!(p.outcomes[3].retired, 104_000);
+        assert_eq!(outcomes[0].retired, 50_000);
+        assert_eq!(outcomes[2].retired, 54_000);
+        assert_eq!(outcomes[3].retired, 104_000);
         assert_eq!(d.trace().segments, [0, 2, 1, 1]);
         assert_eq!(d.trace().truncated_segments, 0);
     }
@@ -732,21 +657,24 @@ mod tests {
             let mut m = w.machine();
             m.run(Mode::Functional, u64::MAX).ops
         };
-        let mut d = SimDriver::new(&w, &MachineConfig::default(), Track::None);
-        // Second segment's budget reaches past the halt.
-        let mut p = Plan::new(vec![
+        let mut d = driver(&w, Track::None);
+        // Second segment's budget reaches past the halt; the loop stops
+        // after observing it.
+        let mut outcomes = Vec::new();
+        for s in [
             Segment::new(Mode::Functional, total - 1_000),
             Segment::new(Mode::DetailedMeasured, 50_000),
             Segment::new(Mode::DetailedMeasured, 50_000),
-        ]);
-        p.stop_on_halt = true;
-        d.run(&mut p);
-        assert_eq!(
-            p.outcomes.len(),
-            2,
-            "policy finishes after observing the halt"
-        );
-        let halted = &p.outcomes[1];
+        ] {
+            let outcome = d.execute(s);
+            let halted = outcome.halted;
+            outcomes.push(outcome);
+            if halted {
+                break;
+            }
+        }
+        assert_eq!(outcomes.len(), 2, "the loop stops after observing the halt");
+        let halted = &outcomes[1];
         assert!(halted.halted);
         assert!(!halted.complete());
         assert_eq!(halted.ops, 1_000, "exactly the ops left before the halt");
@@ -757,50 +685,51 @@ mod tests {
     #[test]
     fn segments_after_halt_are_empty_not_errors() {
         let w = tiny_workload();
-        let mut d = SimDriver::new(&w, &MachineConfig::default(), Track::None);
-        let mut p = Plan::new(vec![
-            Segment::new(Mode::Functional, u64::MAX),
-            Segment::new(Mode::DetailedMeasured, 1_000),
-        ]);
-        d.run(&mut p);
-        assert!(p.outcomes[0].halted);
-        let after = &p.outcomes[1];
+        let mut d = driver(&w, Track::None);
+        let outcomes = execute_all(
+            &mut d,
+            &[
+                Segment::new(Mode::Functional, u64::MAX),
+                Segment::new(Mode::DetailedMeasured, 1_000),
+            ],
+        );
+        assert!(outcomes[0].halted);
+        let after = &outcomes[1];
         assert_eq!(after.ops, 0);
         assert!(after.halted);
-        assert_eq!(after.retired, p.outcomes[0].retired);
+        assert_eq!(after.retired, outcomes[0].retired);
     }
 
     #[test]
     fn run_to_halt_budget_is_not_counted_truncated() {
         let w = tiny_workload();
-        let mut d = SimDriver::new(&w, &MachineConfig::default(), Track::None);
-        d.run(&mut Plan::new(vec![Segment::new(
-            Mode::Functional,
-            u64::MAX,
-        )]));
+        let mut d = driver(&w, Track::None);
+        d.execute(Segment::new(Mode::Functional, u64::MAX));
         assert_eq!(d.trace().truncated_segments, 0);
     }
 
     #[test]
     fn hashed_tracking_spans_segments_until_taken() {
         let w = pgss_workloads::gzip(0.01);
-        let mut d = SimDriver::new(&w, &MachineConfig::default(), Track::Hashed(7));
-        let mut p = Plan::new(vec![
-            // Tracking accumulates across both segments; only the second
-            // closes the interval.
-            Segment::new(Mode::Functional, 20_000),
-            Segment::with_bbv(Mode::Functional, 20_000),
-            Segment::with_bbv(Mode::Functional, 20_000),
-        ]);
-        d.run(&mut p);
-        assert!(p.outcomes[0].bbv.is_none());
-        let first = p.outcomes[1]
+        let mut d = driver(&w, Track::Hashed(7));
+        let outcomes = execute_all(
+            &mut d,
+            &[
+                // Tracking accumulates across both segments; only the
+                // second closes the interval.
+                Segment::new(Mode::Functional, 20_000),
+                Segment::with_bbv(Mode::Functional, 20_000),
+                Segment::with_bbv(Mode::Functional, 20_000),
+            ],
+        );
+        assert!(outcomes[0].bbv.is_none());
+        let first = outcomes[1]
             .bbv
             .as_ref()
             .expect("interval closed")
             .hashed()
             .total_ops();
-        let second = p.outcomes[2].bbv.as_ref().unwrap().hashed().total_ops();
+        let second = outcomes[2].bbv.as_ref().unwrap().hashed().total_ops();
         // First vector covers ~two segments of ops, second only one.
         assert!(first > second, "first {first} vs second {second}");
     }
@@ -808,10 +737,9 @@ mod tests {
     #[test]
     fn full_tracking_yields_normalized_rows() {
         let w = pgss_workloads::gzip(0.01);
-        let mut d = SimDriver::new(&w, &MachineConfig::default(), Track::Full);
-        let mut p = Plan::new(vec![Segment::with_bbv(Mode::Functional, 50_000)]);
-        d.run(&mut p);
-        let row = p.outcomes[0].bbv.as_ref().unwrap().full().to_vec();
+        let mut d = driver(&w, Track::Full);
+        let out = d.execute(Segment::with_bbv(Mode::Functional, 50_000));
+        let row = out.bbv.as_ref().unwrap().full().to_vec();
         // FullBbv::normalized is L1 (block-execution fractions), as SimPoint
         // defines it.
         let sum: f64 = row.iter().sum();
@@ -821,21 +749,23 @@ mod tests {
     #[test]
     fn mav_tracking_spans_segments_until_taken() {
         let w = pgss_workloads::gzip(0.01);
-        let mut d = SimDriver::new(&w, &MachineConfig::default(), Track::Mav);
-        let mut p = Plan::new(vec![
-            Segment::new(Mode::Functional, 20_000),
-            Segment::with_bbv(Mode::Functional, 20_000),
-            Segment::with_bbv(Mode::Functional, 20_000),
-        ]);
-        d.run(&mut p);
-        assert!(p.outcomes[0].bbv.is_none());
-        let first = p.outcomes[1]
+        let mut d = driver(&w, Track::Mav);
+        let outcomes = execute_all(
+            &mut d,
+            &[
+                Segment::new(Mode::Functional, 20_000),
+                Segment::with_bbv(Mode::Functional, 20_000),
+                Segment::with_bbv(Mode::Functional, 20_000),
+            ],
+        );
+        assert!(outcomes[0].bbv.is_none());
+        let first = outcomes[1]
             .bbv
             .as_ref()
             .expect("interval closed")
             .hashed()
             .total_ops();
-        let second = p.outcomes[2].bbv.as_ref().unwrap().hashed().total_ops();
+        let second = outcomes[2].bbv.as_ref().unwrap().hashed().total_ops();
         // Accumulates across the untaken first segment, resets on take.
         assert!(first > second, "first {first} vs second {second}");
         assert!(second > 0, "gzip touches data memory every iteration");
@@ -844,10 +774,9 @@ mod tests {
     #[test]
     fn mav_restore_from_carries_the_tracker() {
         let w = pgss_workloads::gzip(0.01);
-        let cfg = MachineConfig::default();
-        let mut a = SimDriver::new(&w, &cfg, Track::Mav);
+        let mut a = driver(&w, Track::Mav);
         a.execute(Segment::new(Mode::Functional, 25_000));
-        let mut b = SimDriver::new(&w, &cfg, Track::Mav);
+        let mut b = driver(&w, Track::Mav);
         b.execute(Segment::new(Mode::DetailedMeasured, 4_000));
         b.restore_from(&a);
         let oa = a.execute(Segment::with_bbv(Mode::Functional, 25_000));
@@ -863,38 +792,33 @@ mod tests {
     #[should_panic(expected = "tracks nothing")]
     fn bbv_request_without_tracker_panics() {
         let w = tiny_workload();
-        let mut d = SimDriver::new(&w, &MachineConfig::default(), Track::None);
+        let mut d = driver(&w, Track::None);
         d.execute(Segment::with_bbv(Mode::Functional, 1_000));
     }
 
     #[test]
     fn restore_from_resumes_bit_exact() {
         let w = pgss_workloads::gzip(0.01);
-        let cfg = MachineConfig::default();
-        let plan_tail = || {
-            vec![
-                Segment::with_bbv(Mode::Functional, 30_000),
-                Segment::new(Mode::DetailedWarming, 3_000),
-                Segment::new(Mode::DetailedMeasured, 1_000),
-                Segment::with_bbv(Mode::Functional, 30_000),
-            ]
-        };
+        let tail = [
+            Segment::with_bbv(Mode::Functional, 30_000),
+            Segment::new(Mode::DetailedWarming, 3_000),
+            Segment::new(Mode::DetailedMeasured, 1_000),
+            Segment::with_bbv(Mode::Functional, 30_000),
+        ];
         // Continuous run: prefix then tail.
-        let mut cont = SimDriver::new(&w, &cfg, Track::Hashed(7));
+        let mut cont = driver(&w, Track::Hashed(7));
         cont.execute(Segment::new(Mode::Functional, 25_000));
         cont.execute(Segment::with_bbv(Mode::Functional, 25_000));
         cont.execute(Segment::new(Mode::Functional, 10_000));
         // Resumed run: a driver with a history of its own restores at
         // 60k, then both run the same tail.
-        let mut resumed = SimDriver::new(&w, &cfg, Track::Hashed(7));
+        let mut resumed = driver(&w, Track::Hashed(7));
         resumed.execute(Segment::with_bbv(Mode::DetailedMeasured, 7_000));
         resumed.restore_from(&cont);
         assert_eq!(resumed.retired(), 60_000);
-        let mut p_cont = Plan::new(plan_tail());
-        cont.run(&mut p_cont);
-        let mut p_res = Plan::new(plan_tail());
-        resumed.run(&mut p_res);
-        assert_eq!(p_cont.outcomes, p_res.outcomes);
+        let out_cont = execute_all(&mut cont, &tail);
+        let out_res = execute_all(&mut resumed, &tail);
+        assert_eq!(out_cont, out_res);
         assert_eq!(cont.mode_ops().detailed_measured, 1_000);
     }
 
@@ -902,9 +826,8 @@ mod tests {
     #[should_panic(expected = "lacks the hashed tracker state")]
     fn restoring_untracked_driver_into_tracked_driver_panics() {
         let w = tiny_workload();
-        let cfg = MachineConfig::default();
-        let src = SimDriver::new(&w, &cfg, Track::None);
-        SimDriver::new(&w, &cfg, Track::Hashed(1)).restore_from(&src);
+        let src = driver(&w, Track::None);
+        driver(&w, Track::Hashed(1)).restore_from(&src);
     }
 
     #[test]
@@ -912,18 +835,15 @@ mod tests {
         use crate::ckpt::{CheckpointLadder, LadderSpec};
         let w = pgss_workloads::gzip(0.01);
         let cfg = MachineConfig::default();
-        let plan = || {
-            Plan::new(vec![
-                Segment::with_bbv(Mode::Functional, 40_000),
-                Segment::new(Mode::DetailedWarming, 3_000),
-                Segment::new(Mode::DetailedMeasured, 1_000),
-                Segment::with_bbv(Mode::Functional, 40_000),
-                Segment::with_bbv(Mode::Functional, 40_000),
-            ])
-        };
-        let mut plain = SimDriver::new(&w, &cfg, Track::Hashed(7));
-        let mut p_plain = plan();
-        plain.run(&mut p_plain);
+        let plan = [
+            Segment::with_bbv(Mode::Functional, 40_000),
+            Segment::new(Mode::DetailedWarming, 3_000),
+            Segment::new(Mode::DetailedMeasured, 1_000),
+            Segment::with_bbv(Mode::Functional, 40_000),
+            Segment::with_bbv(Mode::Functional, 40_000),
+        ];
+        let mut plain = driver(&w, Track::Hashed(7));
+        let out_plain = execute_all(&mut plain, &plan);
 
         let spec = LadderSpec {
             stride: 25_000,
@@ -931,12 +851,11 @@ mod tests {
             with_full: false,
         };
         let ladder = Arc::new(CheckpointLadder::capture(&w, &cfg, &spec));
-        let mut fast = SimDriver::new(&w, &cfg, Track::Hashed(7));
-        fast.attach_ladder(Arc::clone(&ladder));
-        let mut p_fast = plan();
-        fast.run(&mut p_fast);
+        let ctx = SimContext::with_ladder(Arc::clone(&ladder));
+        let mut fast = SimDriver::new(&w, &cfg, Track::Hashed(7), &ctx);
+        let out_fast = execute_all(&mut fast, &plan);
 
-        assert_eq!(p_plain.outcomes, p_fast.outcomes);
+        assert_eq!(out_plain, out_fast);
         assert_eq!(plain.mode_ops(), fast.mode_ops());
         assert_eq!(plain.trace(), fast.trace());
         let report = ladder.report();
@@ -947,26 +866,6 @@ mod tests {
             "jumping must execute strictly fewer ops"
         );
         assert_eq!(report.executed_ops + report.skipped_ops, fast.retired());
-    }
-
-    #[test]
-    fn ladder_attached_midrun_charges_but_never_jumps_tracked_drivers() {
-        use crate::ckpt::{CheckpointLadder, LadderSpec};
-        let w = pgss_workloads::gzip(0.01);
-        let cfg = MachineConfig::default();
-        let spec = LadderSpec {
-            stride: 20_000,
-            hashed_seeds: vec![7],
-            with_full: false,
-        };
-        let ladder = Arc::new(CheckpointLadder::capture(&w, &cfg, &spec));
-        let mut d = SimDriver::new(&w, &cfg, Track::Hashed(7));
-        d.execute(Segment::new(Mode::Functional, 5_000));
-        d.attach_ladder(Arc::clone(&ladder));
-        d.execute(Segment::new(Mode::Functional, 50_000));
-        let report = ladder.report();
-        assert_eq!(report.jumps, 0, "tracker state would be wrong; no jumps");
-        assert_eq!(report.executed_ops, 50_000, "post-attach ops still charged");
     }
 
     #[test]
@@ -983,8 +882,8 @@ mod tests {
             &cfg,
             &LadderSpec::machine_only(50_000),
         ));
-        let mut d = SimDriver::new(&w, &cfg, Track::None);
-        d.attach_ladder(Arc::clone(&ladder));
+        let ctx = SimContext::with_ladder(Arc::clone(&ladder));
+        let mut d = SimDriver::new(&w, &cfg, Track::None, &ctx);
         let out = d.execute(Segment::new(Mode::Functional, u64::MAX));
         assert!(out.halted);
         assert_eq!(out.ops, total);
@@ -1005,9 +904,11 @@ mod tests {
             &LadderSpec::machine_only(50_000),
         ));
         let rec = Arc::new(MetricsRecorder::new());
-        let mut d = SimDriver::new(&w, &cfg, Track::None);
-        d.attach_ladder(Arc::clone(&ladder));
-        d.attach_recorder(Arc::clone(&rec) as Arc<dyn Recorder>);
+        let ctx = SimContext {
+            recorder: Arc::clone(&rec) as Arc<dyn Recorder>,
+            ..SimContext::with_ladder(Arc::clone(&ladder))
+        };
+        let mut d = SimDriver::new(&w, &cfg, Track::None, &ctx);
         d.execute(Segment::new(Mode::Functional, 120_000));
         d.execute(Segment::new(Mode::DetailedWarming, 3_000));
         d.execute(Segment::new(Mode::DetailedMeasured, 1_000));
@@ -1026,10 +927,16 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_not_retained() {
-        use pgss_obs::NoopRecorder;
-        let w = tiny_workload();
-        let mut d = SimDriver::new(&w, &MachineConfig::default(), Track::None);
-        d.attach_recorder(Arc::new(NoopRecorder));
+        let ctx = SimContext {
+            recorder: Arc::new(pgss_obs::NoopRecorder),
+            ..SimContext::none()
+        };
+        let d = SimDriver::new(
+            &tiny_workload(),
+            &MachineConfig::default(),
+            Track::None,
+            &ctx,
+        );
         assert!(d.recorder.is_none());
     }
 

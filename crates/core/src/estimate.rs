@@ -86,6 +86,16 @@ pub(crate) fn ipc_interval_from_cpi(cpi_ci: ConfidenceInterval) -> ConfidenceInt
     }
 }
 
+/// A sampling period as it appears in technique names: `"1M"` for whole
+/// millions of ops, `"100k"` otherwise.
+pub(crate) fn period_label(ops: u64) -> String {
+    if ops.is_multiple_of(1_000_000) {
+        format!("{}M", ops / 1_000_000)
+    } else {
+        format!("{}k", ops / 1_000)
+    }
+}
+
 /// `|estimate − truth| / truth`, the paper's "sampling error as a percent
 /// of benchmark IPC" (before the ×100).
 ///
@@ -114,10 +124,11 @@ pub trait Technique {
     /// `config`, returning the estimate and the merged [`RunTrace`] of
     /// its [`crate::driver::SimDriver`] passes.
     ///
-    /// Every pass is bound to `ctx` ([`SimContext::bind`]). With a
-    /// checkpoint ladder in `ctx`, functional fast-forwarding becomes
-    /// snapshot restores: the estimate and trace stay identical, only
-    /// physical work (tracked by the ladder) shrinks.
+    /// Every pass is built bound to `ctx`
+    /// ([`crate::driver::SimDriver::new`]). With a checkpoint ladder in
+    /// `ctx`, functional fast-forwarding becomes snapshot restores: the
+    /// estimate and trace stay identical, only physical work (tracked by
+    /// the ladder) shrinks.
     fn run_traced(
         &self,
         workload: &Workload,

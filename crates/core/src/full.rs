@@ -4,9 +4,7 @@ use pgss_cpu::{MachineConfig, Mode};
 use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
-use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, SimDriver, Track,
-};
+use crate::driver::{RunTrace, Segment, SimDriver, Track};
 use crate::estimate::{Estimate, GroundTruth, Technique};
 
 /// Full cycle-level simulation of the entire workload.
@@ -45,47 +43,25 @@ impl FullDetailed {
         config: &MachineConfig,
         ctx: &SimContext,
     ) -> (GroundTruth, RunTrace) {
-        let mut driver = SimDriver::new(workload, config, Track::None);
-        ctx.bind(&mut driver);
-        let mut policy = ExhaustivePolicy {
-            total_ops: 0,
-            cycles: 0,
-            done: false,
-        };
-        driver.run(&mut policy);
-        assert!(policy.cycles > 0, "workload retired no instructions");
+        let mut driver = SimDriver::new(workload, config, Track::None, ctx);
+        let (mut total_ops, mut cycles) = (0, 0);
+        // Detailed simulation in bounded chunks until the program halts,
+        // so pathological schedules cannot hang the harness.
+        loop {
+            let chunk = driver.execute(Segment::new(Mode::DetailedMeasured, 1 << 24));
+            total_ops += chunk.ops;
+            cycles += chunk.cycles;
+            if chunk.halted || chunk.ops == 0 {
+                break;
+            }
+        }
+        assert!(cycles > 0, "workload retired no instructions");
         let truth = GroundTruth {
-            ipc: policy.total_ops as f64 / policy.cycles as f64,
-            total_ops: policy.total_ops,
-            cycles: policy.cycles,
+            ipc: total_ops as f64 / cycles as f64,
+            total_ops,
+            cycles,
         };
         (truth, *driver.trace())
-    }
-}
-
-/// Detailed simulation in bounded chunks until the program halts, so
-/// pathological schedules cannot hang the harness.
-struct ExhaustivePolicy {
-    total_ops: u64,
-    cycles: u64,
-    done: bool,
-}
-
-impl SamplingPolicy for ExhaustivePolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        if self.done {
-            Directive::Finish
-        } else {
-            Directive::Run(Segment::new(Mode::DetailedMeasured, 1 << 24))
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, _trace: &mut RunTrace) {
-        self.total_ops += outcome.ops;
-        self.cycles += outcome.cycles;
-        if outcome.halted || outcome.ops == 0 {
-            self.done = true;
-        }
     }
 }
 

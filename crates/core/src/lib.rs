@@ -93,9 +93,7 @@ pub use campaign::{
 pub use ckpt::{
     CheckpointKey, CheckpointLadder, LadderReport, LadderSpec, SimContext, SNAPSHOT_FORMAT_VERSION,
 };
-pub use driver::{
-    Bbv, Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
-};
+pub use driver::{Bbv, RunTrace, Segment, SegmentOutcome, Signature, SimDriver, Track};
 pub use estimate::{relative_error, Estimate, GroundTruth, PhaseSummary, Technique};
 // Observability surface: campaigns return `MetricsReport`s and drivers
 // accept any `Recorder` (see `pgss_obs` for the full model).

@@ -7,11 +7,9 @@ use pgss_stats::weighted_mean;
 use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
-use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
-};
+use crate::driver::{RunTrace, Segment, Signature, SimDriver, Track};
 use crate::estimate::{Estimate, PhaseSummary, Technique};
-use crate::phase::PhaseTable;
+use crate::phase::classify_intervals;
 
 /// The online-SimPoint baseline: intervals are classified into phases by
 /// BBV similarity *online*, and the **first occurrence** of each phase is
@@ -72,82 +70,6 @@ impl OnlineSimPoint {
     }
 }
 
-/// The oracle pass: classify every complete interval into a phase. Free
-/// under the paper's perfect-predictor assumption — its driver's mode ops
-/// are discarded.
-struct OraclePolicy {
-    interval_ops: u64,
-    table: PhaseTable,
-    interval_phases: Vec<usize>,
-    done: bool,
-}
-
-impl SamplingPolicy for OraclePolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        if self.done {
-            Directive::Finish
-        } else {
-            Directive::Run(Segment::with_bbv(Mode::Functional, self.interval_ops))
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
-        if outcome.complete() {
-            let bbv = outcome.bbv.as_ref().expect("oracle intervals close a BBV");
-            let c = self.table.classify(bbv.hashed(), outcome.ops);
-            if c.created {
-                trace.phases_created += 1;
-            }
-            self.interval_phases.push(c.phase);
-        }
-        if outcome.halted || outcome.ops == 0 {
-            self.done = true;
-        }
-    }
-}
-
-/// The charged pass: detailed over each phase's first interval, functional
-/// (warming) elsewhere, then run functionally to the halt.
-struct ChargedPolicy {
-    interval_ops: u64,
-    /// Phase of each complete interval, from the oracle pass.
-    interval_phases: Vec<usize>,
-    /// First-occurrence interval index per phase.
-    first_of: Vec<usize>,
-    /// Current interval index; one past the end means the trailing
-    /// run-to-halt segment, two past means finish.
-    cursor: usize,
-    cpi_of_phase: Vec<f64>,
-    samples: u64,
-}
-
-impl SamplingPolicy for ChargedPolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        match self.interval_phases.get(self.cursor) {
-            Some(&p) if self.first_of[p] == self.cursor => {
-                Directive::Run(Segment::new(Mode::DetailedMeasured, self.interval_ops))
-            }
-            Some(_) => Directive::Run(Segment::new(Mode::Functional, self.interval_ops)),
-            // Trailing partial interval (uncounted in the oracle) is
-            // skipped functionally.
-            None if self.cursor == self.interval_phases.len() => {
-                Directive::Run(Segment::new(Mode::Functional, u64::MAX))
-            }
-            None => Directive::Finish,
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
-        if outcome.segment.mode == Mode::DetailedMeasured && outcome.ops > 0 {
-            let p = self.interval_phases[self.cursor];
-            self.cpi_of_phase[p] = outcome.cpi();
-            self.samples += 1;
-            trace.samples_taken += 1;
-        }
-        self.cursor += 1;
-    }
-}
-
 impl Technique for OnlineSimPoint {
     fn name(&self) -> String {
         format!(
@@ -169,60 +91,47 @@ impl Technique for OnlineSimPoint {
         ctx: &SimContext,
     ) -> (Estimate, RunTrace) {
         assert!(self.interval_ops > 0, "interval_ops must be positive");
-        let attach = |d: &mut SimDriver| ctx.bind(d);
-        // Oracle pass (free, per the paper's perfect-predictor assumption):
-        // classify every interval.
+        // Oracle pass (free, per the paper's perfect-predictor assumption:
+        // its mode ops are discarded): classify every interval.
         let mut oracle = SimDriver::new(
             workload,
             config,
             self.signature.hashed_track(self.hash_seed),
+            ctx,
         );
-        attach(&mut oracle);
-        let mut oracle_policy = OraclePolicy {
-            interval_ops: self.interval_ops,
-            table: PhaseTable::new(self.threshold_rad),
-            interval_phases: Vec::new(),
-            done: false,
-        };
-        oracle.run(&mut oracle_policy);
-        let OraclePolicy {
-            table,
-            interval_phases,
-            ..
-        } = oracle_policy;
+        let (table, interval_phases) =
+            classify_intervals(&mut oracle, self.interval_ops, self.threshold_rad);
         assert!(
             !interval_phases.is_empty(),
             "workload shorter than one interval"
         );
         let mut trace = *oracle.trace();
-        trace.phase_changes = table.changes();
 
-        // First occurrence of each phase.
+        // Charged pass on a fresh machine; only its mode ops are billed:
+        // detailed over each phase's first interval, functional (warming)
+        // elsewhere, then functionally to the halt (the trailing partial
+        // interval is uncounted in the oracle).
         let num_phases = table.phases().len();
-        let mut first_of = vec![usize::MAX; num_phases];
-        for (i, &p) in interval_phases.iter().enumerate() {
-            if first_of[p] == usize::MAX {
-                first_of[p] = i;
+        let mut charged = SimDriver::new(workload, config, Track::None, ctx);
+        let mut cpi_of_phase = vec![f64::NAN; num_phases];
+        let mut seen = vec![false; num_phases];
+        for &p in &interval_phases {
+            if seen[p] {
+                charged.execute(Segment::new(Mode::Functional, self.interval_ops));
+                continue;
+            }
+            seen[p] = true;
+            let sample = charged.execute(Segment::new(Mode::DetailedMeasured, self.interval_ops));
+            if sample.ops > 0 {
+                cpi_of_phase[p] = sample.cpi();
+                charged.trace_mut().samples_taken += 1;
             }
         }
-
-        // Charged pass on a fresh machine; only its mode ops are billed.
-        let mut charged = SimDriver::new(workload, config, Track::None);
-        attach(&mut charged);
-        let mut policy = ChargedPolicy {
-            interval_ops: self.interval_ops,
-            interval_phases,
-            first_of,
-            cursor: 0,
-            cpi_of_phase: vec![f64::NAN; num_phases],
-            samples: 0,
-        };
-        charged.run(&mut policy);
+        charged.execute(Segment::new(Mode::Functional, u64::MAX));
         trace.merge(charged.trace());
 
         let weights: Vec<f64> = table.weights();
-        let pairs: Vec<(f64, f64)> = policy
-            .cpi_of_phase
+        let pairs: Vec<(f64, f64)> = cpi_of_phase
             .iter()
             .zip(&weights)
             .filter(|(cpi, _)| cpi.is_finite())
@@ -230,15 +139,14 @@ impl Technique for OnlineSimPoint {
             .collect();
         let cpi = weighted_mean(&pairs).expect("at least one phase sampled");
 
-        let samples_per_phase = policy
-            .cpi_of_phase
+        let samples_per_phase = cpi_of_phase
             .iter()
             .map(|c| u64::from(c.is_finite()))
             .collect();
         let estimate = Estimate {
             ipc: 1.0 / cpi,
             mode_ops: charged.mode_ops(),
-            samples: policy.samples,
+            samples: charged.trace().samples_taken,
             phases: Some(PhaseSummary {
                 phases: num_phases,
                 changes: table.changes(),

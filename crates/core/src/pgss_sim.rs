@@ -5,10 +5,8 @@ use pgss_stats::{weighted_mean, ConfidenceInterval, Welford, Z_95, Z_997};
 use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
-use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
-};
-use crate::estimate::{Estimate, PhaseSummary, Technique};
+use crate::driver::{RunTrace, Segment, Signature, SimDriver, Track};
+use crate::estimate::{period_label, Estimate, PhaseSummary, Technique};
 use crate::phase::PhaseTable;
 
 /// PGSS-Sim, following the flow chart of the paper's Figure 5:
@@ -124,144 +122,12 @@ struct PhaseStats {
     last_sample_at: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// Fast-forward one BBV period, then classify.
-    Classify,
-    /// Detailed warm-up before a sample.
-    Warm,
-    /// The measured detailed sample itself.
-    Measure,
-    Done,
-}
-
-/// The Figure-5 flow chart as a [`SamplingPolicy`]. The driver's hashed
-/// tracker stays attached across warm/measured segments (their ops land in
-/// the next interval's vector, as the paper's always-on hardware would), so
-/// only the functional segments close BBV intervals.
-struct PgssPolicy {
-    params: PgssSim,
-    table: PhaseTable,
-    stats: Vec<PhaseStats>,
-    state: State,
-    /// Phase chosen by the most recent classification; the sample that
-    /// follows is credited to it.
-    current_phase: usize,
-    /// Detailed ops taken since the last classification, attributed to the
-    /// following interval (samples sit between intervals).
-    carry_ops: u64,
-    total_samples: u64,
-}
-
-impl PgssPolicy {
-    fn new(params: PgssSim) -> PgssPolicy {
-        PgssPolicy {
-            params,
-            table: PhaseTable::new(params.threshold_rad),
-            stats: Vec::new(),
-            state: State::Classify,
-            current_phase: 0,
-            carry_ops: 0,
-            total_samples: 0,
-        }
-    }
-}
-
-impl SamplingPolicy for PgssPolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        let p = &self.params;
-        match self.state {
-            State::Classify => Directive::Run(Segment::with_bbv(Mode::Functional, p.ff_ops)),
-            State::Warm => Directive::Run(Segment::new(Mode::DetailedWarming, p.warm_ops)),
-            State::Measure => Directive::Run(Segment::new(Mode::DetailedMeasured, p.unit_ops)),
-            State::Done => Directive::Finish,
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
-        match self.state {
-            State::Classify => {
-                let bbv = outcome
-                    .bbv
-                    .as_ref()
-                    .expect("classify segments close an interval");
-                if outcome.ops == 0 {
-                    self.state = State::Done;
-                    return;
-                }
-                let c = self
-                    .table
-                    .classify(bbv.hashed(), outcome.ops + self.carry_ops);
-                self.carry_ops = 0;
-                if c.created {
-                    self.stats.push(PhaseStats::default());
-                    trace.phases_created += 1;
-                }
-                if outcome.halted {
-                    self.state = State::Done;
-                    return;
-                }
-                // Per Fig. 5: sample unless the phase's confidence interval
-                // is already met or the phase was sampled within the
-                // spacing window.
-                self.current_phase = c.phase;
-                let p = &self.params;
-                let phase = &self.stats[c.phase];
-                let ci_met = phase.cpi.count() >= p.min_samples
-                    && ConfidenceInterval::from_welford(&phase.cpi, p.z).meets_relative(p.ci_rel);
-                let recently_sampled = phase
-                    .last_sample_at
-                    .is_some_and(|at| outcome.retired.saturating_sub(at) < p.spacing_ops);
-                if ci_met {
-                    trace.skipped_ci_met += 1;
-                } else if recently_sampled {
-                    trace.skipped_spacing += 1;
-                }
-                self.state = if ci_met || recently_sampled {
-                    State::Classify
-                } else {
-                    State::Warm
-                };
-            }
-            State::Warm => {
-                self.carry_ops += outcome.ops;
-                self.state = if outcome.halted {
-                    State::Done
-                } else {
-                    State::Measure
-                };
-            }
-            State::Measure => {
-                self.carry_ops += outcome.ops;
-                if outcome.complete() {
-                    let phase = &mut self.stats[self.current_phase];
-                    phase.cpi.push(outcome.cpi());
-                    phase.last_sample_at = Some(outcome.retired);
-                    self.total_samples += 1;
-                    trace.samples_taken += 1;
-                }
-                self.state = if outcome.halted {
-                    State::Done
-                } else {
-                    State::Classify
-                };
-            }
-            State::Done => unreachable!("no segments are issued after Done"),
-        }
-    }
-}
-
 impl Technique for PgssSim {
     fn name(&self) -> String {
-        let period = if self.ff_ops.is_multiple_of(1_000_000) {
-            format!("{}M", self.ff_ops / 1_000_000)
-        } else {
-            format!("{}k", self.ff_ops / 1_000)
-        };
         format!(
             "PGSS{}({}/.{:02.0})",
             self.signature.name_suffix(),
-            period,
+            period_label(self.ff_ops),
             self.threshold_rad / std::f64::consts::PI * 100.0
         )
     }
@@ -280,20 +146,74 @@ impl Technique for PgssSim {
             self.unit_ops > 0 && self.ff_ops > 0,
             "unit_ops and ff_ops must be positive"
         );
+        // The driver's hashed tracker keeps running across warm/measured
+        // segments (their ops land in the next interval's vector, as the
+        // paper's always-on hardware would), so only the fast-forward
+        // segments close BBV intervals.
         let mut driver = SimDriver::new(
             workload,
             config,
             self.signature.hashed_track(self.hash_seed),
+            ctx,
         );
-        ctx.bind(&mut driver);
-        let mut policy = PgssPolicy::new(*self);
-        driver.run(&mut policy);
-        let PgssPolicy {
-            table,
-            stats,
-            total_samples,
-            ..
-        } = policy;
+        let mut table = PhaseTable::new(self.threshold_rad);
+        let mut stats: Vec<PhaseStats> = Vec::new();
+        // Detailed ops of the last sample, attributed to the following
+        // interval (samples sit between intervals).
+        let mut carry_ops = 0;
+        loop {
+            // Fast-forward one BBV period, then classify it.
+            let interval = driver.execute(Segment::with_bbv(Mode::Functional, self.ff_ops));
+            if interval.ops == 0 {
+                break;
+            }
+            let bbv = interval
+                .bbv
+                .as_ref()
+                .expect("fast-forward segments close an interval");
+            let c = table.classify(bbv.hashed(), interval.ops + std::mem::take(&mut carry_ops));
+            if c.created {
+                stats.push(PhaseStats::default());
+                driver.trace_mut().phases_created += 1;
+            }
+            if interval.halted {
+                break;
+            }
+            // Per Fig. 5: sample unless the phase's confidence interval is
+            // already met or the phase was sampled within the spacing
+            // window.
+            let phase = &stats[c.phase];
+            if phase.cpi.count() >= self.min_samples
+                && ConfidenceInterval::from_welford(&phase.cpi, self.z).meets_relative(self.ci_rel)
+            {
+                driver.trace_mut().skipped_ci_met += 1;
+                continue;
+            }
+            if phase
+                .last_sample_at
+                .is_some_and(|at| interval.retired.saturating_sub(at) < self.spacing_ops)
+            {
+                driver.trace_mut().skipped_spacing += 1;
+                continue;
+            }
+            // Detailed warm-up, then the measured sample itself, credited
+            // to the phase just classified.
+            let warm = driver.execute(Segment::new(Mode::DetailedWarming, self.warm_ops));
+            if warm.halted {
+                break;
+            }
+            let sample = driver.execute(Segment::new(Mode::DetailedMeasured, self.unit_ops));
+            carry_ops = warm.ops + sample.ops;
+            if sample.complete() {
+                let phase = &mut stats[c.phase];
+                phase.cpi.push(sample.cpi());
+                phase.last_sample_at = Some(sample.retired);
+                driver.trace_mut().samples_taken += 1;
+            }
+            if sample.halted {
+                break;
+            }
+        }
 
         // Compose the estimate: per-phase mean CPI weighted by instruction
         // share; unsampled phases fall back to the global mean.
@@ -305,8 +225,9 @@ impl Technique for PgssSim {
             }
             all
         };
+        let total_samples = global.count();
         assert!(
-            global.count() > 0,
+            total_samples > 0,
             "PGSS took no samples; workload too short for ff_ops"
         );
         let pairs: Vec<(f64, f64)> = stats

@@ -1,7 +1,11 @@
 //! The online phase table shared by PGSS-Sim and the phase-analysis
-//! figures.
+//! figures, and the interval-classification pass of the techniques that
+//! classify a whole run before sampling it.
 
 use pgss_bbv::HashedBbv;
+use pgss_cpu::Mode;
+
+use crate::driver::{Segment, SimDriver};
 
 /// One discovered phase: its accumulated BBV signature and bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,6 +181,40 @@ impl PhaseTable {
             .map(|p| p.ops as f64 / total as f64)
             .collect()
     }
+}
+
+/// The classification pass: runs `driver` functionally to the halt in
+/// `interval_ops` BBV intervals and classifies every complete interval into
+/// a fresh table at `threshold_rad`. Returns the table and the phase of each
+/// complete interval; the driver's trace records the phases created and
+/// the table's phase changes. Shared by [`crate::OnlineSimPoint`]'s oracle
+/// and [`crate::TwoPhaseStratified`]'s stratification.
+pub(crate) fn classify_intervals(
+    driver: &mut SimDriver,
+    interval_ops: u64,
+    threshold_rad: f64,
+) -> (PhaseTable, Vec<usize>) {
+    let mut table = PhaseTable::new(threshold_rad);
+    let mut interval_phases = Vec::new();
+    loop {
+        let interval = driver.execute(Segment::with_bbv(Mode::Functional, interval_ops));
+        if interval.complete() {
+            let bbv = interval
+                .bbv
+                .as_ref()
+                .expect("classification intervals close a BBV");
+            let c = table.classify(bbv.hashed(), interval.ops);
+            if c.created {
+                driver.trace_mut().phases_created += 1;
+            }
+            interval_phases.push(c.phase);
+        }
+        if interval.halted || interval.ops == 0 {
+            break;
+        }
+    }
+    driver.trace_mut().phase_changes = table.changes();
+    (table, interval_phases)
 }
 
 #[cfg(test)]

@@ -11,12 +11,10 @@ use pgss_stats::{replicate_ci, DetRng, Z_95};
 use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
-use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
-};
-use crate::estimate::{Estimate, PhaseSummary, Technique};
+use crate::driver::{RunTrace, Segment, Signature, SimDriver, Track};
+use crate::estimate::{period_label, Estimate, PhaseSummary, Technique};
 use crate::phase::PhaseTable;
-use crate::two_phase::PointReplayPolicy;
+use crate::two_phase::replay_points;
 
 /// Ranked-set sampling over online phase strata:
 ///
@@ -99,74 +97,12 @@ impl RankedSet {
     }
 }
 
-/// The rank pass: a probe then the functional remainder per interval; the
-/// BBV closes at the interval end so the signature covers both segments.
-struct RankPolicy {
-    ff_ops: u64,
-    probe_ops: u64,
-    table: PhaseTable,
-    /// Stratum per complete interval.
-    interval_phases: Vec<usize>,
-    /// Concomitant (probe CPI) per complete interval.
-    concomitants: Vec<f64>,
-    /// Probe CPI awaiting its interval's close.
-    pending: Option<f64>,
-    done: bool,
-}
-
-impl SamplingPolicy for RankPolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        if self.done {
-            Directive::Finish
-        } else if self.pending.is_none() {
-            Directive::Run(Segment::new(Mode::DetailedWarming, self.probe_ops))
-        } else {
-            Directive::Run(Segment::with_bbv(
-                Mode::Functional,
-                self.ff_ops - self.probe_ops,
-            ))
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
-        match outcome.segment.mode {
-            Mode::DetailedWarming => {
-                if !outcome.complete() {
-                    self.done = true;
-                    return;
-                }
-                self.pending = Some(outcome.cpi());
-            }
-            _ => {
-                let probe_cpi = self.pending.take().expect("probe precedes each interval");
-                if outcome.complete() {
-                    let bbv = outcome.bbv.as_ref().expect("rank intervals close a BBV");
-                    let c = self.table.classify(bbv.hashed(), self.ff_ops);
-                    if c.created {
-                        trace.phases_created += 1;
-                    }
-                    self.interval_phases.push(c.phase);
-                    self.concomitants.push(probe_cpi);
-                }
-                if outcome.halted {
-                    self.done = true;
-                }
-            }
-        }
-    }
-}
-
 impl Technique for RankedSet {
     fn name(&self) -> String {
-        let period = if self.ff_ops.is_multiple_of(1_000_000) {
-            format!("{}M", self.ff_ops / 1_000_000)
-        } else {
-            format!("{}k", self.ff_ops / 1_000)
-        };
         format!(
             "RankedSet{}({}/r{}x{})",
             self.signature.name_suffix(),
-            period,
+            period_label(self.ff_ops),
             self.set_size,
             self.replicates
         )
@@ -190,29 +126,41 @@ impl Technique for RankedSet {
             self.set_size >= 2 && self.replicates >= 2,
             "ranked-set sampling needs set_size >= 2 and replicates >= 2"
         );
-        // Pass 1: probe + classify every interval.
+        // Pass 1: probe + classify every interval. Each interval opens
+        // with the probe and finishes functionally; the BBV closes at the
+        // interval end so the signature covers both segments.
         let mut rank = SimDriver::new(
             workload,
             config,
             self.signature.hashed_track(self.hash_seed),
+            ctx,
         );
-        ctx.bind(&mut rank);
-        let mut rp = RankPolicy {
-            ff_ops: self.ff_ops,
-            probe_ops: self.probe_ops,
-            table: PhaseTable::new(self.threshold_rad),
-            interval_phases: Vec::new(),
-            concomitants: Vec::new(),
-            pending: None,
-            done: false,
-        };
-        rank.run(&mut rp);
-        let RankPolicy {
-            table,
-            interval_phases,
-            concomitants,
-            ..
-        } = rp;
+        let mut table = PhaseTable::new(self.threshold_rad);
+        // Stratum and concomitant (probe CPI) per complete interval.
+        let mut interval_phases = Vec::new();
+        let mut concomitants = Vec::new();
+        loop {
+            let probe = rank.execute(Segment::new(Mode::DetailedWarming, self.probe_ops));
+            if !probe.complete() {
+                break;
+            }
+            let rest = rank.execute(Segment::with_bbv(
+                Mode::Functional,
+                self.ff_ops - self.probe_ops,
+            ));
+            if rest.complete() {
+                let bbv = rest.bbv.as_ref().expect("rank intervals close a BBV");
+                let c = table.classify(bbv.hashed(), self.ff_ops);
+                if c.created {
+                    rank.trace_mut().phases_created += 1;
+                }
+                interval_phases.push(c.phase);
+                concomitants.push(probe.cpi());
+            }
+            if rest.halted {
+                break;
+            }
+        }
         assert!(
             !interval_phases.is_empty(),
             "workload shorter than one ranked-set interval"
@@ -258,18 +206,18 @@ impl Technique for RankedSet {
         // execution means a re-selected interval would re-measure
         // identically, so the union is equivalent and cheaper.
         let union: BTreeSet<usize> = selections.iter().flatten().flatten().copied().collect();
-        let mut measure = SimDriver::new(workload, config, Track::None);
-        ctx.bind(&mut measure);
-        let mut policy = PointReplayPolicy::new(
+        let points: Vec<usize> = union.iter().copied().collect();
+        let mut measure = SimDriver::new(workload, config, Track::None, ctx);
+        let cpis = replay_points(
+            &mut measure,
             self.ff_ops,
             self.warm_ops,
             self.unit_ops,
-            union.iter().copied().collect(),
+            &points,
         );
-        measure.run(&mut policy);
         trace.merge(measure.trace());
         let mut cpi_of = vec![f64::NAN; interval_phases.len()];
-        for (&p, &cpi) in policy.points.iter().zip(&policy.cpis) {
+        for (&p, &cpi) in points.iter().zip(&cpis) {
             cpi_of[p] = cpi;
         }
 
@@ -305,13 +253,9 @@ impl Technique for RankedSet {
             .collect();
 
         let cpi_ci = replicate_ci(&estimates, Z_95);
-        let samples = policy.cpis.iter().filter(|c| c.is_finite()).count() as u64;
+        let samples = cpis.iter().filter(|c| c.is_finite()).count() as u64;
         let mut mode_ops = rank.mode_ops();
-        let pass_ops = measure.mode_ops();
-        mode_ops.fast_forward += pass_ops.fast_forward;
-        mode_ops.functional += pass_ops.functional;
-        mode_ops.detailed_warming += pass_ops.detailed_warming;
-        mode_ops.detailed_measured += pass_ops.detailed_measured;
+        mode_ops += measure.mode_ops();
 
         let mut samples_per_phase = vec![0u64; num_strata];
         for &p in &union {

@@ -8,9 +8,7 @@ use pgss_stats::weighted_mean;
 use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
-use crate::driver::{
-    Bbv, Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
-};
+use crate::driver::{Bbv, RunTrace, Segment, Signature, SimDriver, Track};
 use crate::estimate::{Estimate, PhaseSummary, Technique};
 
 /// The SimPoint pipeline:
@@ -84,90 +82,24 @@ impl SimPointOffline {
         ctx: &SimContext,
     ) -> (Vec<Vec<f64>>, ModeOps, RunTrace) {
         assert!(self.interval_ops > 0, "interval_ops must be positive");
-        let mut driver = SimDriver::new(workload, config, self.signature.full_track());
-        ctx.bind(&mut driver);
-        let mut policy = ProfilePolicy {
-            interval_ops: self.interval_ops,
-            rows: Vec::new(),
-            done: false,
-        };
-        driver.run(&mut policy);
-        (policy.rows, driver.mode_ops(), *driver.trace())
-    }
-}
-
-/// The profiling pass: functional execution, one full BBV per interval.
-struct ProfilePolicy {
-    interval_ops: u64,
-    rows: Vec<Vec<f64>>,
-    done: bool,
-}
-
-impl SamplingPolicy for ProfilePolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        if self.done {
-            Directive::Finish
-        } else {
-            Directive::Run(Segment::with_bbv(Mode::Functional, self.interval_ops))
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, _trace: &mut RunTrace) {
-        // Keep only complete intervals, as SimPoint does.
-        if outcome.complete() {
-            let row = match outcome.bbv.as_ref().expect("profile intervals close a BBV") {
-                Bbv::Full(v) => v.clone(),
-                // MAV intervals arrive hashed-BBV-shaped; L2-normalise so
-                // clustering sees rates, not interval lengths.
-                Bbv::Hashed(h) => h.normalized().to_vec(),
-            };
-            self.rows.push(row);
-        }
-        if outcome.halted || outcome.ops == 0 {
-            self.done = true;
-        }
-    }
-}
-
-/// The replay pass: fast-forward to each chosen interval (in program
-/// order), detail-simulate through it, record its CPI.
-struct ReplayPolicy {
-    interval_ops: u64,
-    /// Representative interval indices, sorted ascending.
-    plan: Vec<usize>,
-    /// Index into `plan` of the representative being worked on.
-    idx: usize,
-    /// Current interval position of the machine.
-    cursor: usize,
-    cpi_of: Vec<f64>,
-    samples: u64,
-}
-
-impl SamplingPolicy for ReplayPolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        match self.plan.get(self.idx) {
-            None => Directive::Finish,
-            Some(&interval) if interval > self.cursor => {
-                let skip = (interval - self.cursor) as u64 * self.interval_ops;
-                Directive::Run(Segment::new(Mode::Functional, skip))
+        let mut driver = SimDriver::new(workload, config, self.signature.full_track(), ctx);
+        let mut rows = Vec::new();
+        loop {
+            let interval = driver.execute(Segment::with_bbv(Mode::Functional, self.interval_ops));
+            // Keep only complete intervals, as SimPoint does.
+            if interval.complete() {
+                rows.push(match interval.bbv.expect("profile intervals close a BBV") {
+                    Bbv::Full(v) => v,
+                    // MAV intervals arrive hashed-BBV-shaped; L2-normalise
+                    // so clustering sees rates, not interval lengths.
+                    Bbv::Hashed(h) => h.normalized().to_vec(),
+                });
             }
-            Some(_) => Directive::Run(Segment::new(Mode::DetailedMeasured, self.interval_ops)),
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
-        match outcome.segment.mode {
-            Mode::Functional => self.cursor = self.plan[self.idx],
-            _ => {
-                if outcome.ops > 0 {
-                    self.cpi_of[self.plan[self.idx]] = outcome.cpi();
-                    self.samples += 1;
-                    trace.samples_taken += 1;
-                }
-                self.cursor += 1;
-                self.idx += 1;
+            if interval.halted || interval.ops == 0 {
+                break;
             }
         }
+        (rows, driver.mode_ops(), *driver.trace())
     }
 }
 
@@ -204,24 +136,31 @@ impl Technique for SimPointOffline {
         // Second pass: detail-simulate exactly the representative intervals.
         let mut chosen: Vec<usize> = representatives.iter().flatten().copied().collect();
         chosen.sort_unstable();
-        let mut replay = SimDriver::new(workload, config, Track::None);
-        ctx.bind(&mut replay);
-        let mut policy = ReplayPolicy {
-            interval_ops: self.interval_ops,
-            plan: chosen,
-            idx: 0,
-            cursor: 0,
-            cpi_of: vec![f64::NAN; rows.len()],
-            samples: 0,
-        };
-        replay.run(&mut policy);
+        // Fast-forward to each chosen interval (in program order), then
+        // detail-simulate through it and record its CPI.
+        let mut replay = SimDriver::new(workload, config, Track::None, ctx);
+        let mut cpi_of = vec![f64::NAN; rows.len()];
+        // The machine's interval position.
+        let mut cursor = 0;
+        for &interval in &chosen {
+            if interval > cursor {
+                let skip = (interval - cursor) as u64 * self.interval_ops;
+                replay.execute(Segment::new(Mode::Functional, skip));
+            }
+            let sample = replay.execute(Segment::new(Mode::DetailedMeasured, self.interval_ops));
+            if sample.ops > 0 {
+                cpi_of[interval] = sample.cpi();
+                replay.trace_mut().samples_taken += 1;
+            }
+            cursor = cursor.max(interval) + 1;
+        }
         trace.merge(replay.trace());
 
         // Weighted CPI over clusters with a simulated representative.
         let pairs: Vec<(f64, f64)> = representatives
             .iter()
             .zip(&weights)
-            .filter_map(|(rep, &w)| rep.map(|r| (policy.cpi_of[r], w)))
+            .filter_map(|(rep, &w)| rep.map(|r| (cpi_of[r], w)))
             .filter(|(cpi, _)| cpi.is_finite())
             .collect();
         let cpi = weighted_mean(&pairs).expect("at least one simulated representative");
@@ -236,7 +175,7 @@ impl Technique for SimPointOffline {
         let estimate = Estimate {
             ipc: 1.0 / cpi,
             mode_ops,
-            samples: policy.samples,
+            samples: replay.trace().samples_taken,
             phases: Some(PhaseSummary {
                 phases: clustering.k(),
                 changes: count_changes(clustering.assignments()),

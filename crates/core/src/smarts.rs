@@ -6,9 +6,7 @@ use pgss_stats::{ConfidenceInterval, Welford, Z_95};
 use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
-use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, SimDriver, Track,
-};
+use crate::driver::{RunTrace, Segment, SimDriver, Track};
 use crate::estimate::{ipc_interval_from_cpi, Estimate, Technique};
 
 /// Phase-blind periodic sampling: every `period_ops`, run `warm_ops` of
@@ -73,64 +71,32 @@ impl Smarts {
             self.warm_ops,
             self.unit_ops
         );
-        let mut driver = SimDriver::new(workload, config, Track::None);
-        ctx.bind(&mut driver);
-        let mut policy = SmartsPolicy {
-            unit_ops: self.unit_ops,
-            warm_ops: self.warm_ops,
-            ff_ops: self.period_ops - self.unit_ops - self.warm_ops,
-            state: State::Warm,
-            cpis: Vec::new(),
-        };
-        driver.run(&mut policy);
-        (policy.cpis, driver.mode_ops(), *driver.trace())
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Warm,
-    Measure,
-    FastForward,
-    Done,
-}
-
-/// The SMARTS segment cycle as a [`SamplingPolicy`]: warm → measure →
-/// fast-forward, stopping at the first halted segment.
-struct SmartsPolicy {
-    unit_ops: u64,
-    warm_ops: u64,
-    ff_ops: u64,
-    state: State,
-    cpis: Vec<f64>,
-}
-
-impl SamplingPolicy for SmartsPolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        match self.state {
-            State::Warm => Directive::Run(Segment::new(Mode::DetailedWarming, self.warm_ops)),
-            State::Measure => Directive::Run(Segment::new(Mode::DetailedMeasured, self.unit_ops)),
-            State::FastForward => Directive::Run(Segment::new(Mode::Functional, self.ff_ops)),
-            State::Done => Directive::Finish,
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
-        match self.state {
-            State::Warm => self.state = State::Measure,
-            State::Measure => {
-                if outcome.complete() {
-                    self.cpis.push(outcome.cpi());
-                    trace.samples_taken += 1;
-                }
-                self.state = State::FastForward;
+        let mut driver = SimDriver::new(workload, config, Track::None, ctx);
+        let ff_ops = self.period_ops - self.unit_ops - self.warm_ops;
+        let mut cpis = Vec::new();
+        // The SMARTS segment cycle: warm → measure → fast-forward, stopping
+        // at the first halted segment.
+        loop {
+            if driver
+                .execute(Segment::new(Mode::DetailedWarming, self.warm_ops))
+                .halted
+            {
+                break;
             }
-            State::FastForward => self.state = State::Warm,
-            State::Done => unreachable!("no segments are issued after Done"),
+            let sample = driver.execute(Segment::new(Mode::DetailedMeasured, self.unit_ops));
+            if sample.complete() {
+                cpis.push(sample.cpi());
+                driver.trace_mut().samples_taken += 1;
+            }
+            if sample.halted
+                || driver
+                    .execute(Segment::new(Mode::Functional, ff_ops))
+                    .halted
+            {
+                break;
+            }
         }
-        if outcome.halted {
-            self.state = State::Done;
-        }
+        (cpis, driver.mode_ops(), *driver.trace())
     }
 }
 

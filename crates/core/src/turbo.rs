@@ -98,15 +98,13 @@ impl Technique for TurboSmarts {
             s.warm_ops,
             s.unit_ops
         );
-        let attach = |d: &mut SimDriver| ctx.bind(d);
 
         // One functional pass determines the program length, and with it
         // the sample population: sample i starts (warming) at i·period
         // and is in the population iff its measured unit fits before the
-        // halt. With a campaign ladder attached this pass is almost
+        // halt. With a campaign ladder in `ctx` this pass is almost
         // entirely jumped.
-        let mut length_pass = SimDriver::new(workload, config, Track::None);
-        attach(&mut length_pass);
+        let mut length_pass = SimDriver::new(workload, config, Track::None, ctx);
         length_pass.execute(Segment::new(Mode::Functional, u64::MAX));
         let total = length_pass.retired();
         let span = s.warm_ops + s.unit_ops;
@@ -145,8 +143,7 @@ impl Technique for TurboSmarts {
             let round = &order[issued..issued + want];
             let mut positions: Vec<usize> = round.to_vec();
             positions.sort_unstable();
-            let mut capture = SimDriver::new(workload, config, Track::None);
-            attach(&mut capture);
+            let mut capture = SimDriver::new(workload, config, Track::None, ctx);
             for &i in &positions {
                 let pos = i as u64 * s.period_ops;
                 if pos > capture.retired() {

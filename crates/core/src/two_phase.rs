@@ -9,11 +9,9 @@ use pgss_stats::{neyman_allocation, stratified_variance, ConfidenceInterval, Wel
 use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
-use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
-};
-use crate::estimate::{Estimate, PhaseSummary, Technique};
-use crate::phase::PhaseTable;
+use crate::driver::{RunTrace, Segment, Signature, SimDriver, Track};
+use crate::estimate::{period_label, Estimate, PhaseSummary, Technique};
+use crate::phase::classify_intervals;
 
 /// Two-phase stratified sampling over online phase strata:
 ///
@@ -87,122 +85,46 @@ impl TwoPhaseStratified {
     }
 }
 
-/// The classification pass: one BBV interval per `ff_ops`, phase per
-/// complete interval.
-struct ClassifyPolicy {
+/// The point-replay pass: for each interval index in `points` (sorted
+/// ascending), fast-forward `driver` functionally to the interval's start,
+/// then run a warm + measured sample at its head. Returns the CPI
+/// per point, aligned with `points` (`NaN` where the program halted before
+/// the sample completed). Shared by the pilot and main passes and by
+/// [`crate::RankedSet`]'s measure pass.
+pub(crate) fn replay_points(
+    driver: &mut SimDriver,
     ff_ops: u64,
-    table: PhaseTable,
-    interval_phases: Vec<usize>,
-    done: bool,
-}
-
-impl SamplingPolicy for ClassifyPolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        if self.done {
-            Directive::Finish
-        } else {
-            Directive::Run(Segment::with_bbv(Mode::Functional, self.ff_ops))
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
-        if outcome.complete() {
-            let bbv = outcome
-                .bbv
-                .as_ref()
-                .expect("classify intervals close a BBV");
-            let c = self.table.classify(bbv.hashed(), outcome.ops);
-            if c.created {
-                trace.phases_created += 1;
-            }
-            self.interval_phases.push(c.phase);
-        }
-        if outcome.halted || outcome.ops == 0 {
-            self.done = true;
-        }
-    }
-}
-
-/// A replay pass visiting a sorted set of interval indices: functional
-/// fast-forward to each interval's start, then a warm + measured sample at
-/// its head. Shared by the pilot and main passes (and by
-/// [`crate::RankedSet`]'s measure pass).
-pub(crate) struct PointReplayPolicy {
-    pub ff_ops: u64,
-    pub warm_ops: u64,
-    pub unit_ops: u64,
-    /// Interval indices to sample, sorted ascending.
-    pub points: Vec<usize>,
-    /// Index into `points` of the sample being worked on.
-    idx: usize,
-    /// The machine's current absolute op position.
-    cursor: u64,
-    /// Whether the warm-up for the current point has run.
-    warmed: bool,
-    /// CPI per point, aligned with `points` (`NaN` until measured).
-    pub cpis: Vec<f64>,
-    done: bool,
-}
-
-impl PointReplayPolicy {
-    pub fn new(ff_ops: u64, warm_ops: u64, unit_ops: u64, points: Vec<usize>) -> PointReplayPolicy {
-        assert!(
-            warm_ops + unit_ops <= ff_ops,
-            "a sample (warm {warm_ops} + unit {unit_ops}) must fit inside one interval ({ff_ops})"
-        );
-        let n = points.len();
-        PointReplayPolicy {
-            ff_ops,
-            warm_ops,
-            unit_ops,
-            points,
-            idx: 0,
-            cursor: 0,
-            warmed: false,
-            cpis: vec![f64::NAN; n],
-            done: false,
-        }
-    }
-}
-
-impl SamplingPolicy for PointReplayPolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        if self.done {
-            return Directive::Finish;
-        }
-        match self.points.get(self.idx) {
-            None => Directive::Finish,
-            Some(&p) => {
-                let start = p as u64 * self.ff_ops;
-                if self.cursor < start {
-                    Directive::Run(Segment::new(Mode::Functional, start - self.cursor))
-                } else if !self.warmed {
-                    Directive::Run(Segment::new(Mode::DetailedWarming, self.warm_ops))
-                } else {
-                    Directive::Run(Segment::new(Mode::DetailedMeasured, self.unit_ops))
-                }
+    warm_ops: u64,
+    unit_ops: u64,
+    points: &[usize],
+) -> Vec<f64> {
+    assert!(
+        warm_ops + unit_ops <= ff_ops,
+        "a sample (warm {warm_ops} + unit {unit_ops}) must fit inside one interval ({ff_ops})"
+    );
+    let mut cpis = vec![f64::NAN; points.len()];
+    for (cpi, &point) in cpis.iter_mut().zip(points) {
+        let start = point as u64 * ff_ops;
+        if driver.retired() < start {
+            let skip = start - driver.retired();
+            if driver.execute(Segment::new(Mode::Functional, skip)).halted {
+                break;
             }
         }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
-        self.cursor += outcome.ops;
-        match outcome.segment.mode {
-            Mode::Functional => {}
-            Mode::DetailedWarming => self.warmed = true,
-            _ => {
-                if outcome.complete() {
-                    self.cpis[self.idx] = outcome.cpi();
-                    trace.samples_taken += 1;
-                }
-                self.idx += 1;
-                self.warmed = false;
-            }
+        let warm = driver.execute(Segment::new(Mode::DetailedWarming, warm_ops));
+        if warm.halted {
+            break;
         }
-        if outcome.halted {
-            self.done = true;
+        let sample = driver.execute(Segment::new(Mode::DetailedMeasured, unit_ops));
+        if sample.complete() {
+            *cpi = sample.cpi();
+            driver.trace_mut().samples_taken += 1;
+        }
+        if sample.halted {
+            break;
         }
     }
+    cpis
 }
 
 /// Picks `k` entries spread evenly over `list` (all of `list` when
@@ -219,15 +141,10 @@ fn spread(list: &[usize], k: u64) -> Vec<usize> {
 
 impl Technique for TwoPhaseStratified {
     fn name(&self) -> String {
-        let period = if self.ff_ops.is_multiple_of(1_000_000) {
-            format!("{}M", self.ff_ops / 1_000_000)
-        } else {
-            format!("{}k", self.ff_ops / 1_000)
-        };
         format!(
             "TwoPhase{}({}/b{})",
             self.signature.name_suffix(),
-            period,
+            period_label(self.ff_ops),
             self.budget
         )
     }
@@ -251,26 +168,15 @@ impl Technique for TwoPhaseStratified {
             workload,
             config,
             self.signature.hashed_track(self.hash_seed),
+            ctx,
         );
-        ctx.bind(&mut classify);
-        let mut cp = ClassifyPolicy {
-            ff_ops: self.ff_ops,
-            table: PhaseTable::new(self.threshold_rad),
-            interval_phases: Vec::new(),
-            done: false,
-        };
-        classify.run(&mut cp);
-        let ClassifyPolicy {
-            table,
-            interval_phases,
-            ..
-        } = cp;
+        let (table, interval_phases) =
+            classify_intervals(&mut classify, self.ff_ops, self.threshold_rad);
         assert!(
             !interval_phases.is_empty(),
             "workload shorter than one stratification interval"
         );
         let mut trace = *classify.trace();
-        trace.phase_changes = table.changes();
         let mut mode_ops = classify.mode_ops();
 
         let num_strata = table.phases().len();
@@ -286,23 +192,20 @@ impl Technique for TwoPhaseStratified {
             .map(|occ| spread(occ, self.pilot_per_stratum))
             .collect();
         let mut run_pass = |points: Vec<usize>| -> Vec<(usize, f64)> {
-            let mut replay = SimDriver::new(workload, config, Track::None);
-            ctx.bind(&mut replay);
-            let mut policy =
-                PointReplayPolicy::new(self.ff_ops, self.warm_ops, self.unit_ops, points);
-            replay.run(&mut policy);
+            let mut replay = SimDriver::new(workload, config, Track::None, ctx);
+            let cpis = replay_points(
+                &mut replay,
+                self.ff_ops,
+                self.warm_ops,
+                self.unit_ops,
+                &points,
+            );
             trace.merge(replay.trace());
-            let pass_ops = replay.mode_ops();
-            mode_ops.fast_forward += pass_ops.fast_forward;
-            mode_ops.functional += pass_ops.functional;
-            mode_ops.detailed_warming += pass_ops.detailed_warming;
-            mode_ops.detailed_measured += pass_ops.detailed_measured;
-            policy
-                .points
-                .iter()
-                .zip(&policy.cpis)
+            mode_ops += replay.mode_ops();
+            points
+                .into_iter()
+                .zip(cpis)
                 .filter(|(_, cpi)| cpi.is_finite())
-                .map(|(&p, &cpi)| (p, cpi))
                 .collect()
         };
         let mut flat: Vec<usize> = pilot_points.iter().flatten().copied().collect();

@@ -142,6 +142,16 @@ impl ModeOps {
     }
 }
 
+impl std::ops::AddAssign for ModeOps {
+    /// Accumulates another pass's per-mode counts.
+    fn add_assign(&mut self, other: ModeOps) {
+        self.fast_forward += other.fast_forward;
+        self.functional += other.functional;
+        self.detailed_warming += other.detailed_warming;
+        self.detailed_measured += other.detailed_measured;
+    }
+}
+
 /// The outcome of one [`Machine::run`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunResult {

@@ -265,9 +265,11 @@ impl Client {
         })
     }
 
+    /// Sends one request line in a single write: a line split across two
+    /// writes stalls its tail on Nagle's algorithm until the server's
+    /// delayed ACK.
     fn send(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         self.writer.flush()?;
         Ok(())
     }
@@ -544,6 +546,34 @@ mod tests {
             });
         assert!(matches!(got, Err(ClientError::Io(_))));
         assert_eq!(slept, vec![10, 20]);
+    }
+
+    #[test]
+    fn sequential_pings_do_not_stall_on_delayed_acks() {
+        // Each request and response line must leave in one write: a line
+        // split across two writes waits on Nagle's algorithm for the
+        // peer's delayed ACK, tens of milliseconds per round trip.
+        let dir = std::env::temp_dir().join(format!("pgss-serve-ping-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = crate::Server::start(
+            &dir,
+            crate::Listen::Tcp("127.0.0.1:0".into()),
+            crate::ServeConfig::default(),
+        )
+        .unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let start = std::time::Instant::now();
+        for _ in 0..100 {
+            client.ping().unwrap();
+        }
+        let elapsed = start.elapsed();
+        drop(client);
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "100 pings on one connection took {elapsed:?}"
+        );
     }
 
     #[test]

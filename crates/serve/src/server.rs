@@ -1102,8 +1102,19 @@ fn busy_line(message: &str, retry_after_ms: u64) -> String {
 }
 
 fn write_line(w: &mut Stream, line: &str) -> io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
+    write_lines(w, [line])
+}
+
+/// Writes `lines`, each newline-terminated, in a single write: a response
+/// split across writes stalls its tail on Nagle's algorithm until the
+/// client's delayed ACK.
+fn write_lines<'a>(w: &mut Stream, lines: impl IntoIterator<Item = &'a str>) -> io::Result<()> {
+    let mut buf = Vec::new();
+    for line in lines {
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
+    }
+    w.write_all(&buf)?;
     w.flush()
 }
 
@@ -1269,20 +1280,20 @@ fn dispatch(inner: &Arc<Inner>, line: &str, w: &mut Stream) -> io::Result<bool> 
         }
         "report" => match assemble_report(inner, &req) {
             Ok(lines) => {
-                write_line(
+                let header = ok_line(&format!("\"kind\":\"report\",\"lines\":{}", lines.len()));
+                write_lines(
                     w,
-                    &ok_line(&format!("\"kind\":\"report\",\"lines\":{}", lines.len())),
+                    std::iter::once(&header).chain(&lines).map(String::as_str),
                 )?;
-                for l in &lines {
-                    write_line(w, l)?;
-                }
             }
             Err(e) => write_line(w, &err_line(&e))?,
         },
         "metrics" => {
             let line = scope_line("serve", &inner.rec.frame());
-            write_line(w, &ok_line("\"kind\":\"metrics\",\"lines\":1"))?;
-            write_line(w, &line)?;
+            write_lines(
+                w,
+                [&ok_line("\"kind\":\"metrics\",\"lines\":1"), &line].map(String::as_str),
+            )?;
         }
         "watch" => return handle_watch(inner, &req, w).map(|()| true),
         "drain" => {
@@ -1563,18 +1574,13 @@ fn handle_watch(inner: &Arc<Inner>, req: &Value, w: &mut Stream) -> io::Result<(
                 job.phase.as_str()
             );
             drop(st);
-            for line in &replay {
-                write_line(w, line)?;
-            }
-            return write_line(w, &end);
+            return write_lines(w, replay.iter().chain([&end]).map(String::as_str));
         }
         let (tx, rx) = mpsc::channel();
         job.watchers.push(tx);
         (rx, replay)
     };
-    for line in &replay {
-        write_line(w, line)?;
-    }
+    write_lines(w, replay.iter().map(String::as_str))?;
     loop {
         match rx.recv() {
             Ok(WatchMsg::Event(line)) => write_line(w, &line)?,

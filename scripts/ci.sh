@@ -28,6 +28,22 @@ echo "== campaign_bench self-tests (1 s runs per workload over the state-transfe
 # API it calls fails this gate instead of the next benchmark run.
 cargo test --release --offline --manifest-path campaign_bench/Cargo.toml -q
 
+echo "== campaign_bench pin check over every benchmark (all pinned artifact lines)"
+# One run per workload over the whole suite: the self-tests cover one
+# benchmark only. Run from campaign_bench/ so its .bench_work scratch stays
+# there; the last stdout line must report correct output.
+for workload in grid-plain grid-ckpt-warm serve-cold; do
+    last=$(cd campaign_bench && cargo run --release -q --offline -- \
+        --workload "$workload" --benchmarks all --seconds 1 --trace 0 | tail -n 1)
+    case "$last" in
+        '{"correct":true,'*) ;;
+        *)
+            echo "campaign_bench $workload: pin check failed: $last"
+            exit 1
+            ;;
+    esac
+done
+
 echo "== statistical validation smoke (12-rep debug subset: all estimators + verdicts)"
 cargo test --test statistical_validation -q
 
