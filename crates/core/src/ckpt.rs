@@ -46,7 +46,7 @@ use pgss_bbv::{BbvHash, FullBbv, FullBbvTracker, HashedBbv, HashedBbvTracker, HA
 use pgss_ckpt::{fnv1a64, CodecError, Decoder, Encoder, RecordError, Store};
 use pgss_cpu::{
     BranchPredictorState, BtbState, CacheState, Machine, MachineConfig, MachineSnapshot,
-    MachineStateMut, MachineStateRef, MemSystemState, Mode, ModeOps,
+    MachineStateMut, MachineStateRef, Mode, ModeOps,
 };
 use pgss_workloads::Workload;
 
@@ -91,16 +91,16 @@ pub fn encode_machine_state(state: MachineStateRef<'_>) -> Vec<u8> {
     put_mode_ops(&mut e, state.mode_ops);
     e.put_u64(state.ops_since_taken);
     for c in state.caches {
-        e.put_u64_slice(c.ways);
+        e.put_u64_slice(&c.ways);
         e.put_u64(c.hits);
         e.put_u64(c.misses);
     }
-    e.put_bytes(state.bpred.counters);
+    e.put_bytes(&state.bpred.counters);
     e.put_u64(state.bpred.history);
     e.put_u64(state.bpred.predictions);
     e.put_u64(state.bpred.mispredictions);
-    e.put_u64(state.btb.len() as u64);
-    for &t in state.btb {
+    e.put_u64(state.btb.targets.len() as u64);
+    for &t in &state.btb.targets {
         e.put_u32(t);
     }
     e.into_bytes()
@@ -117,11 +117,6 @@ pub fn decode_machine_snapshot(bytes: &[u8]) -> Result<MachineSnapshot, CodecErr
             "memory image exceeds the snapshot limit",
         ));
     }
-    let [l1i, l1d, l2] = shape.ways.map(|n| CacheState {
-        ways: vec![0; n],
-        hits: 0,
-        misses: 0,
-    });
     let mut snap = MachineSnapshot {
         pc: 0,
         regs: [0; 32],
@@ -130,7 +125,11 @@ pub fn decode_machine_snapshot(bytes: &[u8]) -> Result<MachineSnapshot, CodecErr
         halted: false,
         mode_ops: ModeOps::default(),
         ops_since_taken: 0,
-        memsys: MemSystemState { l1i, l1d, l2 },
+        caches: shape.ways.map(|n| CacheState {
+            ways: vec![0; n],
+            hits: 0,
+            misses: 0,
+        }),
         bpred: BranchPredictorState {
             counters: vec![0; shape.counters],
             history: 0,
@@ -179,7 +178,7 @@ impl SnapshotShape {
             mem: state.mem.len(),
             ways: state.caches.each_ref().map(|c| c.ways.len()),
             counters: state.bpred.counters.len(),
-            btb: state.btb.len(),
+            btb: state.btb.targets.len(),
         }
     }
 }
@@ -228,32 +227,33 @@ fn fill_machine_state(d: &mut Decoder<'_>, state: MachineStateMut<'_>) -> Result
     *state.mode_ops = get_mode_ops(d)?;
     *state.ops_since_taken = d.get_u64()?;
     for c in state.caches {
-        d.get_u64_slice_into(c.ways)?;
-        *c.hits = d.get_u64()?;
-        *c.misses = d.get_u64()?;
+        d.get_u64_slice_into(&mut c.ways)?;
+        c.hits = d.get_u64()?;
+        c.misses = d.get_u64()?;
     }
     let bpred = state.bpred;
-    d.get_bytes_into(bpred.counters)?;
-    *bpred.history = d.get_u64()?;
-    *bpred.predictions = d.get_u64()?;
-    *bpred.mispredictions = d.get_u64()?;
-    if d.get_u64()? != state.btb.len() as u64 {
+    d.get_bytes_into(&mut bpred.counters)?;
+    bpred.history = d.get_u64()?;
+    bpred.predictions = d.get_u64()?;
+    bpred.mispredictions = d.get_u64()?;
+    let targets = &mut state.btb.targets;
+    if d.get_u64()? != targets.len() as u64 {
         return Err(CodecError::Malformed("BTB size mismatch"));
     }
-    for t in state.btb {
+    for t in targets {
         *t = d.get_u32()?;
     }
     Ok(())
 }
 
-fn put_mode_ops(e: &mut Encoder, ops: ModeOps) {
+pub(crate) fn put_mode_ops(e: &mut Encoder, ops: ModeOps) {
     e.put_u64(ops.fast_forward);
     e.put_u64(ops.functional);
     e.put_u64(ops.detailed_warming);
     e.put_u64(ops.detailed_measured);
 }
 
-fn get_mode_ops(d: &mut Decoder<'_>) -> Result<ModeOps, CodecError> {
+pub(crate) fn get_mode_ops(d: &mut Decoder<'_>) -> Result<ModeOps, CodecError> {
     Ok(ModeOps {
         fast_forward: d.get_u64()?,
         functional: d.get_u64()?,

@@ -37,11 +37,11 @@
 use std::fmt::Write as _;
 
 use pgss_ckpt::{CodecError, Decoder, Encoder};
-use pgss_cpu::ModeOps;
 use pgss_obs::{json_f64, json_string, scope_line, MetricsFrame, SpanStat};
 use pgss_stats::{ConfidenceInterval, Histogram, Welford};
 
 use crate::campaign::{CellFailure, CellResult};
+use crate::ckpt::{get_mode_ops, put_mode_ops};
 use crate::driver::RunTrace;
 use crate::estimate::{Estimate, PhaseSummary};
 
@@ -54,10 +54,7 @@ pub const WIRE_FORMAT_VERSION: u32 = 1;
 
 fn put_estimate(e: &mut Encoder, est: &Estimate) {
     e.put_f64(est.ipc);
-    e.put_u64(est.mode_ops.fast_forward);
-    e.put_u64(est.mode_ops.functional);
-    e.put_u64(est.mode_ops.detailed_warming);
-    e.put_u64(est.mode_ops.detailed_measured);
+    put_mode_ops(e, est.mode_ops);
     e.put_u64(est.samples);
     e.put_bool(est.phases.is_some());
     if let Some(p) = &est.phases {
@@ -79,12 +76,7 @@ fn put_estimate(e: &mut Encoder, est: &Estimate) {
 
 fn get_estimate(d: &mut Decoder<'_>) -> Result<Estimate, CodecError> {
     let ipc = d.get_f64()?;
-    let mode_ops = ModeOps {
-        fast_forward: d.get_u64()?,
-        functional: d.get_u64()?,
-        detailed_warming: d.get_u64()?,
-        detailed_measured: d.get_u64()?,
-    };
+    let mode_ops = get_mode_ops(d)?;
     let samples = d.get_u64()?;
     let phases = if d.get_bool()? {
         let phases = usize::try_from(d.get_u64()?)
@@ -442,6 +434,7 @@ fn canonical_failure_line(f: &WireFailure) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use pgss_cpu::ModeOps;
 
     fn sample_cell() -> CellResult {
         CellResult {

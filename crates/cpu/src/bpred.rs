@@ -20,13 +20,11 @@ use crate::config::BranchPredictorConfig;
 /// ```
 #[derive(Debug, Clone)]
 pub struct BranchPredictor {
-    /// Two-bit saturating counters; `>= 2` predicts taken.
-    counters: Vec<u8>,
-    history: u64,
+    /// Counter table, history and statistics: exactly what a checkpoint
+    /// carries.
+    state: BranchPredictorState,
     index_mask: u64,
     history_mask: u64,
-    predictions: u64,
-    mispredictions: u64,
 }
 
 impl BranchPredictor {
@@ -43,12 +41,14 @@ impl BranchPredictor {
         );
         let entries = 1usize << config.history_bits;
         BranchPredictor {
-            counters: vec![1; entries],
-            history: 0,
+            state: BranchPredictorState {
+                counters: vec![1; entries],
+                history: 0,
+                predictions: 0,
+                mispredictions: 0,
+            },
             index_mask: entries as u64 - 1,
             history_mask: entries as u64 - 1,
-            predictions: 0,
-            mispredictions: 0,
         }
     }
 
@@ -57,97 +57,69 @@ impl BranchPredictor {
     /// `true` if the prediction was correct.
     #[inline]
     pub fn predict_and_update(&mut self, pc: u32, taken: bool) -> bool {
-        let index = ((u64::from(pc)) ^ self.history) & self.index_mask;
-        let counter = &mut self.counters[index as usize];
+        let s = &mut self.state;
+        let index = ((u64::from(pc)) ^ s.history) & self.index_mask;
+        let counter = &mut s.counters[index as usize];
         let predicted_taken = *counter >= 2;
         if taken {
             *counter = (*counter + 1).min(3);
         } else {
             *counter = counter.saturating_sub(1);
         }
-        self.history = ((self.history << 1) | u64::from(taken)) & self.history_mask;
-        self.predictions += 1;
+        s.history = ((s.history << 1) | u64::from(taken)) & self.history_mask;
+        s.predictions += 1;
         let correct = predicted_taken == taken;
         if !correct {
-            self.mispredictions += 1;
+            s.mispredictions += 1;
         }
         correct
     }
 
     /// Lifetime prediction count.
     pub fn predictions(&self) -> u64 {
-        self.predictions
+        self.state.predictions
     }
 
     /// Lifetime misprediction count.
     pub fn mispredictions(&self) -> u64 {
-        self.mispredictions
+        self.state.mispredictions
     }
 
     /// Lifetime misprediction rate in `[0, 1]`; `0.0` when never used.
     pub fn misprediction_rate(&self) -> f64 {
-        if self.predictions == 0 {
+        let s = &self.state;
+        if s.predictions == 0 {
             0.0
         } else {
-            self.mispredictions as f64 / self.predictions as f64
+            s.mispredictions as f64 / s.predictions as f64
         }
     }
 
     /// Clears tables, history, and statistics.
     pub fn reset(&mut self) {
-        self.counters.fill(1);
-        self.history = 0;
-        self.predictions = 0;
-        self.mispredictions = 0;
+        let s = &mut self.state;
+        s.counters.fill(1);
+        s.history = 0;
+        s.predictions = 0;
+        s.mispredictions = 0;
     }
 
-    /// Captures the mutable state (counter table, global history,
-    /// statistics) for a checkpoint.
-    pub fn save_state(&self) -> BranchPredictorState {
-        BranchPredictorState {
-            counters: self.counters.clone(),
-            history: self.history,
-            predictions: self.predictions,
-            mispredictions: self.mispredictions,
-        }
+    /// Borrows the checkpointable state.
+    pub(crate) fn state(&self) -> &BranchPredictorState {
+        &self.state
     }
 
-    /// Restores state captured by [`BranchPredictor::save_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` was captured from a predictor with a different
-    /// table size.
-    pub fn load_state(&mut self, state: &BranchPredictorState) {
-        self.state_mut().copy_from(state.view());
-    }
-
-    /// Borrows the mutable state without copying it.
-    pub(crate) fn state(&self) -> BranchPredictorStateRef<'_> {
-        BranchPredictorStateRef {
-            counters: &self.counters,
-            history: self.history,
-            predictions: self.predictions,
-            mispredictions: self.mispredictions,
-        }
-    }
-
-    /// Lends the mutable state for in-place restores.
-    pub(crate) fn state_mut(&mut self) -> BranchPredictorStateMut<'_> {
-        BranchPredictorStateMut {
-            counters: &mut self.counters,
-            history: &mut self.history,
-            predictions: &mut self.predictions,
-            mispredictions: &mut self.mispredictions,
-        }
+    /// Lends the checkpointable state for in-place restores.
+    pub(crate) fn state_mut(&mut self) -> &mut BranchPredictorState {
+        &mut self.state
     }
 }
 
-/// The mutable state of a [`BranchPredictor`], as captured by
-/// [`BranchPredictor::save_state`].
+/// The checkpointable state of a [`BranchPredictor`]: what a
+/// [`crate::MachineSnapshot`] carries for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictorState {
-    /// Two-bit saturating counter table.
+    /// Two-bit saturating counter table; `>= 2` predicts taken.
     pub counters: Vec<u8>,
     /// Global branch history register.
     pub history: u64,
@@ -158,62 +130,23 @@ pub struct BranchPredictorState {
 }
 
 impl BranchPredictorState {
-    /// Borrows this state in the form every restore path copies from.
-    pub fn view(&self) -> BranchPredictorStateRef<'_> {
-        BranchPredictorStateRef {
-            counters: &self.counters,
-            history: self.history,
-            predictions: self.predictions,
-            mispredictions: self.mispredictions,
-        }
-    }
-}
-
-/// A [`BranchPredictorState`] borrowed from a live predictor or a
-/// snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct BranchPredictorStateRef<'a> {
-    /// Two-bit saturating counter table.
-    pub counters: &'a [u8],
-    /// Global branch history register.
-    pub history: u64,
-    /// Lifetime prediction count.
-    pub predictions: u64,
-    /// Lifetime misprediction count.
-    pub mispredictions: u64,
-}
-
-/// A predictor's mutable state lent out for writing in place: the
-/// counter table is the predictor's own buffer.
-#[derive(Debug)]
-pub struct BranchPredictorStateMut<'a> {
-    /// Two-bit saturating counter table.
-    pub counters: &'a mut [u8],
-    /// Global branch history register.
-    pub history: &'a mut u64,
-    /// Lifetime prediction count.
-    pub predictions: &'a mut u64,
-    /// Lifetime misprediction count.
-    pub mispredictions: &'a mut u64,
-}
-
-impl BranchPredictorStateMut<'_> {
-    /// The predictor copy every restore path uses.
+    /// Overwrites this state with `src` in place, without reallocating
+    /// the counter table.
     ///
     /// # Panics
     ///
     /// Panics if `src` was captured from a predictor with a different
     /// table size.
-    pub fn copy_from(&mut self, src: BranchPredictorStateRef<'_>) {
+    pub fn copy_from(&mut self, src: &BranchPredictorState) {
         assert_eq!(
             src.counters.len(),
             self.counters.len(),
             "branch-predictor state shape mismatch"
         );
-        self.counters.copy_from_slice(src.counters);
-        *self.history = src.history;
-        *self.predictions = src.predictions;
-        *self.mispredictions = src.mispredictions;
+        self.counters.copy_from_slice(&src.counters);
+        self.history = src.history;
+        self.predictions = src.predictions;
+        self.mispredictions = src.mispredictions;
     }
 }
 
@@ -221,8 +154,8 @@ impl BranchPredictorStateMut<'_> {
 /// ([`pgss_isa::Instr::Jr`]) as "same target as last time".
 #[derive(Debug, Clone)]
 pub struct Btb {
-    /// Last observed target per entry; `u32::MAX` = invalid.
-    targets: Vec<u32>,
+    /// The target table: exactly what a checkpoint carries.
+    state: BtbState,
     mask: u32,
 }
 
@@ -238,7 +171,9 @@ impl Btb {
             "BTB entries must be a power of two"
         );
         Btb {
-            targets: vec![u32::MAX; entries as usize],
+            state: BtbState {
+                targets: vec![u32::MAX; entries as usize],
+            },
             mask: entries - 1,
         }
     }
@@ -247,7 +182,7 @@ impl Btb {
     /// actual `target`. Returns `true` if the prediction was correct.
     #[inline]
     pub fn predict_and_update(&mut self, pc: u32, target: u32) -> bool {
-        let slot = &mut self.targets[(pc & self.mask) as usize];
+        let slot = &mut self.state.targets[(pc & self.mask) as usize];
         let correct = *slot == target;
         *slot = target;
         correct
@@ -255,52 +190,44 @@ impl Btb {
 
     /// Clears all entries.
     pub fn reset(&mut self) {
-        self.targets.fill(u32::MAX);
+        self.state.targets.fill(u32::MAX);
     }
 
-    /// Captures the target table for a checkpoint.
-    pub fn save_state(&self) -> BtbState {
-        BtbState {
-            targets: self.targets.clone(),
-        }
+    /// Borrows the checkpointable state.
+    pub(crate) fn state(&self) -> &BtbState {
+        &self.state
     }
 
-    /// Restores state captured by [`Btb::save_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` was captured from a BTB with a different entry
-    /// count.
-    pub fn load_state(&mut self, state: &BtbState) {
-        copy_btb_targets(&mut self.targets, &state.targets);
-    }
-
-    /// The target table, borrowed.
-    pub(crate) fn targets(&self) -> &[u32] {
-        &self.targets
-    }
-
-    /// The target table, lent out for in-place restores.
-    pub(crate) fn targets_mut(&mut self) -> &mut [u32] {
-        &mut self.targets
+    /// Lends the checkpointable state for in-place restores.
+    pub(crate) fn state_mut(&mut self) -> &mut BtbState {
+        &mut self.state
     }
 }
 
-/// The BTB copy every restore path uses.
-///
-/// # Panics
-///
-/// Panics if the tables differ in entry count.
-pub(crate) fn copy_btb_targets(dst: &mut [u32], src: &[u32]) {
-    assert_eq!(src.len(), dst.len(), "BTB state shape mismatch");
-    dst.copy_from_slice(src);
-}
-
-/// The mutable state of a [`Btb`], as captured by [`Btb::save_state`].
+/// The checkpointable state of a [`Btb`]: what a
+/// [`crate::MachineSnapshot`] carries for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BtbState {
     /// Last observed target per entry; `u32::MAX` = invalid.
     pub targets: Vec<u32>,
+}
+
+impl BtbState {
+    /// Overwrites this state with `src` in place, without reallocating
+    /// the target table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` was captured from a BTB with a different entry
+    /// count.
+    pub fn copy_from(&mut self, src: &BtbState) {
+        assert_eq!(
+            src.targets.len(),
+            self.targets.len(),
+            "BTB state shape mismatch"
+        );
+        self.targets.copy_from_slice(&src.targets);
+    }
 }
 
 #[cfg(test)]

@@ -20,14 +20,11 @@ use crate::config::{CacheConfig, LatencyConfig, MachineConfig};
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `ways[set * assoc .. (set+1) * assoc]`, most-recently-used first.
-    /// `u64::MAX` marks an invalid way.
-    ways: Vec<u64>,
+    /// Tag arrays and statistics: exactly what a checkpoint carries.
+    state: CacheState,
     assoc: usize,
     set_mask: u64,
     line_shift: u32,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -55,12 +52,14 @@ impl Cache {
         let assoc = config.associativity as usize;
         Cache {
             config,
-            ways: vec![u64::MAX; sets as usize * assoc],
+            state: CacheState {
+                ways: vec![u64::MAX; sets as usize * assoc],
+                hits: 0,
+                misses: 0,
+            },
             assoc,
             set_mask: sets - 1,
             line_shift: config.line_bytes.trailing_zeros(),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -82,17 +81,17 @@ impl Cache {
     fn access_line(&mut self, line: u64) -> bool {
         let set = (line & self.set_mask) as usize;
         let base = set * self.assoc;
-        let ways = &mut self.ways[base..base + self.assoc];
+        let ways = &mut self.state.ways[base..base + self.assoc];
         // MRU-first search; move the hit way to the front.
         if let Some(pos) = ways.iter().position(|&t| t == line) {
             ways[..=pos].rotate_right(1);
-            self.hits += 1;
+            self.state.hits += 1;
             true
         } else {
             // Evict the LRU way (last slot) by shifting everything down.
             ways.rotate_right(1);
             ways[0] = line;
-            self.misses += 1;
+            self.state.misses += 1;
             false
         }
     }
@@ -105,8 +104,8 @@ impl Cache {
     #[inline(always)]
     fn access_mru_hit(&mut self, line: u64) -> bool {
         let set = (line & self.set_mask) as usize;
-        if self.ways[set * self.assoc] == line {
-            self.hits += 1;
+        if self.state.ways[set * self.assoc] == line {
+            self.state.hits += 1;
             true
         } else {
             false
@@ -118,79 +117,43 @@ impl Cache {
         let line = byte_addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
         let base = set * self.assoc;
-        self.ways[base..base + self.assoc].contains(&line)
+        self.state.ways[base..base + self.assoc].contains(&line)
     }
 
     /// Lifetime hit count.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.state.hits
     }
 
     /// Lifetime miss count.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.state.misses
     }
 
     /// Lifetime hit rate in `[0, 1]`; `1.0` when never accessed.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.state.hits + self.state.misses;
         if total == 0 {
             1.0
         } else {
-            self.hits as f64 / total as f64
+            self.state.hits as f64 / total as f64
         }
     }
 
     /// Invalidates all lines and clears statistics.
     pub fn reset(&mut self) {
-        self.ways.fill(u64::MAX);
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Captures the mutable state (tag arrays in LRU order plus
-    /// statistics) for a checkpoint.
-    pub fn save_state(&self) -> CacheState {
-        CacheState {
-            ways: self.ways.clone(),
-            hits: self.hits,
-            misses: self.misses,
-        }
-    }
-
-    /// Restores state captured by [`Cache::save_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` was captured from a cache with different
-    /// geometry.
-    pub fn load_state(&mut self, state: &CacheState) {
-        self.state_mut().copy_from(state.view());
-    }
-
-    /// Borrows the mutable state without copying it.
-    pub(crate) fn state(&self) -> CacheStateRef<'_> {
-        CacheStateRef {
-            ways: &self.ways,
-            hits: self.hits,
-            misses: self.misses,
-        }
-    }
-
-    /// Lends the mutable state for in-place restores.
-    pub(crate) fn state_mut(&mut self) -> CacheStateMut<'_> {
-        CacheStateMut {
-            ways: &mut self.ways,
-            hits: &mut self.hits,
-            misses: &mut self.misses,
-        }
+        self.state.ways.fill(u64::MAX);
+        self.state.hits = 0;
+        self.state.misses = 0;
     }
 }
 
-/// The mutable state of a [`Cache`], as captured by [`Cache::save_state`].
+/// The checkpointable state of a [`Cache`]: what a
+/// [`crate::MachineSnapshot`] carries for each level.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheState {
-    /// Tag arrays, MRU-first per set; `u64::MAX` marks an invalid way.
+    /// Tag arrays, `ways[set * assoc .. (set+1) * assoc]` MRU-first per
+    /// set; `u64::MAX` marks an invalid way.
     pub ways: Vec<u64>,
     /// Lifetime hit count.
     pub hits: u64,
@@ -199,66 +162,22 @@ pub struct CacheState {
 }
 
 impl CacheState {
-    /// Borrows this state in the form every restore path copies from.
-    pub fn view(&self) -> CacheStateRef<'_> {
-        CacheStateRef {
-            ways: &self.ways,
-            hits: self.hits,
-            misses: self.misses,
-        }
-    }
-}
-
-/// A [`CacheState`] borrowed from a live cache or a snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheStateRef<'a> {
-    /// Tag arrays, MRU-first per set; `u64::MAX` marks an invalid way.
-    pub ways: &'a [u64],
-    /// Lifetime hit count.
-    pub hits: u64,
-    /// Lifetime miss count.
-    pub misses: u64,
-}
-
-/// A cache's mutable state lent out for writing in place: the tag array
-/// is the cache's own buffer, so restores never reallocate it.
-#[derive(Debug)]
-pub struct CacheStateMut<'a> {
-    /// Tag arrays, MRU-first per set; `u64::MAX` marks an invalid way.
-    pub ways: &'a mut [u64],
-    /// Lifetime hit count.
-    pub hits: &'a mut u64,
-    /// Lifetime miss count.
-    pub misses: &'a mut u64,
-}
-
-impl CacheStateMut<'_> {
-    /// The per-level copy every restore path uses.
+    /// Overwrites this state with `src` in place, without reallocating
+    /// the tag array.
     ///
     /// # Panics
     ///
     /// Panics if `src` was captured from a cache with different geometry.
-    pub fn copy_from(&mut self, src: CacheStateRef<'_>) {
+    pub fn copy_from(&mut self, src: &CacheState) {
         assert_eq!(
             src.ways.len(),
             self.ways.len(),
             "cache state shape mismatch"
         );
-        self.ways.copy_from_slice(src.ways);
-        *self.hits = src.hits;
-        *self.misses = src.misses;
+        self.ways.copy_from_slice(&src.ways);
+        self.hits = src.hits;
+        self.misses = src.misses;
     }
-}
-
-/// The mutable state of a [`MemSystem`]: one [`CacheState`] per level.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemSystemState {
-    /// Instruction L1 state.
-    pub l1i: CacheState,
-    /// Data L1 state.
-    pub l1d: CacheState,
-    /// Unified L2 state.
-    pub l2: CacheState,
 }
 
 /// The paper's two-level memory system: split L1 (instruction + data) over a
@@ -279,8 +198,8 @@ pub struct MemSystem {
     /// entry points (`u64::MAX` when unknown). Derived fast-path state,
     /// never serialized: by construction this line is the MRU way of its
     /// set, so a repeat access is a hit whose LRU rotation is a no-op and
-    /// can be short-circuited to a counter bump. Cleared by
-    /// [`MemSystem::load_state`].
+    /// can be short-circuited to a counter bump. Cleared by every
+    /// restore ([`MemSystem::forget_data_line`]).
     last_data_line: u64,
 }
 
@@ -348,7 +267,7 @@ impl MemSystem {
     pub fn load_latency_fast(&mut self, byte_addr: u64) -> u32 {
         let line = byte_addr >> self.l1d.line_shift;
         if line == self.last_data_line {
-            self.l1d.hits += 1;
+            self.l1d.state.hits += 1;
             return self.lat.l1_hit;
         }
         self.last_data_line = line;
@@ -386,7 +305,7 @@ impl MemSystem {
     pub fn store_latency_fast(&mut self, byte_addr: u64) -> u32 {
         let line = byte_addr >> self.l1d.line_shift;
         if line == self.last_data_line {
-            self.l1d.hits += 1;
+            self.l1d.state.hits += 1;
             return 0;
         }
         self.last_data_line = line;
@@ -418,7 +337,7 @@ impl MemSystem {
     pub fn warm_data_fast(&mut self, byte_addr: u64) {
         let line = byte_addr >> self.l1d.line_shift;
         if line == self.last_data_line {
-            self.l1d.hits += 1;
+            self.l1d.state.hits += 1;
             return;
         }
         self.last_data_line = line;
@@ -466,41 +385,15 @@ impl MemSystem {
         &self.l2
     }
 
-    /// Captures the warm state of all three caches.
-    pub fn save_state(&self) -> MemSystemState {
-        MemSystemState {
-            l1i: self.l1i.save_state(),
-            l1d: self.l1d.save_state(),
-            l2: self.l2.save_state(),
-        }
-    }
-
-    /// Restores state captured by [`MemSystem::save_state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any level's geometry differs from when the state was
-    /// captured.
-    pub fn load_state(&mut self, state: &MemSystemState) {
-        for (level, src) in self.states_mut().iter_mut().zip(state.view()) {
-            level.copy_from(src);
-        }
-        self.forget_data_line();
-    }
-
     /// Borrows every level's state (L1I, L1D, L2).
-    pub(crate) fn states(&self) -> [CacheStateRef<'_>; 3] {
-        [self.l1i.state(), self.l1d.state(), self.l2.state()]
+    pub(crate) fn states(&self) -> [&CacheState; 3] {
+        [&self.l1i.state, &self.l1d.state, &self.l2.state]
     }
 
     /// Lends every level's state (L1I, L1D, L2) for in-place restores;
     /// pair with [`MemSystem::forget_data_line`].
-    pub(crate) fn states_mut(&mut self) -> [CacheStateMut<'_>; 3] {
-        [
-            self.l1i.state_mut(),
-            self.l1d.state_mut(),
-            self.l2.state_mut(),
-        ]
+    pub(crate) fn states_mut(&mut self) -> [&mut CacheState; 3] {
+        [&mut self.l1i.state, &mut self.l1d.state, &mut self.l2.state]
     }
 
     /// Drops the last-data-line memo. The memo is derived from the
@@ -508,13 +401,6 @@ impl MemSystem {
     /// with it unknown.
     pub(crate) fn forget_data_line(&mut self) {
         self.last_data_line = u64::MAX;
-    }
-}
-
-impl MemSystemState {
-    /// Borrows every level's state (L1I, L1D, L2).
-    pub fn view(&self) -> [CacheStateRef<'_>; 3] {
-        [self.l1i.view(), self.l1d.view(), self.l2.view()]
     }
 }
 
@@ -647,7 +533,7 @@ mod tests {
                 _ => assert_eq!(plain.load_latency(a), fast.load_latency(a)),
             }
         }
-        assert_eq!(plain.save_state(), fast.save_state());
+        assert_eq!(plain.states(), fast.states());
     }
 
     #[test]

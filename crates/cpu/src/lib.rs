@@ -66,11 +66,8 @@ mod machine;
 mod reference;
 mod sink;
 
-pub use bpred::{
-    BranchPredictor, BranchPredictorState, BranchPredictorStateMut, BranchPredictorStateRef, Btb,
-    BtbState,
-};
-pub use cache::{Cache, CacheState, CacheStateMut, CacheStateRef, MemSystem, MemSystemState};
+pub use bpred::{BranchPredictor, BranchPredictorState, Btb, BtbState};
+pub use cache::{Cache, CacheState, MemSystem};
 pub use config::{BranchPredictorConfig, CacheConfig, LatencyConfig, MachineConfig};
 pub use machine::{
     Machine, MachineFault, MachineSnapshot, MachineStateMut, MachineStateRef, Mode, ModeOps,

@@ -26,11 +26,8 @@ use std::sync::Arc;
 
 use pgss_isa::{DecodedOp, DecodedProgram, LatClass, OpKind, Program};
 
-use crate::bpred::{
-    copy_btb_targets, BranchPredictor, BranchPredictorState, BranchPredictorStateMut,
-    BranchPredictorStateRef, Btb, BtbState,
-};
-use crate::cache::{CacheStateMut, CacheStateRef, MemSystem, MemSystemState};
+use crate::bpred::{BranchPredictor, BranchPredictorState, Btb, BtbState};
+use crate::cache::{CacheState, MemSystem};
 use crate::config::MachineConfig;
 use crate::sink::{NoopSink, RetireSink};
 
@@ -213,8 +210,8 @@ pub struct MachineSnapshot {
     /// Retired ops since the last taken control transfer (in-flight
     /// BBV accumulation carry).
     pub ops_since_taken: u64,
-    /// Cache hierarchy state.
-    pub memsys: MemSystemState,
+    /// Cache states: L1I, L1D, L2.
+    pub caches: [CacheState; 3],
     /// Direction-predictor state.
     pub bpred: BranchPredictorState,
     /// Branch-target-buffer state.
@@ -237,7 +234,7 @@ impl PartialEq for MachineSnapshot {
             && self.halted == other.halted
             && self.mode_ops == other.mode_ops
             && self.ops_since_taken == other.ops_since_taken
-            && self.memsys == other.memsys
+            && self.caches == other.caches
             && self.bpred == other.bpred
             && self.btb == other.btb
     }
@@ -254,21 +251,15 @@ impl MachineSnapshot {
             halted: self.halted,
             mode_ops: self.mode_ops,
             ops_since_taken: self.ops_since_taken,
-            caches: self.memsys.view(),
-            bpred: self.bpred.view(),
-            btb: &self.btb.targets,
+            caches: self.caches.each_ref(),
+            bpred: &self.bpred,
+            btb: &self.btb,
         }
     }
 
     /// Lends every field for writing in place (how a decoder fills a
     /// snapshot it has allocated at the shape its bytes declare).
     pub fn state_mut(&mut self) -> MachineStateMut<'_> {
-        let MemSystemState { l1i, l1d, l2 } = &mut self.memsys;
-        let [l1i, l1d, l2] = [l1i, l1d, l2].map(|c| CacheStateMut {
-            ways: &mut c.ways,
-            hits: &mut c.hits,
-            misses: &mut c.misses,
-        });
         MachineStateMut {
             pc: &mut self.pc,
             regs: &mut self.regs,
@@ -277,14 +268,9 @@ impl MachineSnapshot {
             halted: &mut self.halted,
             mode_ops: &mut self.mode_ops,
             ops_since_taken: &mut self.ops_since_taken,
-            caches: [l1i, l1d, l2],
-            bpred: BranchPredictorStateMut {
-                counters: &mut self.bpred.counters,
-                history: &mut self.bpred.history,
-                predictions: &mut self.bpred.predictions,
-                mispredictions: &mut self.bpred.mispredictions,
-            },
-            btb: &mut self.btb.targets,
+            caches: self.caches.each_mut(),
+            bpred: &mut self.bpred,
+            btb: &mut self.btb,
         }
     }
 }
@@ -311,17 +297,18 @@ pub struct MachineStateRef<'a> {
     /// Retired ops since the last taken control transfer.
     pub ops_since_taken: u64,
     /// Cache levels: L1I, L1D, L2.
-    pub caches: [CacheStateRef<'a>; 3],
+    pub caches: [&'a CacheState; 3],
     /// Direction-predictor state.
-    pub bpred: BranchPredictorStateRef<'a>,
-    /// Branch-target-buffer targets.
-    pub btb: &'a [u32],
+    pub bpred: &'a BranchPredictorState,
+    /// Branch-target-buffer state.
+    pub btb: &'a BtbState,
 }
 
 /// Exactly the state a [`MachineSnapshot`] carries, lent out for writing
-/// in place: the slices are the target's own buffers (the memory image,
-/// tag arrays, counter tables), so restores and decoders never allocate.
-/// Obtained from [`Machine::restore_with`] or
+/// in place: the memory image and the component state structs are the
+/// target's own, so restores and decoders never allocate. Writers keep
+/// every table's length; a live machine indexes them at its configured
+/// geometry. Obtained from [`Machine::restore_with`] or
 /// [`MachineSnapshot::state_mut`].
 #[derive(Debug)]
 pub struct MachineStateMut<'a> {
@@ -340,11 +327,11 @@ pub struct MachineStateMut<'a> {
     /// Retired ops since the last taken control transfer.
     pub ops_since_taken: &'a mut u64,
     /// Cache levels: L1I, L1D, L2.
-    pub caches: [CacheStateMut<'a>; 3],
+    pub caches: [&'a mut CacheState; 3],
     /// Direction-predictor state.
-    pub bpred: BranchPredictorStateMut<'a>,
-    /// Branch-target-buffer targets.
-    pub btb: &'a mut [u32],
+    pub bpred: &'a mut BranchPredictorState,
+    /// Branch-target-buffer state.
+    pub btb: &'a mut BtbState,
 }
 
 impl MachineStateMut<'_> {
@@ -372,7 +359,7 @@ impl MachineStateMut<'_> {
             level.copy_from(from);
         }
         self.bpred.copy_from(src.bpred);
-        copy_btb_targets(self.btb, src.btb);
+        self.btb.copy_from(src.btb);
     }
 }
 
@@ -594,17 +581,18 @@ impl Machine {
     /// Captures a [`MachineSnapshot`] of the current architectural and
     /// warm microarchitectural state.
     pub fn snapshot(&self) -> MachineSnapshot {
+        let state = self.state();
         MachineSnapshot {
-            pc: self.pc,
-            regs: self.regs[..32].try_into().expect("32 architectural regs"),
-            fregs: self.fregs,
-            mem: self.mem.clone(),
-            halted: self.halted,
-            mode_ops: self.mode_ops,
-            ops_since_taken: self.ops_since_taken,
-            memsys: self.memsys.save_state(),
-            bpred: self.bpred.save_state(),
-            btb: self.btb.save_state(),
+            pc: state.pc,
+            regs: *state.regs,
+            fregs: *state.fregs,
+            mem: state.mem.to_vec(),
+            halted: state.halted,
+            mode_ops: state.mode_ops,
+            ops_since_taken: state.ops_since_taken,
+            caches: state.caches.map(CacheState::clone),
+            bpred: state.bpred.clone(),
+            btb: state.btb.clone(),
         }
     }
 
@@ -620,7 +608,7 @@ impl Machine {
             ops_since_taken: self.ops_since_taken,
             caches: self.memsys.states(),
             bpred: self.bpred.state(),
-            btb: self.btb.targets(),
+            btb: self.btb.state(),
         }
     }
 
@@ -680,7 +668,7 @@ impl Machine {
             ops_since_taken: &mut self.ops_since_taken,
             caches: self.memsys.states_mut(),
             bpred: self.bpred.state_mut(),
-            btb: self.btb.targets_mut(),
+            btb: self.btb.state_mut(),
         }
     }
 
@@ -1540,13 +1528,13 @@ mod tests {
         m.run(Mode::Functional, 4_000);
         let snap = m.snapshot();
         assert_eq!(snap.mode_ops.functional, 4_000);
-        assert_eq!(snap.memsys.l1i.misses, m.memsys().l1i().misses());
+        assert_eq!(snap.caches[0].misses, m.memsys().l1i().misses());
         assert_eq!(snap.bpred.predictions, m.bpred().predictions());
         // Clobber and restore.
         m.run(Mode::DetailedMeasured, 2_000);
         m.restore(&snap);
         assert_eq!(m.retired(), 4_000);
-        assert_eq!(m.memsys().l1i().misses(), snap.memsys.l1i.misses);
+        assert_eq!(m.memsys().l1i().misses(), snap.caches[0].misses);
         assert_eq!(m.bpred().predictions(), snap.bpred.predictions);
     }
 
@@ -1564,6 +1552,38 @@ mod tests {
             &p,
         );
         other.restore(&snap);
+    }
+
+    #[test]
+    fn restoring_across_component_geometries_names_the_component() {
+        // Same memory size, one microarchitectural table resized: both
+        // restore paths must refuse with that component's message.
+        let p = dependent_alu_program(4, 4);
+        let src = Machine::new(small_config(), &p);
+        let snap = src.snapshot();
+        let (mut l1d, mut bpred, mut btb) = (small_config(), small_config(), small_config());
+        l1d.l1d.size_bytes /= 2;
+        bpred.bpred.history_bits -= 1;
+        btb.bpred.btb_entries /= 2;
+        let restores: [&dyn Fn(&mut Machine); 2] =
+            [&|m| m.restore(&snap), &|m| m.restore_from(&src)];
+        for (config, message) in [
+            (l1d, "cache state shape mismatch"),
+            (bpred, "branch-predictor state shape mismatch"),
+            (btb, "BTB state shape mismatch"),
+        ] {
+            for restore in restores {
+                let mut dst = Machine::new(config, &p);
+                let payload =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| restore(&mut dst)))
+                        .expect_err("a mismatched restore must panic");
+                let text = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .unwrap_or_default();
+                assert!(text.contains(message), "expected {message:?}, got {text:?}");
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use pgss_isa::{Instr, Program};
 
 use crate::bpred::{BranchPredictor, Btb};
-use crate::cache::MemSystem;
+use crate::cache::{CacheState, MemSystem};
 use crate::config::MachineConfig;
 use crate::machine::{MachineFault, MachineSnapshot, Mode, ModeOps, RunResult, INSTR_BYTES};
 use crate::sink::{NoopSink, RetireSink};
@@ -149,9 +149,9 @@ impl ReferenceMachine {
             halted: self.halted,
             mode_ops: self.mode_ops,
             ops_since_taken: self.ops_since_taken,
-            memsys: self.memsys.save_state(),
-            bpred: self.bpred.save_state(),
-            btb: self.btb.save_state(),
+            caches: self.memsys.states().map(CacheState::clone),
+            bpred: self.bpred.state().clone(),
+            btb: self.btb.state().clone(),
         }
     }
 
@@ -175,9 +175,12 @@ impl ReferenceMachine {
         self.halted = snapshot.halted;
         self.mode_ops = snapshot.mode_ops;
         self.ops_since_taken = snapshot.ops_since_taken;
-        self.memsys.load_state(&snapshot.memsys);
-        self.bpred.load_state(&snapshot.bpred);
-        self.btb.load_state(&snapshot.btb);
+        for (level, src) in self.memsys.states_mut().into_iter().zip(&snapshot.caches) {
+            level.copy_from(src);
+        }
+        self.memsys.forget_data_line();
+        self.bpred.state_mut().copy_from(&snapshot.bpred);
+        self.btb.state_mut().copy_from(&snapshot.btb);
         self.last_fetch_line = u64::MAX;
         self.timing_valid = false;
         self.fault = None;

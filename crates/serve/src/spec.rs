@@ -153,55 +153,39 @@ impl TechSpec {
 
     fn encode(&self, e: &mut Encoder) {
         e.put_u8(self.tag());
-        let opt = |e: &mut Encoder, v: Option<u64>| {
-            e.put_bool(v.is_some());
-            if let Some(v) = v {
-                e.put_u64(v);
-            }
-        };
         match *self {
-            TechSpec::Smarts { period_ops } | TechSpec::TurboSmarts { period_ops } => {
-                opt(e, period_ops);
-            }
+            TechSpec::Smarts { period_ops: a }
+            | TechSpec::TurboSmarts { period_ops: a }
+            | TechSpec::OnlineSimPoint { interval_ops: a } => put_opt(e, a, Encoder::put_u64),
             TechSpec::Pgss {
-                ff_ops,
-                spacing_ops,
+                ff_ops: a,
+                spacing_ops: b,
+            }
+            | TechSpec::SimPoint {
+                interval_ops: a,
+                k: b,
+            }
+            | TechSpec::TwoPhase {
+                ff_ops: a,
+                budget: b,
+            }
+            | TechSpec::RankedSet {
+                ff_ops: a,
+                replicates: b,
+            }
+            | TechSpec::PgssMav {
+                ff_ops: a,
+                spacing_ops: b,
             } => {
-                opt(e, ff_ops);
-                opt(e, spacing_ops);
-            }
-            TechSpec::SimPoint { interval_ops, k } => {
-                opt(e, interval_ops);
-                opt(e, k);
-            }
-            TechSpec::OnlineSimPoint { interval_ops } => opt(e, interval_ops),
-            TechSpec::TwoPhase { ff_ops, budget } => {
-                opt(e, ff_ops);
-                opt(e, budget);
-            }
-            TechSpec::RankedSet { ff_ops, replicates } => {
-                opt(e, ff_ops);
-                opt(e, replicates);
-            }
-            TechSpec::PgssMav {
-                ff_ops,
-                spacing_ops,
-            } => {
-                opt(e, ff_ops);
-                opt(e, spacing_ops);
+                put_opt(e, a, Encoder::put_u64);
+                put_opt(e, b, Encoder::put_u64);
             }
             TechSpec::AdaptivePgss | TechSpec::Full => {}
         }
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<TechSpec, CodecError> {
-        let opt = |d: &mut Decoder<'_>| -> Result<Option<u64>, CodecError> {
-            Ok(if d.get_bool()? {
-                Some(d.get_u64()?)
-            } else {
-                None
-            })
-        };
+        let opt = |d: &mut Decoder<'_>| get_opt(d, Decoder::get_u64);
         Ok(match d.get_u8()? {
             0 => TechSpec::Smarts {
                 period_ops: opt(d)?,
@@ -288,6 +272,22 @@ impl TechSpec {
     }
 }
 
+/// Encodes an optional override as a presence flag, then the value.
+fn put_opt<T>(e: &mut Encoder, v: Option<T>, put: fn(&mut Encoder, T)) {
+    e.put_bool(v.is_some());
+    if let Some(v) = v {
+        put(e, v);
+    }
+}
+
+/// Decodes [`put_opt`]'s bytes.
+fn get_opt<'a, T>(
+    d: &mut Decoder<'a>,
+    get: fn(&mut Decoder<'a>) -> Result<T, CodecError>,
+) -> Result<Option<T>, CodecError> {
+    Ok(if d.get_bool()? { Some(get(d)?) } else { None })
+}
+
 /// One machine configuration of the grid: the default machine with the
 /// overrides a design-space sweep typically varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -312,27 +312,14 @@ impl ConfigSpec {
     }
 
     fn encode(&self, e: &mut Encoder) {
-        let opt = |e: &mut Encoder, v: Option<u32>| {
-            e.put_bool(v.is_some());
-            if let Some(v) = v {
-                e.put_u32(v);
-            }
-        };
-        opt(e, self.issue_width);
-        opt(e, self.mshrs);
+        put_opt(e, self.issue_width, Encoder::put_u32);
+        put_opt(e, self.mshrs, Encoder::put_u32);
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<ConfigSpec, CodecError> {
-        let opt = |d: &mut Decoder<'_>| -> Result<Option<u32>, CodecError> {
-            Ok(if d.get_bool()? {
-                Some(d.get_u32()?)
-            } else {
-                None
-            })
-        };
         Ok(ConfigSpec {
-            issue_width: opt(d)?,
-            mshrs: opt(d)?,
+            issue_width: get_opt(d, Decoder::get_u32)?,
+            mshrs: get_opt(d, Decoder::get_u32)?,
         })
     }
 
@@ -387,8 +374,11 @@ impl CampaignSpec {
                 .get("scale")
                 .and_then(Value::as_f64)
                 .ok_or("suite entry needs a numeric \"scale\"")?;
-            if !(scale > 0.0 && scale.is_finite()) {
-                return Err(format!("workload {name:?}: scale must be positive"));
+            if !(scale > 0.0 && scale <= pgss_workloads::MAX_SCALE) {
+                return Err(format!(
+                    "workload {name:?}: scale must be in (0, {}]",
+                    pgss_workloads::MAX_SCALE
+                ));
             }
             if pgss_workloads::by_name(name, scale).is_none() {
                 return Err(format!("unknown workload {name:?}"));
@@ -643,6 +633,14 @@ mod tests {
             ),
             (
                 r#"{"suite":[{"name":"164.gzip","scale":-1}],"techniques":[{"kind":"full"}]}"#,
+                "scale",
+            ),
+            (
+                r#"{"suite":[{"name":"164.gzip","scale":1000}],"techniques":[{"kind":"full"}]}"#,
+                "scale",
+            ),
+            (
+                r#"{"suite":[{"name":"164.gzip","scale":1e300}],"techniques":[{"kind":"full"}]}"#,
                 "scale",
             ),
             (

@@ -132,8 +132,14 @@ impl Workload {
     }
 }
 
+/// Largest workload scale accepted anywhere: [`scale_from_env`] clamps
+/// to it, and campaign submissions above it are rejected. Generators
+/// loop once per repetition, so an unbounded scale is an unbounded
+/// allocation.
+pub const MAX_SCALE: f64 = 100.0;
+
 /// Reads the global scale factor from the `PGSS_SCALE` environment variable
-/// (default `1.0`, clamped to `[0.001, 100.0]`).
+/// (default `1.0`, clamped to `[0.001, MAX_SCALE]`).
 ///
 /// All benchmark lengths are multiplied by this factor; the experiment
 /// harnesses use it to trade fidelity for wall-clock time.
@@ -142,7 +148,7 @@ pub fn scale_from_env() -> f64 {
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .filter(|v| v.is_finite())
-        .map(|v| v.clamp(0.001, 100.0))
+        .map(|v| v.clamp(0.001, MAX_SCALE))
         .unwrap_or(1.0)
 }
 

@@ -17,9 +17,6 @@ cargo build --release
 echo "== cargo test --workspace -q (default features)"
 cargo test --workspace -q
 
-echo "== cargo test -p pgss-ckpt -q (checkpoint codec + store, incl. corruption injection)"
-cargo test -p pgss-ckpt -q
-
 echo "== cargo test --test checkpoints -q (snapshot round-trip + bit-exact acceleration)"
 cargo test --release --test checkpoints -q
 
