@@ -82,49 +82,36 @@ pub fn project(data: &[Vec<f64>], dims: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// K-means configuration: `k`, seeding, iteration and restart limits.
+/// Lloyd iterations per restart.
+const MAX_ITERS: u32 = 100;
+
+/// Independent restarts per run; the best inertia wins.
+const RESTARTS: u32 = 5;
+
+/// K-means configuration: `k` and the seed. Every run makes 5 restarts
+/// of at most 100 Lloyd iterations each; the best inertia wins.
 ///
 /// See the [crate-level example](crate).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KMeans {
     k: usize,
     seed: u64,
-    max_iters: u32,
-    restarts: u32,
 }
 
 impl KMeans {
-    /// Creates a configuration for `k` clusters with default seed (0),
-    /// 100 Lloyd iterations, and 5 restarts.
+    /// Creates a configuration for `k` clusters with default seed (0).
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> KMeans {
         assert!(k > 0, "k must be positive");
-        KMeans {
-            k,
-            seed: 0,
-            max_iters: 100,
-            restarts: 5,
-        }
+        KMeans { k, seed: 0 }
     }
 
     /// Sets the RNG seed (restart `r` uses `seed + r`).
     pub fn with_seed(mut self, seed: u64) -> KMeans {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the Lloyd iteration cap per restart.
-    pub fn with_max_iters(mut self, max_iters: u32) -> KMeans {
-        self.max_iters = max_iters.max(1);
-        self
-    }
-
-    /// Sets the number of independent restarts (best inertia wins).
-    pub fn with_restarts(mut self, restarts: u32) -> KMeans {
-        self.restarts = restarts.max(1);
         self
     }
 
@@ -145,7 +132,7 @@ impl KMeans {
         );
         let k = self.k.min(data.len());
         let mut best: Option<Clustering> = None;
-        for r in 0..self.restarts {
+        for r in 0..RESTARTS {
             let c = self.run_once(data, k, self.seed + u64::from(r));
             if best.as_ref().is_none_or(|b| c.inertia < b.inertia) {
                 best = Some(c);
@@ -160,7 +147,7 @@ impl KMeans {
         let mut centroids = kmeanspp_init(data, k, &mut rng);
         let mut assignments = vec![0u32; data.len()];
         let mut inertia = f64::INFINITY;
-        for _ in 0..self.max_iters {
+        for _ in 0..MAX_ITERS {
             // Assignment step.
             let mut new_inertia = 0.0;
             for (i, row) in data.iter().enumerate() {

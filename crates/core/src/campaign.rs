@@ -56,14 +56,14 @@ use std::sync::Arc;
 
 use pgss_ckpt::Store;
 use pgss_cpu::MachineConfig;
-use pgss_obs::{MetricsFrame, MetricsRecorder, MetricsReport, Recorder, Span};
+use pgss_obs::{scope_line, MetricsFrame, MetricsRecorder, MetricsReport, Recorder, Span};
 use pgss_stats::DetRng;
 use pgss_workloads::Workload;
 
 use crate::ckpt::{CheckpointLadder, LadderReport, LadderSpec, SimContext};
 use crate::driver::RunTrace;
 use crate::estimate::{Estimate, Technique};
-use crate::wire::WireFailure;
+use crate::wire::{self, WireFailure};
 
 /// One campaign cell: a technique applied to a workload on a machine
 /// configuration.
@@ -423,18 +423,21 @@ impl CampaignReport {
     /// worker counts, checkpoint acceleration, store temperature, and a
     /// campaign-server run resumed after a crash, which is exactly the
     /// equivalence the server's tests pin. The layout is
-    /// [`crate::wire::canonical_artifact`], which the server renders its
-    /// reports with too.
+    /// [`crate::wire::canonical_artifact`] over this report's rendered cell
+    /// and scope lines; the server assembles its reports with it too,
+    /// from the lines it stored when each cell finished.
     pub fn canonical_jsonl(&self) -> String {
         let failures: Vec<WireFailure> = self.failures.iter().map(WireFailure::from).collect();
-        let scopes = self
+        let cell_lines = self.cells.iter().map(wire::canonical_cell_line).collect();
+        let scope_lines = self
             .metrics
             .scopes
             .iter()
             .filter(|(name, _)| name != "campaign")
-            .map(|(name, frame)| (name.as_str(), frame));
-        let mut out = crate::wire::canonical_artifact(&self.cells, &failures, self.retries, scopes)
-            .join("\n");
+            .map(|(name, frame)| scope_line(name, frame))
+            .collect();
+        let mut out =
+            wire::canonical_artifact(cell_lines, &failures, self.retries, scope_lines).join("\n");
         out.push('\n');
         out
     }
@@ -617,7 +620,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// The returned frame is the cell's **raw** driver frame; the
 /// estimate-derived counters are layered on separately (at finalize
-/// time here, at assembly time in the server) by
+/// time here, when the cell finishes in the server) by
 /// [`annotate_cell_frame`].
 ///
 /// Only `ctx`'s ladder is inherited: the recorder and fault slot are
@@ -665,9 +668,10 @@ pub fn run_cell(job: &Job<'_>, ctx: &SimContext) -> Result<(CellResult, MetricsF
 }
 
 /// Layers the estimate-derived counters (logical mode ops, sample count)
-/// onto a cell's raw metric frame — the deterministic annotation every
-/// assembled report applies, whether the cell ran here or in the campaign
-/// server.
+/// onto a cell's raw metric frame — the deterministic annotation behind
+/// every cell's metric scope line. The library applies it when it
+/// finalizes a report; the campaign server applies it once, when a cell
+/// finishes, and stores the rendered scope line.
 pub fn annotate_cell_frame(cell: &CellResult, frame: &mut MetricsFrame) {
     let ops = cell.estimate.mode_ops;
     frame.add("cell.ops.fast_forward", ops.fast_forward);

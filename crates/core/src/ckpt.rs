@@ -246,14 +246,14 @@ fn fill_machine_state(d: &mut Decoder<'_>, state: MachineStateMut<'_>) -> Result
     Ok(())
 }
 
-pub(crate) fn put_mode_ops(e: &mut Encoder, ops: ModeOps) {
+fn put_mode_ops(e: &mut Encoder, ops: ModeOps) {
     e.put_u64(ops.fast_forward);
     e.put_u64(ops.functional);
     e.put_u64(ops.detailed_warming);
     e.put_u64(ops.detailed_measured);
 }
 
-pub(crate) fn get_mode_ops(d: &mut Decoder<'_>) -> Result<ModeOps, CodecError> {
+fn get_mode_ops(d: &mut Decoder<'_>) -> Result<ModeOps, CodecError> {
     Ok(ModeOps {
         fast_forward: d.get_u64()?,
         functional: d.get_u64()?,

@@ -98,11 +98,6 @@ impl PhaseTable {
         &self.phases
     }
 
-    /// The phase of the most recently classified interval.
-    pub fn current_phase(&self) -> usize {
-        self.last_phase
-    }
-
     /// Number of interval-to-interval phase transitions seen so far.
     pub fn changes(&self) -> u64 {
         self.changes

@@ -1,18 +1,19 @@
-//! Versioned byte codecs and the canonical campaign artifact.
+//! The failure-ledger codec and the canonical campaign artifact.
 //!
-//! The campaign server persists per-cell results and metric frames in the
-//! checkpoint store and must reassemble them — possibly across a server
+//! The campaign server persists each finished cell as the artifact lines
+//! it renders and must reassemble them — possibly across a server
 //! restart — into output **byte-identical** to a direct library run. This
 //! module owns both halves of that contract:
 //!
-//! * binary codecs (on [`pgss_ckpt::codec`]) for [`CellResult`],
-//!   [`MetricsFrame`], and failure-ledger entries, versioned by
-//!   [`WIRE_FORMAT_VERSION`] so a layout change orphans old records
-//!   instead of misreading them;
-//! * the *canonical campaign artifact* renderer,
-//!   [`canonical_artifact`], behind both
+//! * the line renderers — [`canonical_cell_line`] for a cell and
+//!   [`canonical_artifact`] for the whole layout — behind both
 //!   [`crate::CampaignReport::canonical_jsonl`] and the server's report
-//!   assembly, so both sides emit the same bytes.
+//!   assembly, so both sides emit the same bytes;
+//! * the binary codec (on [`pgss_ckpt::codec`]) for failure-ledger
+//!   entries, which the server keeps as data in its status record.
+//!
+//! [`WIRE_FORMAT_VERSION`] is printed in every artifact line, so a layout
+//! change is visible to anything that compares artifacts.
 //!
 //! # What the canonical artifact contains
 //!
@@ -37,221 +38,13 @@
 use std::fmt::Write as _;
 
 use pgss_ckpt::{CodecError, Decoder, Encoder};
-use pgss_obs::{json_f64, json_string, scope_line, MetricsFrame, SpanStat};
-use pgss_stats::{ConfidenceInterval, Histogram, Welford};
+use pgss_obs::{json_f64, json_string};
 
 use crate::campaign::{CellFailure, CellResult};
-use crate::ckpt::{get_mode_ops, put_mode_ops};
-use crate::driver::RunTrace;
-use crate::estimate::{Estimate, PhaseSummary};
 
-/// Version of every encoding in this module. Bump on any layout change;
-/// decoders reject other versions.
+/// Version of the artifact's line layout, printed as `"v"` in every
+/// artifact line. Bump on any layout change.
 pub const WIRE_FORMAT_VERSION: u32 = 1;
-
-// ---------------------------------------------------------------------------
-// Cell results
-
-fn put_estimate(e: &mut Encoder, est: &Estimate) {
-    e.put_f64(est.ipc);
-    put_mode_ops(e, est.mode_ops);
-    e.put_u64(est.samples);
-    e.put_bool(est.phases.is_some());
-    if let Some(p) = &est.phases {
-        e.put_u64(p.phases as u64);
-        e.put_u64(p.changes);
-        e.put_u64_slice(&p.samples_per_phase);
-        e.put_u64(p.weights.len() as u64);
-        for &w in &p.weights {
-            e.put_f64(w);
-        }
-    }
-    e.put_bool(est.ci.is_some());
-    if let Some(ci) = &est.ci {
-        e.put_f64(ci.mean);
-        e.put_f64(ci.half_width);
-        e.put_u64(ci.n);
-    }
-}
-
-fn get_estimate(d: &mut Decoder<'_>) -> Result<Estimate, CodecError> {
-    let ipc = d.get_f64()?;
-    let mode_ops = get_mode_ops(d)?;
-    let samples = d.get_u64()?;
-    let phases = if d.get_bool()? {
-        let phases = usize::try_from(d.get_u64()?)
-            .map_err(|_| CodecError::Malformed("phase count overflow"))?;
-        let changes = d.get_u64()?;
-        let samples_per_phase = d.get_u64_slice()?;
-        let n = d.get_len(8)?;
-        let mut weights = Vec::with_capacity(n);
-        for _ in 0..n {
-            weights.push(d.get_f64()?);
-        }
-        Some(PhaseSummary {
-            phases,
-            changes,
-            samples_per_phase,
-            weights,
-        })
-    } else {
-        None
-    };
-    let ci = if d.get_bool()? {
-        Some(ConfidenceInterval {
-            mean: d.get_f64()?,
-            half_width: d.get_f64()?,
-            n: d.get_u64()?,
-        })
-    } else {
-        None
-    };
-    Ok(Estimate {
-        ipc,
-        mode_ops,
-        samples,
-        phases,
-        ci,
-    })
-}
-
-fn put_trace(e: &mut Encoder, t: &RunTrace) {
-    for &s in &t.segments {
-        e.put_u64(s);
-    }
-    e.put_u64(t.truncated_segments);
-    e.put_u64(t.samples_taken);
-    e.put_u64(t.skipped_ci_met);
-    e.put_u64(t.skipped_spacing);
-    e.put_u64(t.phases_created);
-    e.put_u64(t.phase_changes);
-}
-
-fn get_trace(d: &mut Decoder<'_>) -> Result<RunTrace, CodecError> {
-    let mut segments = [0u64; 4];
-    for s in &mut segments {
-        *s = d.get_u64()?;
-    }
-    Ok(RunTrace {
-        segments,
-        truncated_segments: d.get_u64()?,
-        samples_taken: d.get_u64()?,
-        skipped_ci_met: d.get_u64()?,
-        skipped_spacing: d.get_u64()?,
-        phases_created: d.get_u64()?,
-        phase_changes: d.get_u64()?,
-    })
-}
-
-/// Encodes one completed cell — result plus its (un-annotated) metric
-/// frame — as a versioned record payload.
-pub fn encode_cell_record(cell: &CellResult, frame: &MetricsFrame) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u32(WIRE_FORMAT_VERSION);
-    e.put_str(&cell.workload);
-    e.put_str(&cell.technique);
-    put_estimate(&mut e, &cell.estimate);
-    put_trace(&mut e, &cell.trace);
-    put_frame(&mut e, frame);
-    e.into_bytes()
-}
-
-/// Decodes a record produced by [`encode_cell_record`].
-pub fn decode_cell_record(bytes: &[u8]) -> Result<(CellResult, MetricsFrame), CodecError> {
-    let mut d = Decoder::new(bytes);
-    d.expect_version(WIRE_FORMAT_VERSION, "wire format version mismatch")?;
-    let workload = d.get_str()?;
-    let technique = d.get_str()?;
-    let estimate = get_estimate(&mut d)?;
-    let trace = get_trace(&mut d)?;
-    let frame = get_frame(&mut d)?;
-    d.finish()?;
-    Ok((
-        CellResult {
-            workload,
-            technique,
-            estimate,
-            trace,
-        },
-        frame,
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// Metric frames
-
-/// Encodes a [`MetricsFrame`] body (no version header — callers embed
-/// frames inside versioned records).
-///
-/// Span **wall times are dropped** (counts survive): wall time is
-/// nondeterministic and already excluded from frame equality and the
-/// JSONL export, so round-tripping a frame preserves everything those
-/// contracts observe.
-pub fn put_frame(e: &mut Encoder, frame: &MetricsFrame) {
-    e.put_u64(frame.counters.len() as u64);
-    for (k, &v) in &frame.counters {
-        e.put_str(k);
-        e.put_u64(v);
-    }
-    e.put_u64(frame.spans.len() as u64);
-    for (k, s) in &frame.spans {
-        e.put_str(k);
-        e.put_u64(s.count);
-    }
-    e.put_u64(frame.dists.len() as u64);
-    for (k, w) in &frame.dists {
-        e.put_str(k);
-        e.put_u64(w.count());
-        e.put_f64(w.mean());
-        e.put_f64(w.m2());
-    }
-    e.put_u64(frame.hists.len() as u64);
-    for (k, h) in &frame.hists {
-        e.put_str(k);
-        e.put_f64(h.min());
-        e.put_f64(h.max());
-        e.put_u64_slice(h.counts());
-    }
-}
-
-/// Decodes a frame body written by [`put_frame`].
-pub fn get_frame(d: &mut Decoder<'_>) -> Result<MetricsFrame, CodecError> {
-    let mut frame = MetricsFrame::new();
-    for _ in 0..d.get_u64()? {
-        let k = d.get_str()?;
-        frame.counters.insert(k, d.get_u64()?);
-    }
-    for _ in 0..d.get_u64()? {
-        let k = d.get_str()?;
-        frame.spans.insert(
-            k,
-            SpanStat {
-                count: d.get_u64()?,
-                total_ns: 0,
-            },
-        );
-    }
-    for _ in 0..d.get_u64()? {
-        let k = d.get_str()?;
-        let n = d.get_u64()?;
-        let mean = d.get_f64()?;
-        let m2 = d.get_f64()?;
-        frame.dists.insert(k, Welford::from_parts(n, mean, m2));
-    }
-    for _ in 0..d.get_u64()? {
-        let k = d.get_str()?;
-        let min = d.get_f64()?;
-        let max = d.get_f64()?;
-        let counts = d.get_counts()?;
-        if counts.is_empty() || !(min.is_finite() && max.is_finite() && min < max) {
-            return Err(CodecError::Malformed("histogram shape"));
-        }
-        frame
-            .hists
-            .insert(k, Histogram::from_parts(min, max, counts));
-    }
-    Ok(frame)
-}
 
 // ---------------------------------------------------------------------------
 // Failure-ledger entries
@@ -312,25 +105,22 @@ pub fn get_failure(d: &mut Decoder<'_>) -> Result<WireFailure, CodecError> {
 // Canonical campaign artifact
 
 /// The canonical campaign artifact, one JSONL line per element: the
-/// header, every successful cell in job order, the failure ledger, then
-/// the per-cell metric `scopes` (name and annotated frame, in job order)
-/// on the pinned `pgss-obs` schema. The one layout behind both
-/// [`crate::CampaignReport::canonical_jsonl`] and the campaign server's
-/// reports.
-pub fn canonical_artifact<'a>(
-    cells: &[CellResult],
+/// header, every successful cell's [`canonical_cell_line`] in job order,
+/// the failure ledger, then the per-cell metric `scope_lines` (each
+/// cell's annotated frame on the pinned `pgss-obs` schema, in job order).
+/// The one layout behind both [`crate::CampaignReport::canonical_jsonl`]
+/// and the campaign server's reports, which pass lines rendered once
+/// when each cell finished.
+pub fn canonical_artifact(
+    cell_lines: Vec<String>,
     failures: &[WireFailure],
     retries: u64,
-    scopes: impl IntoIterator<Item = (&'a str, &'a MetricsFrame)>,
+    scope_lines: Vec<String>,
 ) -> Vec<String> {
-    let mut lines = vec![canonical_header(cells.len(), failures.len(), retries)];
-    lines.extend(cells.iter().map(canonical_cell_line));
+    let mut lines = vec![canonical_header(cell_lines.len(), failures.len(), retries)];
+    lines.extend(cell_lines);
     lines.extend(failures.iter().map(canonical_failure_line));
-    lines.extend(
-        scopes
-            .into_iter()
-            .map(|(name, frame)| scope_line(name, frame)),
-    );
+    lines.extend(scope_lines);
     lines
 }
 
@@ -344,7 +134,7 @@ pub fn canonical_header(cells: usize, failed: usize, retries: u64) -> String {
 
 /// One successful cell's artifact line: the full estimate and driver
 /// trace, floats in shortest-roundtrip form.
-fn canonical_cell_line(cell: &CellResult) -> String {
+pub fn canonical_cell_line(cell: &CellResult) -> String {
     let mut out = String::new();
     let _ = write!(out, "{{\"v\":{WIRE_FORMAT_VERSION},\"kind\":\"cell\",");
     out.push_str("\"workload\":");
@@ -434,7 +224,10 @@ fn canonical_failure_line(f: &WireFailure) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::driver::RunTrace;
+    use crate::estimate::{Estimate, PhaseSummary};
     use pgss_cpu::ModeOps;
+    use pgss_stats::ConfidenceInterval;
 
     fn sample_cell() -> CellResult {
         CellResult {
@@ -470,51 +263,6 @@ mod tests {
                 phases_created: 3,
                 phase_changes: 17,
             },
-        }
-    }
-
-    fn sample_frame() -> MetricsFrame {
-        let mut f = MetricsFrame::new();
-        f.add("driver.ops.functional", 1_000_000);
-        f.spans.insert(
-            "cell.run".to_string(),
-            SpanStat {
-                count: 1,
-                total_ns: 987,
-            },
-        );
-        f.dists
-            .insert("ipc".to_string(), [1.0, 1.5, 2.0].into_iter().collect());
-        let mut h = Histogram::new(0.0, 2.0, 4);
-        h.add(1.1);
-        f.hists.insert("share".to_string(), h);
-        f
-    }
-
-    #[test]
-    fn cell_record_roundtrips() {
-        let cell = sample_cell();
-        let frame = sample_frame();
-        let bytes = encode_cell_record(&cell, &frame);
-        let (cell2, frame2) = decode_cell_record(&bytes).unwrap();
-        assert_eq!(cell, cell2);
-        // Frame equality ignores span wall time, which the codec drops.
-        assert_eq!(frame, frame2);
-        assert_eq!(frame2.span("cell.run").unwrap().total_ns, 0);
-        assert_eq!(
-            frame.dists["ipc"].mean().to_bits(),
-            frame2.dists["ipc"].mean().to_bits()
-        );
-    }
-
-    #[test]
-    fn cell_record_rejects_version_and_truncation() {
-        let bytes = encode_cell_record(&sample_cell(), &sample_frame());
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xff;
-        assert!(decode_cell_record(&bad).is_err());
-        for cut in [0, 5, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_cell_record(&bytes[..cut]).is_err());
         }
     }
 

@@ -22,9 +22,6 @@
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
-use std::path::Path;
 
 use pgss_obs::json_string;
 
@@ -182,12 +179,6 @@ impl Client {
     /// Connects to a TCP address such as `127.0.0.1:7071`.
     pub fn connect_tcp(addr: &str) -> Result<Client, ClientError> {
         Client::from_stream(Stream::Tcp(TcpStream::connect(addr)?))
-    }
-
-    /// Connects to a Unix-domain socket path.
-    #[cfg(unix)]
-    pub fn connect_unix(path: impl AsRef<Path>) -> Result<Client, ClientError> {
-        Client::from_stream(Stream::Unix(UnixStream::connect(path)?))
     }
 
     /// [`Client::connect`] with bounded retry on transport errors,

@@ -37,6 +37,6 @@ pub mod server;
 pub mod spec;
 
 pub use client::{Backoff, CellEvent, Client, ClientError, GcOutcome, JobStatus};
-pub use record::{IndexRecord, JobPhase, SpecRecord, StatusRecord, JOB_RECORD_VERSION};
+pub use record::{CellRecord, IndexRecord, JobPhase, SpecRecord, StatusRecord, JOB_RECORD_VERSION};
 pub use server::{BoundAddr, Listen, ServeConfig, Server, TenantQuota};
 pub use spec::{CampaignSpec, ConfigSpec, Materialized, TechSpec};

@@ -11,23 +11,29 @@
 //! * **Status** — the mutable phase, retry count, and failure ledger.
 //!   Rewritten (atomically, via the store's write-then-rename) on every
 //!   transition.
-//! * **Cell** — one completed cell's result + raw metric frame, encoded
-//!   by [`pgss::wire::encode_cell_record`]. Written exactly once per
-//!   cell; their presence *is* the completion set, so resume never
-//!   trusts a stale summary over the ground truth.
+//! * **Cell** — one completed cell as the artifact lines it prints: its
+//!   [`pgss::wire::canonical_cell_line`], its annotated metric-scope
+//!   line, and the IPC its watch event quotes ([`CellRecord`]). Rendered
+//!   and written exactly once per cell, when it finishes; their presence
+//!   *is* the completion set, so resume never trusts a stale summary
+//!   over the ground truth.
 //!
 //! Every payload starts with [`JOB_RECORD_VERSION`]; the store layer
 //! additionally checksums and versions the container, so torn or corrupt
 //! records surface as typed faults, get quarantined, and the affected
 //! work is simply re-run.
 
-use pgss::wire::WireFailure;
+use pgss::campaign::{annotate_cell_frame, CellResult};
+use pgss::wire::{canonical_cell_line, WireFailure};
 use pgss_ckpt::{CodecError, Decoder, Encoder};
+use pgss_obs::{scope_line, MetricsFrame};
 
 use crate::spec::CampaignSpec;
 
-/// Version of every job-record payload in this module.
-pub const JOB_RECORD_VERSION: u32 = 1;
+/// Version of every job-record payload in this module. A record written
+/// under another version reads as a decode error and gets the usual
+/// corrupt-record treatment (quarantine, then re-run or start empty).
+pub const JOB_RECORD_VERSION: u32 = 2;
 
 /// Where a job is in its lifecycle. `Done` and `Cancelled` are terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,6 +207,57 @@ impl StatusRecord {
     }
 }
 
+/// One finished cell, stored as what the report prints.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellRecord {
+    /// The cell's IPC estimate, quoted by its watch event.
+    pub ipc: f64,
+    /// The cell's canonical artifact line
+    /// ([`pgss::wire::canonical_cell_line`]).
+    pub cell_line: String,
+    /// The cell's annotated metric frame as a `pgss-obs` scope line.
+    pub scope_line: String,
+}
+
+impl CellRecord {
+    /// Renders a finished cell: annotates its raw metric `frame` with
+    /// [`annotate_cell_frame`] and renders both artifact lines, exactly
+    /// as [`pgss::CampaignReport::canonical_jsonl`] would.
+    pub fn new(cell: &CellResult, mut frame: MetricsFrame) -> CellRecord {
+        annotate_cell_frame(cell, &mut frame);
+        CellRecord {
+            ipc: cell.estimate.ipc,
+            cell_line: canonical_cell_line(cell),
+            scope_line: scope_line(&cell.scope_name(), &frame),
+        }
+    }
+
+    /// Serialises the record.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u32(JOB_RECORD_VERSION);
+        e.put_f64(self.ipc);
+        e.put_str(&self.cell_line);
+        e.put_str(&self.scope_line);
+        e.into_bytes()
+    }
+
+    /// Deserialises [`CellRecord::encode`]'s bytes.
+    pub fn decode(bytes: &[u8]) -> Result<CellRecord, CodecError> {
+        let mut d = Decoder::new(bytes);
+        d.expect_version(JOB_RECORD_VERSION, "job record version mismatch")?;
+        let ipc = d.get_f64()?;
+        let cell_line = d.get_str()?;
+        let scope_line = d.get_str()?;
+        d.finish()?;
+        Ok(CellRecord {
+            ipc,
+            cell_line,
+            scope_line,
+        })
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -214,6 +271,14 @@ mod tests {
         )
         .unwrap();
         CampaignSpec::from_json(&v).unwrap()
+    }
+
+    fn cell_record() -> CellRecord {
+        CellRecord {
+            ipc: 1.234_567_890_123_456_7,
+            cell_line: "{\"v\":1,\"kind\":\"cell\",\"workload\":\"164.gzip\"}".into(),
+            scope_line: "{\"v\":1,\"scope\":\"164.gzip/SMARTS(50k)\"}".into(),
+        }
     }
 
     #[test]
@@ -243,6 +308,11 @@ mod tests {
             }],
         };
         assert_eq!(StatusRecord::decode(&st.encode()).unwrap(), st);
+
+        let cell = cell_record();
+        let back = CellRecord::decode(&cell.encode()).unwrap();
+        assert_eq!(back, cell);
+        assert_eq!(back.ipc.to_bits(), cell.ipc.to_bits());
     }
 
     #[test]
@@ -260,6 +330,17 @@ mod tests {
         let mut bad_phase = bytes.clone();
         bad_phase[4] = 9;
         assert!(StatusRecord::decode(&bad_phase).is_err());
+
+        let bytes = cell_record().encode();
+        let mut bad = bytes.clone();
+        bad[0] ^= 0xff; // version
+        assert!(CellRecord::decode(&bad).is_err());
+        for cut in [0, 5, bytes.len() / 2, bytes.len() - 1] {
+            assert!(CellRecord::decode(&bytes[..cut]).is_err());
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(CellRecord::decode(&trailing).is_err());
     }
 
     #[test]

@@ -17,21 +17,23 @@
 //! [`pgss::campaign::run_cell`] with its group's ladder attached, and
 //! reports render through [`pgss::wire::canonical_artifact`] — so a
 //! server-side cell and report are bit-identical to a library-side one.
-//! Completed cells are persisted immediately
-//! ([`pgss::wire::encode_cell_record`] under the job-record key
-//! namespace) and streamed to any watchers out of order.
+//! A completed cell is rendered once, into the artifact lines it prints
+//! (a [`CellRecord`] under the job-record key namespace), persisted
+//! immediately and streamed to any watchers out of order; reports and
+//! watch replays are assembled from the stored lines.
 //!
 //! # Durability and resume
 //!
 //! All job state lives in the same content-addressed store as the
 //! checkpoint ladders (see [`crate::record`] for the record kinds). On
-//! startup the server reads the index, re-materialises every non-terminal
-//! job from its spec record, probes the job's cell records — present and
-//! decodable means **done**, corrupt means quarantine-and-re-run — and
-//! enqueues only the remainder. A SIGKILL therefore costs at most the
-//! cells that were in flight; finished cells are never recomputed, which
-//! the resilience tests assert via the `serve.cells.executed` /
-//! `serve.cells.resumed` counters.
+//! startup the server reads the index, re-materialises every job from its
+//! spec record, probes the job's cell records — present and decodable
+//! means **done**, corrupt means quarantine-and-re-run — and enqueues
+//! only the remainder. A `Done` job whose records lost a cell goes back
+//! to running for exactly that cell; a cancelled job stays cancelled. A
+//! SIGKILL therefore costs at most the cells that were in flight;
+//! finished cells are never recomputed, which the resilience tests assert
+//! via the `serve.cells.executed` / `serve.cells.resumed` counters.
 //!
 //! # Cancellation
 //!
@@ -72,17 +74,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use pgss::campaign::{annotate_cell_frame, ladder_groups, run_cell, CellError, CellResult};
-use pgss::campaign::{LadderGroup, RetryPolicy};
+use pgss::campaign::{ladder_groups, run_cell, CellError, LadderGroup, RetryPolicy};
 use pgss::wire::{self, WireFailure};
 use pgss::{CheckpointLadder, SimContext};
 use pgss_ckpt::{index_key, job_key, JobRecordKind, RecordError, Store};
-use pgss_obs::{
-    json_string, scope_line, Clock, MetricsFrame, MetricsRecorder, MonotonicClock, Recorder,
-};
+use pgss_obs::{json_string, scope_line, Clock, MetricsRecorder, MonotonicClock, Recorder};
 
 use crate::json::{self, Value};
-use crate::record::{IndexRecord, JobPhase, SpecRecord, StatusRecord};
+use crate::record::{CellRecord, IndexRecord, JobPhase, SpecRecord, StatusRecord};
 use crate::spec::{CampaignSpec, Materialized};
 
 /// Per-tenant limits. The defaults are unlimited; a limit of zero
@@ -415,6 +414,32 @@ enum WorkItem {
     Cell { id: u64, cell: usize },
 }
 
+/// Renders finished cell `cell` of job `id` as a watch-event line: cell
+/// identity (named by [`Materialized::job`]), progress, and the stored
+/// IPC and annotated scope line.
+fn event_line(id: u64, job: &JobState, cell: usize, record: &CellRecord) -> String {
+    let desc = job.grid.mat.job(cell);
+    let mut out = String::new();
+    out.push_str("{\"ok\":true,\"event\":\"cell\",\"job\":\"");
+    out.push_str(&render_job_id(id));
+    out.push_str("\",\"index\":");
+    out.push_str(&cell.to_string());
+    out.push_str(",\"done\":");
+    out.push_str(&job.done_count.to_string());
+    out.push_str(",\"total\":");
+    out.push_str(&job.total.to_string());
+    out.push_str(",\"workload\":");
+    json_string(&mut out, desc.workload.name());
+    out.push_str(",\"technique\":");
+    json_string(&mut out, &desc.technique.name());
+    out.push_str(",\"ipc\":");
+    pgss_obs::json_f64(&mut out, record.ipc);
+    out.push_str(",\"frame\":");
+    json_string(&mut out, &record.scope_line);
+    out.push('}');
+    out
+}
+
 fn render_job_id(id: u64) -> String {
     format!("{id:016x}")
 }
@@ -550,40 +575,6 @@ impl Inner {
         }
     }
 
-    /// Renders one completed cell as a watch-event line: cell identity,
-    /// progress, and the cell's annotated metric frame folded in as a
-    /// pinned-schema scope line.
-    fn event_line(
-        &self,
-        id: u64,
-        cell: usize,
-        result: &CellResult,
-        frame: &MetricsFrame,
-        done: usize,
-        total: usize,
-    ) -> String {
-        let frame_line = scope_line(&result.scope_name(), frame);
-        let mut out = String::new();
-        out.push_str("{\"ok\":true,\"event\":\"cell\",\"job\":\"");
-        out.push_str(&render_job_id(id));
-        out.push_str("\",\"index\":");
-        out.push_str(&cell.to_string());
-        out.push_str(",\"done\":");
-        out.push_str(&done.to_string());
-        out.push_str(",\"total\":");
-        out.push_str(&total.to_string());
-        out.push_str(",\"workload\":");
-        json_string(&mut out, &result.workload);
-        out.push_str(",\"technique\":");
-        json_string(&mut out, &result.technique);
-        out.push_str(",\"ipc\":");
-        pgss_obs::json_f64(&mut out, result.estimate.ipc);
-        out.push_str(",\"frame\":");
-        json_string(&mut out, &frame_line);
-        out.push('}');
-        out
-    }
-
     fn complete_job(&self, id: u64, job: &mut JobState) {
         job.phase = JobPhase::Done;
         job.failures.sort_unstable_by_key(|f| f.job_index);
@@ -656,7 +647,8 @@ impl Inner {
             return;
         };
         let ctx = ladder.map_or_else(SimContext::none, SimContext::with_ladder);
-        let outcome = run_cell(&grid.mat.job(cell), &ctx);
+        let outcome = run_cell(&grid.mat.job(cell), &ctx)
+            .map(|(result, frame)| CellRecord::new(&result, frame));
 
         let mut st = self.lock();
         let Some(job) = st.jobs.get_mut(&id) else {
@@ -674,23 +666,24 @@ impl Inner {
             return;
         }
         match outcome {
-            Ok((result, frame)) => {
-                let bytes = wire::encode_cell_record(&result, &frame);
+            Ok(record) => {
                 if self
                     .store
-                    .put(job_key(JobRecordKind::Cell, id, cell as u64), &bytes)
+                    .put(
+                        job_key(JobRecordKind::Cell, id, cell as u64),
+                        &record.encode(),
+                    )
                     .is_err()
                 {
+                    // The cell stays done in memory; `report` names the
+                    // missing record, and a restart re-runs the cell.
                     self.rec.add("serve.store.put_failed", 1);
                 }
                 job.done[cell] = true;
                 job.done_count += 1;
                 job.attempts.remove(&cell);
                 self.rec.add("serve.cells.executed", 1);
-                let mut annotated = frame;
-                annotate_cell_frame(&result, &mut annotated);
-                let line =
-                    self.event_line(id, cell, &result, &annotated, job.done_count, job.total);
+                let line = event_line(id, job, cell, &record);
                 self.notify_watchers(job, &line);
                 if job.settled() {
                     self.complete_job(id, job);
@@ -789,9 +782,8 @@ impl Inner {
     }
 
     /// Reads cell `i`'s durable record: `Ok(None)` if it was never
-    /// written, an error if it is unreadable or corrupt, else the result
-    /// and its annotated frame.
-    fn read_cell(&self, id: u64, i: usize) -> Result<Option<(CellResult, MetricsFrame)>, String> {
+    /// written, an error if it is unreadable or corrupt.
+    fn read_cell(&self, id: u64, i: usize) -> Result<Option<CellRecord>, String> {
         let bytes = match self
             .store
             .get_checked(job_key(JobRecordKind::Cell, id, i as u64))
@@ -800,10 +792,9 @@ impl Inner {
             Err(RecordError::Missing) => return Ok(None),
             Err(e) => return Err(format!("cell {i} record unreadable: {e:?}")),
         };
-        let (cell, mut frame) =
-            wire::decode_cell_record(&bytes).map_err(|e| format!("cell {i} corrupt: {e}"))?;
-        annotate_cell_frame(&cell, &mut frame);
-        Ok(Some((cell, frame)))
+        CellRecord::decode(&bytes)
+            .map(Some)
+            .map_err(|e| format!("cell {i} corrupt: {e}"))
     }
 
     /// True when no worker holds a cell or ladder build — the drain
@@ -1027,18 +1018,22 @@ fn resume_jobs(inner: &Arc<Inner>) {
                 }
             }
         }
-        let terminal = status.phase.is_terminal();
-        if terminal {
-            job.pending.clear();
-        } else {
-            let failed: Vec<usize> = status.failures.iter().map(|f| f.job_index).collect();
-            job.pending.retain(|i| !job.done[*i] && !failed.contains(i));
-        }
+        let failed: Vec<usize> = status.failures.iter().map(|f| f.job_index).collect();
+        job.pending.retain(|i| !job.done[*i] && !failed.contains(i));
         job.phase = status.phase;
         job.cancelled = status.phase == JobPhase::Cancelled;
         job.retries = status.retries;
         job.failures = status.failures;
-        if !terminal {
+        if job.cancelled {
+            job.pending.clear();
+        } else if job.phase == JobPhase::Done && !job.pending.is_empty() {
+            // Cell records lost since the job finished (quarantined as
+            // corrupt, or never written): the records are the completion
+            // set, so re-run exactly those cells.
+            job.phase = JobPhase::Running;
+            inner.write_status(id, &job);
+        }
+        if !job.phase.is_terminal() {
             inner.rec.add("serve.jobs.resumed", 1);
             inner.rec.add("serve.cells.resumed", job.done_count as u64);
             if job.settled() {
@@ -1522,10 +1517,11 @@ fn handle_gc(inner: &Arc<Inner>) -> String {
     }
 }
 
-/// Re-assembles a terminal job's canonical campaign artifact from its
-/// durable records with [`wire::canonical_artifact`], the renderer behind
-/// [`pgss::CampaignReport::canonical_jsonl`] — so an equivalent library
-/// run yields the same bytes.
+/// Assembles a terminal job's canonical campaign artifact from the lines
+/// its cell records stored, with [`wire::canonical_artifact`], the layout
+/// behind [`pgss::CampaignReport::canonical_jsonl`] — so an equivalent
+/// library run yields the same bytes. A done cell whose record is missing
+/// (its store write failed) is a typed error, never a short artifact.
 fn assemble_report(inner: &Arc<Inner>, req: &Value) -> Result<Vec<String>, String> {
     let mut st = inner.lock();
     let (id, job) = job_from_req(req, &mut st)?;
@@ -1535,20 +1531,23 @@ fn assemble_report(inner: &Arc<Inner>, req: &Value) -> Result<Vec<String>, Strin
             job.phase.as_str()
         ));
     }
-    let mut cells = Vec::new();
-    let mut scopes = Vec::new();
-    for i in 0..job.total {
-        if let Some((cell, frame)) = inner.read_cell(id, i)? {
-            scopes.push((cell.scope_name(), frame));
-            cells.push(cell);
-        }
+    let mut cell_lines = Vec::new();
+    let mut scope_lines = Vec::new();
+    for i in (0..job.total).filter(|&i| job.done[i]) {
+        let Some(record) = inner.read_cell(id, i)? else {
+            return Err(format!(
+                "cell {i} finished but its record is missing (the store write failed); \
+                 a server restart re-runs the cell"
+            ));
+        };
+        cell_lines.push(record.cell_line);
+        scope_lines.push(record.scope_line);
     }
-    let scopes = scopes.iter().map(|(name, frame)| (name.as_str(), frame));
     Ok(wire::canonical_artifact(
-        &cells,
+        cell_lines,
         &job.failures,
         job.retries,
-        scopes,
+        scope_lines,
     ))
 }
 
@@ -1560,11 +1559,13 @@ fn handle_watch(inner: &Arc<Inner>, req: &Value, w: &mut Stream) -> io::Result<(
             Err(e) => return write_line(w, &err_line(&e)),
         };
         // Replay what already finished, in job order, before going live.
+        // A done cell whose record is missing or unreadable is skipped:
+        // `report` names it, and a restart re-runs it.
         let replay: Vec<String> = (0..job.total)
             .filter(|&i| job.done[i])
             .filter_map(|i| {
-                let (cell, frame) = inner.read_cell(id, i).ok()??;
-                Some(inner.event_line(id, i, &cell, &frame, job.done_count, job.total))
+                let record = inner.read_cell(id, i).ok()??;
+                Some(event_line(id, job, i, &record))
             })
             .collect();
         inner.rec.add("serve.cells.streamed", replay.len() as u64);

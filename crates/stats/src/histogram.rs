@@ -45,27 +45,6 @@ impl Histogram {
         }
     }
 
-    /// Rebuilds a histogram from its raw state ([`Histogram::min`],
-    /// [`Histogram::max`], [`Histogram::counts`]); the total is recomputed
-    /// as the bin sum, which [`Histogram::add_weighted`] keeps invariant.
-    /// Exists so metric frames can round-trip through a byte codec.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Histogram::new`].
-    pub fn from_parts(min: f64, max: f64, counts: Vec<u64>) -> Histogram {
-        assert!(!counts.is_empty(), "histogram needs at least one bin");
-        assert!(min.is_finite() && max.is_finite(), "bounds must be finite");
-        assert!(min < max, "min must be below max");
-        let total = counts.iter().sum();
-        Histogram {
-            min,
-            max,
-            counts,
-            total,
-        }
-    }
-
     /// Adds one observation (optionally weighted via [`Histogram::add_weighted`]).
     pub fn add(&mut self, x: f64) {
         self.add_weighted(x, 1);
@@ -237,17 +216,6 @@ mod tests {
             h.add(x);
         }
         assert_eq!(h.modes(0.05), 1);
-    }
-
-    #[test]
-    fn from_parts_roundtrips() {
-        let mut h = Histogram::new(0.0, 2.0, 4);
-        for x in [0.1, 0.6, 0.7, 1.9, 5.0] {
-            h.add(x);
-        }
-        let back = Histogram::from_parts(h.min(), h.max(), h.counts().to_vec());
-        assert_eq!(h, back);
-        assert_eq!(back.total(), 5);
     }
 
     #[test]

@@ -38,24 +38,9 @@ impl Welford {
         self.m2 += delta * (x - self.mean);
     }
 
-    /// Rebuilds an accumulator from its raw state, the inverse of
-    /// ([`Welford::count`], [`Welford::mean`], [`Welford::m2`]). Exists so
-    /// metric frames can round-trip through a byte codec bit-exactly; the
-    /// caller is trusted to pass back a previously-read triple.
-    pub fn from_parts(n: u64, mean: f64, m2: f64) -> Welford {
-        Welford { n, mean, m2 }
-    }
-
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
         self.n
-    }
-
-    /// The raw sum of squared deviations (Welford's `M2`), the third piece
-    /// of state [`Welford::from_parts`] needs to reconstruct the
-    /// accumulator bit-exactly.
-    pub fn m2(&self) -> f64 {
-        self.m2
     }
 
     /// Mean of the observations; `0.0` when empty.
@@ -193,15 +178,6 @@ mod tests {
         let mut e = Welford::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn from_parts_roundtrips_bit_exactly() {
-        let w: Welford = [1.0, 2.5, -3.0, 7.25].into_iter().collect();
-        let back = Welford::from_parts(w.count(), w.mean(), w.m2());
-        assert_eq!(w, back);
-        assert_eq!(w.mean().to_bits(), back.mean().to_bits());
-        assert_eq!(w.m2().to_bits(), back.m2().to_bits());
     }
 
     #[test]

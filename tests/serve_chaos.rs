@@ -348,8 +348,9 @@ fn drain_stops_admission_and_preserves_pending_cells_durably() {
 }
 
 /// Disk-full from a named put onward: the server degrades (counts the
-/// failed writes, keeps serving the protocol) instead of crashing, and
-/// recovers fully once space returns.
+/// failed writes, keeps serving the protocol, refuses a report it cannot
+/// assemble whole) instead of crashing, and recovers fully once space
+/// returns.
 #[test]
 fn disk_full_mid_campaign_degrades_without_crashing() {
     let tmp = util::TempDir::new("pgss-chaos-full");
@@ -381,6 +382,14 @@ fn disk_full_mid_campaign_degrades_without_crashing() {
         );
         // The protocol plane is unaffected by the storage plane.
         Client::connect(&addr).unwrap().ping().unwrap();
+        // A report never silently omits a done cell whose record failed
+        // to land: it names the missing record instead.
+        let report = Client::connect(&addr).unwrap().report(&job);
+        assert!(
+            matches!(&report, Err(ClientError::Server(m))
+                if m.contains("cell 0") && m.contains("record is missing")),
+            "expected a typed missing-record error, got {report:?}"
+        );
         server
         // Guard drops here: the disk has "space" again.
     };

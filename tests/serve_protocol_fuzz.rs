@@ -23,14 +23,14 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use pgss::campaign::{run_cell, Job};
-use pgss::wire::{decode_cell_record, encode_cell_record, WireFailure};
+use pgss::wire::WireFailure;
 use pgss::{PgssSim, SimContext};
 use pgss_ckpt::CodecError;
 use pgss_serve::{
-    json, CampaignSpec, Client, IndexRecord, JobPhase, Listen, ServeConfig, Server, SpecRecord,
-    StatusRecord,
+    json, CampaignSpec, CellRecord, Client, IndexRecord, JobPhase, Listen, ServeConfig, Server,
+    SpecRecord, StatusRecord,
 };
-use pgss_stats::{DetRng, Histogram};
+use pgss_stats::DetRng;
 
 /// Every input must produce `Ok` or a typed error; a panic (caught here
 /// so one bad input doesn't hide the rest) or a hang fails the test.
@@ -119,25 +119,20 @@ fn mutated_real_requests_never_panic_the_parser() {
 
 #[test]
 fn cell_record_decoder_fails_typed_on_corrupt_bytes() {
-    // A PGSS cell carries every optional part of a record: phases, a CI,
-    // and a metric frame, here with every kind of metric.
+    // A PGSS cell renders every optional part of a cell line (phases and
+    // a CI) and a populated metric-scope line.
     let w = pgss_workloads::gzip(0.005);
     let pgss = PgssSim {
         ff_ops: 50_000,
         spacing_ops: 50_000,
         ..PgssSim::default()
     };
-    let (cell, mut frame) = run_cell(&Job::new(&w, &pgss), &SimContext::none()).unwrap();
-    frame
-        .dists
-        .insert("ipc".into(), [1.0, 1.5].into_iter().collect());
-    let mut hist = Histogram::new(0.0, 1.0, 4);
-    hist.add(0.3);
-    frame.hists.insert("share".into(), hist);
-    let bytes = encode_cell_record(&cell, &frame);
-    assert_eq!(decode_cell_record(&bytes).unwrap(), (cell, frame));
+    let (cell, frame) = run_cell(&Job::new(&w, &pgss), &SimContext::none()).unwrap();
+    let record = CellRecord::new(&cell, frame);
+    let bytes = record.encode();
+    assert_eq!(CellRecord::decode(&bytes).unwrap(), record);
     let mut rng = DetRng::seed_from_u64(0xce11_f022);
-    util::fuzz_decoder(&bytes, &mut rng, |b| decode_cell_record(b).map(drop));
+    util::fuzz_decoder(&bytes, &mut rng, |b| CellRecord::decode(b).map(drop));
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Campaign-server resilience: SIGKILL-and-resume without recomputation,
-//! tenant quota enforcement, and cooperative cancellation.
+//! re-running a finished job's lost cell record, tenant quota
+//! enforcement, and cooperative cancellation.
 //!
 //! The SIGKILL test runs a real daemon in a separate process by
 //! re-executing this test binary with the `daemon_entry` filter and a
@@ -15,6 +16,7 @@ use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use pgss_ckpt::{job_key, JobRecordKind, Store};
 use pgss_serve::{json, Client, ClientError, JobStatus, Listen, ServeConfig, Server, TenantQuota};
 
 /// Control env var: `store_dir\x1faddr_file\x1fworkers`.
@@ -22,6 +24,12 @@ const DAEMON_ENV: &str = "PGSS_SERVE_DAEMON";
 
 /// One workload, one technique: finishes in well under a second.
 const TINY_SPEC: &str = r#"{"suite":[{"name":"164.gzip","scale":0.003}],
+    "techniques":[{"kind":"smarts","period_ops":50000}],"stride":50000}"#;
+
+/// Two cells, so a re-run of one of them is told apart from a re-run of
+/// the whole job.
+const PAIR_SPEC: &str = r#"{"suite":[
+      {"name":"164.gzip","scale":0.003},{"name":"183.equake","scale":0.003}],
     "techniques":[{"kind":"smarts","period_ops":50000}],"stride":50000}"#;
 
 /// Eight cells (and four technique kinds through the wire format) so a
@@ -185,6 +193,70 @@ fn sigkilled_server_resumes_without_recomputing_finished_cells() {
 
     Client::connect_tcp(&addr).unwrap().shutdown().unwrap();
     child.wait().unwrap();
+}
+
+/// A `Done` job whose cell record was lost (here: corrupted on disk
+/// while the server was down) goes back to running on restart, re-runs
+/// exactly that cell, and serves the same artifact as before.
+#[test]
+fn restarted_server_reruns_a_done_jobs_corrupt_cell_record() {
+    let tmp = util::TempDir::new("pgss-serve-lost-cell");
+    let cfg = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(tmp.path(), Listen::Tcp("127.0.0.1:0".into()), cfg.clone()).unwrap();
+    let addr = server.addr().clone();
+    let job = Client::connect(&addr)
+        .unwrap()
+        .submit("lost-cell", PAIR_SPEC)
+        .unwrap();
+    let wait_done = |addr: &pgss_serve::BoundAddr| {
+        let deadline = Instant::now() + Duration::from_secs(300);
+        while Client::connect(addr).unwrap().status(&job).unwrap().phase != "done" {
+            assert!(Instant::now() < deadline, "job never finished");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    };
+    wait_done(&addr);
+    let before = Client::connect(&addr).unwrap().report(&job).unwrap();
+    server.stop();
+
+    let id = u64::from_str_radix(&job, 16).unwrap();
+    let store = Store::open(tmp.path()).unwrap();
+    let path = store.path_for(job_key(JobRecordKind::Cell, id, 1));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let server = Server::start(tmp.path(), Listen::Tcp("127.0.0.1:0".into()), cfg).unwrap();
+    let addr = server.addr().clone();
+    wait_done(&addr);
+    let counters = {
+        let line = Client::connect(&addr).unwrap().metrics().unwrap();
+        json::parse(&line).unwrap()
+    };
+    let counter = |name: &str| {
+        counters
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(json::Value::as_u64)
+            .unwrap_or(0)
+    };
+    assert_eq!(
+        counter("serve.cells.executed"),
+        1,
+        "exactly the lost cell re-runs"
+    );
+    assert_eq!(counter("serve.jobs.resumed"), 1);
+    assert!(store
+        .quarantine_dir()
+        .join(path.file_name().unwrap())
+        .exists());
+    let after = Client::connect(&addr).unwrap().report(&job).unwrap();
+    server.stop();
+    assert_eq!(after, before, "the re-run cell changed the artifact");
 }
 
 #[test]
