@@ -120,18 +120,77 @@ impl Encoder {
     /// the element count, then alternating (zero-run length, literal
     /// count, literal values) groups until the count is consumed.
     pub fn put_i64_slice_rle(&mut self, v: &[i64]) {
+        // One page spanning the whole slice, which may hold anything.
+        self.put_i64_slice_rle_paged(v, v.len().max(1), &[1]);
+    }
+
+    /// [`Encoder::put_i64_slice_rle`] over a slice split into pages of
+    /// `page_words` words, where a page whose `live` entry is zero is
+    /// known to hold only zeros: such pages join zero runs without being
+    /// read, so the cost tracks the live pages. The bytes are exactly
+    /// [`Encoder::put_i64_slice_rle`]'s whenever that holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_words` is zero or `live` has fewer entries than
+    /// `v` has pages.
+    pub fn put_i64_slice_rle_paged(&mut self, v: &[i64], page_words: usize, live: &[u8]) {
+        assert!(
+            live.len() >= v.len().div_ceil(page_words),
+            "page map shorter than the slice"
+        );
         self.put_u64(v.len() as u64);
-        let mut i = 0;
-        while i < v.len() {
-            let zeros = v[i..].iter().take_while(|&&x| x == 0).count();
-            i += zeros;
-            let lits = v[i..].iter().take_while(|&&x| x != 0).count();
-            self.put_u64(zeros as u64);
-            self.put_u64(lits as u64);
-            for &x in &v[i..i + lits] {
-                self.put_i64(x);
+        // The pending group: its zero-run length and where its literal
+        // run started, if it has begun.
+        let mut zeros = 0;
+        let mut lits_from = None;
+        for (p, page) in v.chunks(page_words).enumerate() {
+            let base = p * page_words;
+            if live[p] == 0 {
+                if let Some(from) = lits_from.take() {
+                    self.put_rle_group(zeros, &v[from..base]);
+                    zeros = 0;
+                }
+                zeros += page.len();
+                continue;
             }
-            i += lits;
+            let mut k = 0;
+            while k < page.len() {
+                let rest = &page[k..];
+                match lits_from {
+                    // Extend the zero run up to the next literal.
+                    None => {
+                        let run = rest.iter().take_while(|&&x| x == 0).count();
+                        zeros += run;
+                        k += run;
+                        if k < page.len() {
+                            lits_from = Some(base + k);
+                        }
+                    }
+                    // Extend the literal run; a zero word closes the group.
+                    Some(from) => {
+                        k += rest.iter().take_while(|&&x| x != 0).count();
+                        if k < page.len() {
+                            self.put_rle_group(zeros, &v[from..base + k]);
+                            zeros = 0;
+                            lits_from = None;
+                        }
+                    }
+                }
+            }
+        }
+        match lits_from {
+            Some(from) => self.put_rle_group(zeros, &v[from..]),
+            None if zeros > 0 => self.put_rle_group(zeros, &[]),
+            None => {}
+        }
+    }
+
+    fn put_rle_group(&mut self, zeros: usize, lits: &[i64]) {
+        self.put_u64(zeros as u64);
+        self.put_u64(lits.len() as u64);
+        for &x in lits {
+            self.put_i64(x);
         }
     }
 }
@@ -335,18 +394,68 @@ impl<'a> Decoder<'a> {
     /// overwritten; callers that need all-or-nothing validate with
     /// [`Decoder::skip_i64_slice_rle`] first.
     pub fn get_i64_slice_rle_into(&mut self, dst: &mut [i64]) -> Result<(), CodecError> {
+        // One page spanning the whole slice, which may hold anything.
+        self.get_i64_slice_rle_into_paged(dst, dst.len().max(1), &mut [1])
+    }
+
+    /// [`Decoder::get_i64_slice_rle_into`] over a slice split into pages
+    /// of `page_words` words, where a page whose `live` entry is zero is
+    /// known to hold only zeros: zero runs are written only on pages that
+    /// were live, so the cost tracks the live pages before and after.
+    /// On success `live` marks exactly the pages that received a literal.
+    /// Accepts and rejects exactly the bytes
+    /// [`Decoder::get_i64_slice_rle_into`] does. On error `dst` may be
+    /// partly overwritten, but `live` still covers it: no page holding a
+    /// non-zero word is left clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_words` is zero or `live` has fewer entries than
+    /// `dst` has pages.
+    pub fn get_i64_slice_rle_into_paged(
+        &mut self,
+        dst: &mut [i64],
+        page_words: usize,
+        live: &mut [u8],
+    ) -> Result<(), CodecError> {
+        assert!(
+            live.len() >= dst.len().div_ceil(page_words),
+            "page map shorter than the slice"
+        );
         self.expect_len(dst.len())?;
+        let mut walk = PageWalk {
+            live,
+            page: usize::MAX,
+            was_live: false,
+            got_literal: false,
+        };
         let mut at = 0;
         while at < dst.len() {
             let (zeros, lits) = self.get_rle_run(dst.len() - at)?;
-            dst[at..at + zeros].fill(0);
-            at += zeros;
-            let bytes = self.take(lits * 8)?;
-            for (x, b) in dst[at..at + lits].iter_mut().zip(bytes.chunks_exact(8)) {
-                *x = i64::from_le_bytes(b.try_into().unwrap());
+            if zeros > 0 {
+                let end = at + zeros;
+                for p in at / page_words..end.div_ceil(page_words) {
+                    if walk.enter(p) {
+                        let page_end = (p + 1) * page_words;
+                        dst[at.max(p * page_words)..end.min(page_end)].fill(0);
+                    }
+                }
+                at = end;
             }
-            at += lits;
+            if lits > 0 {
+                let bytes = self.take(lits * 8)?;
+                for (x, b) in dst[at..at + lits].iter_mut().zip(bytes.chunks_exact(8)) {
+                    *x = i64::from_le_bytes(b.try_into().unwrap());
+                }
+                let end = at + lits;
+                for p in at / page_words..end.div_ceil(page_words) {
+                    walk.enter(p);
+                    walk.mark_literal();
+                }
+                at = end;
+            }
         }
+        walk.settle();
         Ok(())
     }
 
@@ -365,6 +474,48 @@ impl<'a> Decoder<'a> {
             return Err(CodecError::Malformed("run exceeds declared length"));
         }
         Ok((zeros as usize, lits as usize))
+    }
+}
+
+/// A page map rewritten while [`Decoder::get_i64_slice_rle_into_paged`]
+/// walks its slice front to back. Pages before the current one hold
+/// their final entries; the current one keeps its old entry until it is
+/// settled, or is set as soon as it receives a literal, so the map stays
+/// valid however far the walk gets.
+struct PageWalk<'m> {
+    live: &'m mut [u8],
+    /// The page being walked; `usize::MAX` before the first.
+    page: usize,
+    /// Whether the current page was live before decoding.
+    was_live: bool,
+    /// Whether the current page has received a literal.
+    got_literal: bool,
+}
+
+impl PageWalk<'_> {
+    /// Moves to page `p` (the current page or the next one), settling
+    /// the page left behind. Returns whether `p` was live before
+    /// decoding, i.e. whether its zero runs must be written.
+    fn enter(&mut self, p: usize) -> bool {
+        if p != self.page {
+            self.settle();
+            self.page = p;
+            self.was_live = self.live[p] != 0;
+            self.got_literal = false;
+        }
+        self.was_live
+    }
+
+    fn mark_literal(&mut self) {
+        self.got_literal = true;
+        self.live[self.page] = 1;
+    }
+
+    /// Gives the current page, now fully decoded, its final entry.
+    fn settle(&mut self) {
+        if let Some(entry) = self.live.get_mut(self.page) {
+            *entry = u8::from(self.got_literal);
+        }
     }
 }
 
@@ -463,6 +614,103 @@ mod tests {
         assert!(Decoder::new(&bytes)
             .get_i64_slice_rle_into(&mut [0; 16])
             .is_err());
+    }
+
+    /// splitmix64: a seeded stream for the paged-RLE cases below.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A sparse slice of `len` words in pages of `page` words, with a
+    /// valid page map for it: about a third of the pages hold words, and
+    /// some all-zero pages are marked live too.
+    fn sparse_paged(rng: &mut u64, len: usize, page: usize) -> (Vec<i64>, Vec<u8>) {
+        let mut v = vec![0i64; len];
+        let mut live = vec![0u8; len.div_ceil(page)];
+        for (p, entry) in live.iter_mut().enumerate() {
+            match mix(rng) % 6 {
+                0 | 1 => {
+                    for x in &mut v[p * page..((p + 1) * page).min(len)] {
+                        if mix(rng).is_multiple_of(2) {
+                            *x = (mix(rng) % 7) as i64 - 3;
+                        }
+                    }
+                    *entry = 1;
+                }
+                2 => *entry = 1,
+                _ => {}
+            }
+        }
+        (v, live)
+    }
+
+    /// True if every page whose entry is clear holds only zeros.
+    fn map_covers(v: &[i64], page: usize, live: &[u8]) -> bool {
+        v.chunks(page)
+            .zip(live)
+            .all(|(words, &l)| l != 0 || words.iter().all(|&x| x == 0))
+    }
+
+    #[test]
+    fn paged_rle_matches_the_dense_codec_byte_for_byte() {
+        let mut rng = 0x5eed;
+        for case in 0..300 {
+            let page = [1, 3, 8, 64][case % 4];
+            let len = (mix(&mut rng) % 700) as usize;
+            let (v, live) = sparse_paged(&mut rng, len, page);
+            let (mut dense, mut paged) = (Encoder::new(), Encoder::new());
+            dense.put_i64_slice_rle(&v);
+            paged.put_i64_slice_rle_paged(&v, page, &live);
+            let bytes = dense.into_bytes();
+            assert_eq!(bytes, paged.into_bytes(), "case {case}");
+
+            // Decode over a target with live pages of its own.
+            let (mut dst, mut dst_live) = sparse_paged(&mut rng, len, page);
+            let mut d = Decoder::new(&bytes);
+            d.get_i64_slice_rle_into_paged(&mut dst, page, &mut dst_live)
+                .unwrap();
+            d.finish().unwrap();
+            assert_eq!(dst, v, "case {case}");
+            let holds_words: Vec<u8> = v
+                .chunks(page)
+                .map(|words| u8::from(words.iter().any(|&x| x != 0)))
+                .collect();
+            assert_eq!(dst_live, holds_words, "case {case}");
+        }
+    }
+
+    #[test]
+    fn paged_rle_rejects_what_the_dense_decoder_rejects() {
+        let mut rng = 0xbad;
+        for case in 0..40 {
+            let page = [1, 4, 16][case % 3];
+            let len = 1 + (mix(&mut rng) % 120) as usize;
+            let (v, live) = sparse_paged(&mut rng, len, page);
+            let mut e = Encoder::new();
+            e.put_i64_slice_rle_paged(&v, page, &live);
+            let valid = e.into_bytes();
+            let mut variants: Vec<Vec<u8>> =
+                (0..valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+            for _ in 0..40 {
+                let mut bytes = valid.clone();
+                let at = (mix(&mut rng) % bytes.len() as u64) as usize;
+                bytes[at] ^= 1 << (mix(&mut rng) % 8);
+                variants.push(bytes);
+            }
+            for bytes in &variants {
+                let mut dense = vec![0; len];
+                let dense_result = Decoder::new(bytes).get_i64_slice_rle_into(&mut dense);
+                let (mut dst, mut dst_live) = sparse_paged(&mut rng, len, page);
+                let paged_result =
+                    Decoder::new(bytes).get_i64_slice_rle_into_paged(&mut dst, page, &mut dst_live);
+                assert_eq!(paged_result, dense_result, "case {case}");
+                assert!(map_covers(&dst, page, &dst_live), "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ use pgss_bbv::{BbvHash, FullBbv, FullBbvTracker, HashedBbv, HashedBbvTracker, HA
 use pgss_ckpt::{fnv1a64, CodecError, Decoder, Encoder, RecordError, Store};
 use pgss_cpu::{
     BranchPredictorState, BtbState, CacheState, Machine, MachineConfig, MachineSnapshot,
-    MachineStateMut, MachineStateRef, Mode, ModeOps,
+    MachineStateMut, MachineStateRef, Mode, ModeOps, PAGE_WORDS,
 };
 use pgss_workloads::Workload;
 
@@ -76,6 +76,8 @@ pub fn encode_machine_snapshot(snap: &MachineSnapshot) -> Vec<u8> {
 /// Encodes the state a snapshot would carry straight from its borrowed
 /// form — for a live machine, [`Machine::state`] — producing the same
 /// bytes as [`encode_machine_snapshot`] without copying the memory image.
+/// A live machine's page map lets the encoder skip the pages it never
+/// wrote.
 pub fn encode_machine_state(state: MachineStateRef<'_>) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_u32(SNAPSHOT_FORMAT_VERSION);
@@ -86,7 +88,10 @@ pub fn encode_machine_state(state: MachineStateRef<'_>) -> Vec<u8> {
     for &f in state.fregs {
         e.put_f64(f);
     }
-    e.put_i64_slice_rle(state.mem);
+    match state.live {
+        Some(live) => e.put_i64_slice_rle_paged(state.mem, PAGE_WORDS, live),
+        None => e.put_i64_slice_rle(state.mem),
+    }
     e.put_bool(state.halted);
     put_mode_ops(&mut e, state.mode_ops);
     e.put_u64(state.ops_since_taken);
@@ -109,7 +114,7 @@ pub fn encode_machine_state(state: MachineStateRef<'_>) -> Vec<u8> {
 /// Decodes bytes produced by [`encode_machine_snapshot`], rejecting
 /// other snapshot-format versions. The bytes are validated in full
 /// before anything is allocated; the memory image is then allocated
-/// once, at its declared length.
+/// once, at its declared length, and only its literals are written.
 pub fn decode_machine_snapshot(bytes: &[u8]) -> Result<MachineSnapshot, CodecError> {
     let shape = validate_machine_snapshot(bytes)?;
     if shape.mem > MAX_SNAPSHOT_MEMORY_WORDS {
@@ -140,7 +145,9 @@ pub fn decode_machine_snapshot(bytes: &[u8]) -> Result<MachineSnapshot, CodecErr
             targets: vec![0; shape.btb],
         },
     };
-    fill_machine_state(&mut Decoder::new(bytes), snap.state_mut())?;
+    // A zeroed image with an all-clear page map: zero runs write nothing.
+    let mut live = vec![0; shape.mem.div_ceil(PAGE_WORDS)];
+    fill_machine_state(&mut Decoder::new(bytes), snap.state_mut(&mut live))?;
     Ok(snap)
 }
 
@@ -149,7 +156,9 @@ pub fn decode_machine_snapshot(bytes: &[u8]) -> Result<MachineSnapshot, CodecErr
 /// counter tables — leaving it as [`Machine::restore`] of the decoded
 /// snapshot would. All or nothing: the bytes are validated in full, and
 /// their declared shapes checked against the machine's, before anything
-/// is written, so on `Err` the machine is untouched.
+/// is written, so on `Err` the machine is untouched. Zero runs are
+/// written only on pages the machine had live, and its page map becomes
+/// the pages holding a literal.
 pub fn decode_machine_snapshot_into(bytes: &[u8], machine: &mut Machine) -> Result<(), CodecError> {
     let shape = validate_machine_snapshot(bytes)?;
     machine.restore_with(|state| {
@@ -222,7 +231,7 @@ fn fill_machine_state(d: &mut Decoder<'_>, state: MachineStateMut<'_>) -> Result
     for f in state.fregs {
         *f = d.get_f64()?;
     }
-    d.get_i64_slice_rle_into(state.mem)?;
+    d.get_i64_slice_rle_into_paged(state.mem, PAGE_WORDS, state.live)?;
     *state.halted = d.get_bool()?;
     *state.mode_ops = get_mode_ops(d)?;
     *state.ops_since_taken = d.get_u64()?;

@@ -71,7 +71,7 @@ pub use cache::{Cache, CacheState, MemSystem};
 pub use config::{BranchPredictorConfig, CacheConfig, LatencyConfig, MachineConfig};
 pub use machine::{
     Machine, MachineFault, MachineSnapshot, MachineStateMut, MachineStateRef, Mode, ModeOps,
-    RunResult,
+    RunResult, PAGE_WORDS,
 };
 pub use reference::ReferenceMachine;
 pub use sink::{NoopSink, RetireSink};

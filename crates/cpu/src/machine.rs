@@ -35,6 +35,19 @@ use crate::sink::{NoopSink, RetireSink};
 /// I-cache lines (a 64-byte line holds 16 instructions).
 pub(crate) const INSTR_BYTES: u64 = 4;
 
+/// Words per page of a machine's live-page map: 512 words, one 4 KiB OS
+/// page. A machine keeps one map entry per page of its memory image, and
+/// a page whose entry is clear holds only zeros, so state transfers
+/// ([`MachineStateMut::copy_from`], the checkpoint codec) skip it. An
+/// image smaller than a page has one entry.
+pub const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
+const PAGE_SHIFT: u32 = 9;
+
+/// Entries in the page map of a `words`-word memory image.
+fn page_count(words: usize) -> usize {
+    words.div_ceil(PAGE_WORDS)
+}
+
 /// A structured reason the machine stopped executing, other than
 /// [`pgss_isa::Instr::Halt`].
 ///
@@ -242,12 +255,14 @@ impl PartialEq for MachineSnapshot {
 
 impl MachineSnapshot {
     /// Borrows this snapshot in the form every restore path copies from.
+    /// A snapshot carries no page map, so any page may hold data.
     pub fn state(&self) -> MachineStateRef<'_> {
         MachineStateRef {
             pc: self.pc,
             regs: &self.regs,
             fregs: &self.fregs,
             mem: &self.mem,
+            live: None,
             halted: self.halted,
             mode_ops: self.mode_ops,
             ops_since_taken: self.ops_since_taken,
@@ -258,13 +273,26 @@ impl MachineSnapshot {
     }
 
     /// Lends every field for writing in place (how a decoder fills a
-    /// snapshot it has allocated at the shape its bytes declare).
-    pub fn state_mut(&mut self) -> MachineStateMut<'_> {
+    /// snapshot it has allocated at the shape its bytes declare), with
+    /// `live` as the page map of the memory image: one entry per
+    /// [`PAGE_WORDS`] words, clear only where the page holds only zeros
+    /// (all clear for a freshly zeroed image).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live` has not exactly one entry per page of the image.
+    pub fn state_mut<'a>(&'a mut self, live: &'a mut [u8]) -> MachineStateMut<'a> {
+        assert_eq!(
+            live.len(),
+            page_count(self.mem.len()),
+            "page map does not match the memory image"
+        );
         MachineStateMut {
             pc: &mut self.pc,
             regs: &mut self.regs,
             fregs: &mut self.fregs,
             mem: &mut self.mem,
+            live,
             halted: &mut self.halted,
             mode_ops: &mut self.mode_ops,
             ops_since_taken: &mut self.ops_since_taken,
@@ -290,6 +318,11 @@ pub struct MachineStateRef<'a> {
     pub fregs: &'a [f64; 32],
     /// Data memory image.
     pub mem: &'a [i64],
+    /// The live-page map of `mem`, one entry per [`PAGE_WORDS`] words,
+    /// when the state belongs to a live machine: a page whose entry is
+    /// zero holds only zeros. `None` for a snapshot, any page of which
+    /// may hold data.
+    pub live: Option<&'a [u8]>,
     /// Whether the program has halted.
     pub halted: bool,
     /// Per-mode retired-instruction counters.
@@ -320,6 +353,10 @@ pub struct MachineStateMut<'a> {
     pub fregs: &'a mut [f64; 32],
     /// Data memory image.
     pub mem: &'a mut [i64],
+    /// The live-page map of `mem`, one entry per [`PAGE_WORDS`] words.
+    /// Writers keep it covering `mem`: a page whose entry is zero must
+    /// hold only zeros.
+    pub live: &'a mut [u8],
     /// Whether the program has halted.
     pub halted: &'a mut bool,
     /// Per-mode retired-instruction counters.
@@ -338,6 +375,12 @@ impl MachineStateMut<'_> {
     /// The one state copy behind every restore path: each buffer is
     /// overwritten in place.
     ///
+    /// The memory image is copied page by page, visiting only pages live
+    /// in the source or here: the source's live pages are copied, pages
+    /// live only here are zeroed, and the page map becomes the source's.
+    /// A source without a map (a snapshot) is scanned instead, and a page
+    /// becomes live exactly when it holds a non-zero word.
+    ///
     /// # Panics
     ///
     /// Panics if `src`'s memory image or any cache/predictor-table shape
@@ -351,7 +394,23 @@ impl MachineStateMut<'_> {
         *self.pc = src.pc;
         *self.regs = *src.regs;
         *self.fregs = *src.fregs;
-        self.mem.copy_from_slice(src.mem);
+        let pages = self
+            .mem
+            .chunks_mut(PAGE_WORDS)
+            .zip(src.mem.chunks(PAGE_WORDS));
+        for (p, ((dst, words), entry)) in pages.zip(self.live.iter_mut()).enumerate() {
+            let live = match src.live {
+                Some(map) => map[p] != 0,
+                // An OR over the page vectorizes; an early exit would not.
+                None => words.iter().fold(0, |acc, &x| acc | x) != 0,
+            };
+            if live {
+                dst.copy_from_slice(words);
+            } else if *entry != 0 {
+                dst.fill(0);
+            }
+            *entry = u8::from(live);
+        }
         *self.halted = src.halted;
         *self.mode_ops = src.mode_ops;
         *self.ops_since_taken = src.ops_since_taken;
@@ -394,6 +453,10 @@ pub struct Machine {
     regs: [i64; 64],
     fregs: [f64; 32],
     mem: Vec<i64>,
+    /// The live-page map of `mem` (see [`PAGE_WORDS`]): every write to a
+    /// page sets its entry, and only a transfer that leaves the page all
+    /// zeros clears it.
+    live: Vec<u8>,
     memsys: MemSystem,
     bpred: BranchPredictor,
     btb: Btb,
@@ -490,6 +553,7 @@ impl Machine {
             regs: [0; 64],
             fregs: [0.0; 32],
             mem: vec![0; config.memory_words],
+            live: vec![0; page_count(config.memory_words)],
             memsys: MemSystem::new(&config),
             bpred: BranchPredictor::new(config.bpred),
             btb: Btb::new(config.bpred.btb_entries),
@@ -562,10 +626,17 @@ impl Machine {
         &self.mem
     }
 
-    /// Mutable access to data memory, for pre-run initialization of workload
-    /// data structures (arrays, pointer-chase rings, entropy tables).
-    pub fn memory_mut(&mut self) -> &mut [i64] {
-        &mut self.mem
+    /// Writes `words` into data memory from word address `base`, for
+    /// pre-run initialization of workload data structures (arrays,
+    /// pointer-chase rings, entropy tables). Marks the pages written live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the words extend past the end of memory.
+    pub fn write_memory(&mut self, base: usize, words: &[i64]) {
+        let end = base + words.len();
+        self.mem[base..end].copy_from_slice(words);
+        self.live[base >> PAGE_SHIFT..end.div_ceil(PAGE_WORDS)].fill(1);
     }
 
     /// The memory hierarchy (for hit-rate inspection).
@@ -579,14 +650,22 @@ impl Machine {
     }
 
     /// Captures a [`MachineSnapshot`] of the current architectural and
-    /// warm microarchitectural state.
+    /// warm microarchitectural state. Only live pages are copied into
+    /// the snapshot's zeroed memory image.
     pub fn snapshot(&self) -> MachineSnapshot {
         let state = self.state();
+        let mut mem = vec![0; self.mem.len()];
+        let pages = mem.chunks_mut(PAGE_WORDS).zip(self.mem.chunks(PAGE_WORDS));
+        for ((dst, words), &live) in pages.zip(&self.live) {
+            if live != 0 {
+                dst.copy_from_slice(words);
+            }
+        }
         MachineSnapshot {
             pc: state.pc,
             regs: *state.regs,
             fregs: *state.fregs,
-            mem: state.mem.to_vec(),
+            mem,
             halted: state.halted,
             mode_ops: state.mode_ops,
             ops_since_taken: state.ops_since_taken,
@@ -603,6 +682,7 @@ impl Machine {
             regs: self.regs.first_chunk().expect("32 architectural regs"),
             fregs: &self.fregs,
             mem: &self.mem,
+            live: Some(&self.live),
             halted: self.halted,
             mode_ops: self.mode_ops,
             ops_since_taken: self.ops_since_taken,
@@ -663,6 +743,7 @@ impl Machine {
             regs: self.regs.first_chunk_mut().expect("32 architectural regs"),
             fregs: &mut self.fregs,
             mem: &mut self.mem,
+            live: &mut self.live,
             halted: &mut self.halted,
             mode_ops: &mut self.mode_ops,
             ops_since_taken: &mut self.ops_since_taken,
@@ -941,6 +1022,7 @@ impl Machine {
                 let addr = self.effective(b, op.imm);
                 sink.data_access(addr);
                 self.mem[addr as usize] = self.regs[c];
+                self.live[(addr >> PAGE_SHIFT) as usize] = 1;
                 if DETAILED {
                     let ready = self.reg_ready[c].max(self.reg_ready[b]);
                     let l = self.memsys.store_latency_fast(addr * 8);
@@ -965,6 +1047,7 @@ impl Machine {
                 let addr = self.effective(b, op.imm);
                 sink.data_access(addr);
                 self.mem[addr as usize] = self.fregs[c].to_bits() as i64;
+                self.live[(addr >> PAGE_SHIFT) as usize] = 1;
                 if DETAILED {
                     let ready = self.reg_ready[32 + c].max(self.reg_ready[b]);
                     let l = self.memsys.store_latency_fast(addr * 8);

@@ -1386,17 +1386,13 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
     let total = job.total;
     // Durable order matters: spec and status first, then the index that
     // names them — a crash between writes leaves an unnamed record, not
-    // a dangling index entry.
+    // a dangling index entry. A job whose spec or index entry did not
+    // land would be forgotten by a restart, so it is refused, not run.
     let spec_record = SpecRecord {
         tenant: tenant.clone(),
         seq,
         spec,
     };
-    let mut put_failed = inner
-        .store
-        .put(job_key(JobRecordKind::Spec, id, 0), &spec_record.encode())
-        .is_err();
-    inner.write_status(id, &job);
     let index = IndexRecord {
         next_seq: st.next_seq,
         jobs: {
@@ -1409,9 +1405,24 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
             jobs
         },
     };
-    put_failed |= inner.store.put(index_key(), &index.encode()).is_err();
-    if put_failed {
+    let durable = inner
+        .store
+        .put(job_key(JobRecordKind::Spec, id, 0), &spec_record.encode())
+        .map_err(|e| format!("spec record ({e})"))
+        .and_then(|()| {
+            inner.write_status(id, &job);
+            inner
+                .store
+                .put(index_key(), &index.encode())
+                .map_err(|e| format!("job index ({e})"))
+        });
+    if let Err(what) = durable {
+        drop(st);
         inner.rec.add("serve.store.put_failed", 1);
+        inner.rec.add("serve.jobs.rejected", 1);
+        return err_line(&format!(
+            "job not accepted: writing its {what} failed, so a restart would not know it"
+        ));
     }
     st.jobs.insert(id, job);
     st.order.push(id);

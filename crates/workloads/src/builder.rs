@@ -121,14 +121,10 @@ impl MemoryImage {
         self.high_water
     }
 
-    /// Copies the image into `memory`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any chunk extends past the end of `memory`.
-    pub fn apply(&self, memory: &mut [i64]) {
+    /// Hands each chunk to `write` as its base word address and words.
+    pub fn apply(&self, mut write: impl FnMut(usize, &[i64])) {
         for (base, words) in &self.chunks {
-            memory[*base..*base + words.len()].copy_from_slice(words);
+            write(*base, words);
         }
     }
 }
@@ -620,7 +616,7 @@ pub(crate) fn machine_for(
     config: MachineConfig,
 ) -> Machine {
     let mut machine = Machine::new(grown(config, required_words), program);
-    memory.apply(machine.memory_mut());
+    memory.apply(|base, words| machine.write_memory(base, words));
     machine
 }
 
@@ -634,7 +630,8 @@ pub(crate) fn reference_machine_for(
     config: MachineConfig,
 ) -> ReferenceMachine {
     let mut machine = ReferenceMachine::new(grown(config, required_words), program);
-    memory.apply(machine.memory_mut());
+    let mem = machine.memory_mut();
+    memory.apply(|base, words| mem[base..base + words.len()].copy_from_slice(words));
     machine
 }
 

@@ -41,6 +41,26 @@ for workload in grid-plain grid-ckpt-warm serve-cold; do
     esac
 done
 
+echo "== checkpoints pay (grid-ckpt-warm campaign_s below grid-plain's, default grid)"
+# On the default grid a warm-store checkpointed campaign runs about 1.5x
+# faster than the plain one; state transfer that regresses to copying the
+# whole memory image makes it slower. The full suite above is no use here:
+# its ladder groups run one after another, so idle workers at each group's
+# tail hide most of the gain.
+campaign_s() {
+    (cd campaign_bench && cargo run --release -q --offline -- \
+        --workload "$1" --seconds 3 --trace 0 | tail -n 1) |
+        sed -n 's/.*"campaign_s":{"value":\([0-9.eE+-]*\).*/\1/p'
+}
+plain_s=$(campaign_s grid-plain)
+warm_s=$(campaign_s grid-ckpt-warm)
+echo "grid-plain ${plain_s:-?} s, grid-ckpt-warm ${warm_s:-?} s"
+if ! awk -v plain="$plain_s" -v warm="$warm_s" \
+    'BEGIN { exit !(plain != "" && warm != "" && warm + 0 < plain + 0) }'; then
+    echo "checkpointed campaign is not faster than the plain one"
+    exit 1
+fi
+
 echo "== statistical validation smoke (12-rep debug subset: all estimators + verdicts)"
 cargo test --test statistical_validation -q
 

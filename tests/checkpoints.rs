@@ -10,7 +10,8 @@
 //! decoding straight into a live machine) are checked over seeded random
 //! workloads against the allocating snapshot path, and the in-place
 //! decoder is fed corrupt bytes to show it fails with a typed error and
-//! leaves its target untouched.
+//! leaves its target untouched. A machine's live-page map is checked
+//! against a dense memory model across every transfer and the encoder.
 
 mod util;
 
@@ -25,7 +26,10 @@ use pgss::{
     SimContext, SimPointOffline, Smarts, Technique, TurboSmarts, SNAPSHOT_FORMAT_VERSION,
 };
 use pgss_ckpt::{fnv1a64, CodecError, STORE_FORMAT_VERSION};
-use pgss_cpu::{BranchPredictorConfig, CacheConfig, Machine, MachineConfig, Mode, RunResult};
+use pgss_cpu::{
+    BranchPredictorConfig, CacheConfig, Machine, MachineConfig, Mode, RunResult, PAGE_WORDS,
+};
+use pgss_isa::{Assembler, Reg};
 use pgss_stats::DetRng;
 use pgss_workloads::{Kernel, Workload, WorkloadBuilder};
 
@@ -377,23 +381,169 @@ fn in_place_decoder_fails_safely_on_corrupt_bytes() {
     let mut src = w.machine_with(cfg);
     src.run(Mode::Functional, w.nominal_ops() / 2);
     let rung = encode_machine_state(src.state());
+    // The target also holds data on the last page, which the rung lacks,
+    // so a decode that went wrong would have a page to clear.
     let mut target = dirty_machine(&w, cfg, &mut rng);
+    let last = target.memory().len() - 1;
+    assert_eq!(src.state().live.unwrap()[last / PAGE_WORDS], 0);
+    target.write_memory(last - 2, &[3, 0, -9]);
+    let mut pristine = w.machine_with(cfg);
+    pristine.restore_from(&target);
     let before = target.snapshot();
+    let live_before = target.state().live.unwrap().to_vec();
 
     util::fuzz_decoder(&rung, &mut rng, |bytes| {
         let result = decode_machine_snapshot_into(bytes, &mut target);
         match result {
-            Err(_) => assert!(
-                target.snapshot() == before,
-                "failed decode mutated the target"
-            ),
-            Ok(()) => target.restore(&before),
+            Err(_) => {
+                assert!(
+                    target.snapshot() == before,
+                    "failed decode mutated the target"
+                );
+                assert!(
+                    target.state().live.unwrap() == live_before,
+                    "failed decode changed the target's page map"
+                );
+            }
+            Ok(()) => target.restore_from(&pristine),
         }
         // The allocating decoder is total over the same bytes too.
         let _ = decode_machine_snapshot(bytes);
         result
     });
     assert!(target.snapshot() == before);
+    assert!(target.state().live.unwrap() == live_before);
+}
+
+/// A word address a sparse image favours: either side of a page edge,
+/// the last word, or anywhere.
+fn sparse_addr(words: usize, rng: &mut DetRng) -> usize {
+    let edge = (1 + rng.range_usize(words.div_ceil(PAGE_WORDS))) * PAGE_WORDS;
+    match rng.range_u64(4) {
+        0 => (edge - 1).min(words - 1),
+        1 => edge % words,
+        2 => words - 1,
+        _ => rng.range_usize(words),
+    }
+}
+
+/// A halted machine of `words` memory words holding a seeded sparse
+/// image, and a dense model of that image. The image is written before
+/// the run through `write_memory` (zero words included, so some live
+/// pages hold nothing) and during it by stores: integer stores, one whose
+/// address wraps to the last word, and one through the float file.
+fn sparse_machine(words: usize, rng: &mut DetRng) -> (Machine, Vec<i64>) {
+    let cfg = MachineConfig {
+        memory_words: words,
+        ..small_config()
+    };
+    let mut model = vec![0i64; words];
+    let mut asm = Assembler::new();
+    let mut stores = Vec::new();
+    for _ in 0..1 + rng.range_usize(6) {
+        let (addr, value) = (sparse_addr(words, rng), rng.next_i64() | 1);
+        asm.li(Reg::R2, addr as i64);
+        asm.li(Reg::R3, value);
+        asm.store(Reg::R3, Reg::R2, 0);
+        stores.push((addr, value));
+    }
+    let wrapped = rng.next_i64() | 1;
+    asm.li(Reg::R2, -1);
+    asm.li(Reg::R3, wrapped);
+    asm.store(Reg::R3, Reg::R2, 0);
+    stores.push((words - 1, wrapped));
+    let (from, to) = (stores[0].0, sparse_addr(words, rng));
+    asm.li(Reg::R2, from as i64);
+    asm.fload(Reg::R1, Reg::R2, 0);
+    asm.li(Reg::R2, to as i64);
+    asm.fstore(Reg::R1, Reg::R2, 0);
+    asm.halt();
+    let mut m = Machine::new(cfg, &asm.finish().unwrap());
+
+    for _ in 0..rng.range_usize(4) {
+        let base = sparse_addr(words, rng);
+        let len = (1 + rng.range_usize(PAGE_WORDS + 3)).min(words - base);
+        let chunk: Vec<i64> = (0..len)
+            .map(|_| match rng.range_u64(3) {
+                0 => 0,
+                _ => rng.next_i64(),
+            })
+            .collect();
+        m.write_memory(base, &chunk);
+        model[base..base + len].copy_from_slice(&chunk);
+    }
+    for (addr, value) in stores {
+        model[addr] = value;
+    }
+    model[to] = model[from];
+    m.run(Mode::Functional, u64::MAX);
+    assert!(m.halted() && m.fault().is_none());
+    (m, model)
+}
+
+/// The page map each page's contents call for: live exactly where a word
+/// is non-zero.
+fn pages_holding_data(mem: &[i64]) -> Vec<u8> {
+    mem.chunks(PAGE_WORDS)
+        .map(|page| u8::from(page.iter().any(|&x| x != 0)))
+        .collect()
+}
+
+/// Checks `m` against the dense `model`: equal memory, no clear page
+/// holding data, and a paged encoding byte-identical to the dense one.
+fn assert_paged_state(m: &Machine, model: &[i64], what: &str) {
+    assert!(m.memory() == model, "{what}: memory differs from the model");
+    let live = m.state().live.expect("a machine carries its page map");
+    assert_eq!(live.len(), model.len().div_ceil(PAGE_WORDS), "{what}");
+    for (p, (page, &entry)) in m.memory().chunks(PAGE_WORDS).zip(live).enumerate() {
+        assert!(
+            entry != 0 || page.iter().all(|&x| x == 0),
+            "{what}: page {p} is clear but holds data"
+        );
+    }
+    assert_eq!(
+        encode_machine_state(m.state()),
+        encode_machine_snapshot(&m.snapshot()),
+        "{what}: the paged encoding differs from the dense one"
+    );
+}
+
+#[test]
+fn page_map_tracks_a_dense_model_across_every_transfer() {
+    let mut rng = DetRng::seed_from_u64(0x9a6e_11fe);
+    for case in 0..36 {
+        // Smaller than one page, a few pages, and many.
+        let words = [256, 1 << 12, 1 << 14][case % 3];
+        let (src, model) = sparse_machine(words, &mut rng);
+        assert_paged_state(&src, &model, &format!("case {case}: source"));
+        let snap = src.snapshot();
+        let bytes = encode_machine_state(src.state());
+        assert!(decode_machine_snapshot(&bytes).unwrap().mem == model);
+
+        // Targets with live pages of their own: a sparse one, and one
+        // whose every word is non-zero.
+        let mut targets = || {
+            let sparse = sparse_machine(words, &mut rng).0;
+            let (mut full, _) = sparse_machine(words, &mut rng);
+            full.write_memory(0, &vec![-7; words]);
+            [sparse, full]
+        };
+        for (k, mut t) in targets().into_iter().enumerate() {
+            t.restore_from(&src);
+            assert_paged_state(&t, &model, &format!("case {case}.{k}: restore_from"));
+            assert_eq!(t.state().live, src.state().live, "case {case}.{k}");
+        }
+        for (k, mut t) in targets().into_iter().enumerate() {
+            t.restore(&snap);
+            assert_paged_state(&t, &model, &format!("case {case}.{k}: restore"));
+            assert_eq!(t.state().live.unwrap(), pages_holding_data(&model));
+        }
+        for (k, mut t) in targets().into_iter().enumerate() {
+            decode_machine_snapshot_into(&bytes, &mut t).unwrap();
+            assert_paged_state(&t, &model, &format!("case {case}.{k}: decode_into"));
+            assert_eq!(t.state().live.unwrap(), pages_holding_data(&model));
+        }
+    }
 }
 
 #[test]

@@ -347,25 +347,68 @@ fn drain_stops_admission_and_preserves_pending_cells_durably() {
     server.stop();
 }
 
+/// Puts a fresh server makes to accept one job: its spec, status and
+/// index records. Nothing is written before the first submit.
+const SUBMIT_PUTS: u64 = 3;
+
 /// Disk-full from a named put onward: the server degrades (counts the
 /// failed writes, keeps serving the protocol, refuses a report it cannot
 /// assemble whole) instead of crashing, and recovers fully once space
-/// returns.
+/// returns. A submit that cannot make its job durable is refused, so a
+/// restart never forgets a job the server acknowledged.
 #[test]
 fn disk_full_mid_campaign_degrades_without_crashing() {
     let tmp = util::TempDir::new("pgss-chaos-full");
-    let server = {
-        let _guard = faults::install(FaultPlan {
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let full_from = |put| {
+        faults::install(FaultPlan {
             store: StoreFaultPlan {
-                full_after_puts: Some(0), // every put fails
+                full_after_puts: Some(put),
                 ..StoreFaultPlan::default()
             },
             ..FaultPlan::default()
-        });
-        let cfg = ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        };
+        })
+    };
+
+    // Full before the submit: the spec record cannot land, so the job is
+    // refused with the failed write named, and a restart finds no job.
+    {
+        let _guard = full_from(0);
+        let server =
+            Server::start(tmp.path(), Listen::Tcp("127.0.0.1:0".into()), cfg.clone()).unwrap();
+        let addr = server.addr().clone();
+        let refused = Client::connect(&addr).unwrap().submit("chaos", TINY_SPEC);
+        assert!(
+            matches!(&refused, Err(ClientError::Server(m)) if m.contains("spec record")),
+            "expected a typed not-durable rejection, got {refused:?}"
+        );
+        let counters = serve_counters(&addr);
+        assert_eq!(
+            counters.get("serve.jobs.rejected"),
+            Some(&1),
+            "{counters:?}"
+        );
+        assert_eq!(counters.get("serve.jobs.submitted"), None, "{counters:?}");
+        server.stop();
+    }
+    {
+        let _no_faults = faults::install(FaultPlan::default());
+        let server =
+            Server::start(tmp.path(), Listen::Tcp("127.0.0.1:0".into()), cfg.clone()).unwrap();
+        let counters = serve_counters(server.addr());
+        assert_eq!(counters.get("serve.jobs.resumed"), None, "{counters:?}");
+        assert_eq!(counters.get("serve.jobs.unresumable"), None, "{counters:?}");
+        server.stop();
+        assert!(record_names(tmp.path()).is_empty());
+    }
+
+    // Full right after the submit's writes: the job is durable, and
+    // every later put (status updates, ladder rungs, cell records) fails.
+    let server = {
+        let _guard = full_from(SUBMIT_PUTS);
         let server = Server::start(tmp.path(), Listen::Tcp("127.0.0.1:0".into()), cfg).unwrap();
         let addr = server.addr().clone();
         let job = Client::connect(&addr)
