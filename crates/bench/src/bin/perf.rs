@@ -20,8 +20,9 @@
 //! CI gating; `--out DIR` redirects the JSON files (default: current
 //! directory). `--check BASELINE_FILE` turns the run into the ratchet: it
 //! reads the baseline speedup (the last line of the file that is not a
-//! `#` comment) and exits non-zero when the measured functional-mode
-//! geomean falls more than [`RATCHET_MARGIN`] below it.
+//! `#` comment), repeats the measurement [`CHECK_REPEATS`] times, and
+//! exits non-zero when the median functional-mode geomean falls more than
+//! [`RATCHET_MARGIN`] below it.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -34,8 +35,15 @@ use pgss_workloads::Workload;
 /// field changes meaning.
 const PERF_SCHEMA_VERSION: u64 = 1;
 
-/// How far below the baseline `--check` lets the functional geomean fall.
-const RATCHET_MARGIN: f64 = 0.25;
+/// How far below the baseline `--check` lets the median functional
+/// geomean fall. Ten runs of one binary on a 2-vCPU host gave medians of
+/// 1.38x to 1.66x against a 1.30x baseline, so a 1.25x floor passes them
+/// all with room to spare and fails a regression of about 15%.
+const RATCHET_MARGIN: f64 = 0.05;
+
+/// Measurements `--check` takes. It compares their median geomean, so one
+/// run slowed by a noisy neighbour neither fails nor passes the ratchet.
+const CHECK_REPEATS: usize = 5;
 
 /// One timed mode on one workload: per-trial wall times for both cores
 /// over the same op budget.
@@ -77,13 +85,43 @@ fn main() {
         "perf",
         "decoded superblock core vs per-op reference interpreter",
     );
-    let machine_cfg = MachineConfig::default();
     let workloads = suite();
     let workloads: Vec<&Workload> = if cfg.smoke {
         workloads.iter().take(2).collect()
     } else {
         workloads.iter().collect()
     };
+    let repeats = if baseline.is_some() { CHECK_REPEATS } else { 1 };
+    let mut geomeans: Vec<f64> = (0..repeats).map(|_| measure(&cfg, &workloads)).collect();
+    geomeans.sort_by(f64::total_cmp);
+    let geomean = geomeans[repeats / 2];
+    println!();
+    println!(
+        "functional-mode speedup (geomean over {} workloads, median of {repeats}): {geomean:.2}x",
+        workloads.len()
+    );
+    if repeats > 1 {
+        let all: Vec<String> = geomeans.iter().map(|g| format!("{g:.2}x")).collect();
+        println!("measured geomeans: {}", all.join(" "));
+    }
+    if let Some(base) = baseline {
+        let floor = base - RATCHET_MARGIN;
+        println!("ratchet: baseline {base:.2}x, floor {floor:.2}x");
+        if geomean.is_nan() || geomean < floor {
+            eprintln!("decoded-core throughput regressed below the ratchet floor");
+            std::process::exit(1);
+        }
+        if geomean > base + RATCHET_MARGIN {
+            println!("speedup grew; consider raising the baseline to {geomean:.2}");
+        }
+    }
+}
+
+/// Times both cores on every workload and mode, prints the table, writes
+/// the `BENCH_*.json` files, and returns the functional-mode speedup's
+/// geometric mean over the workloads.
+fn measure(cfg: &Config, workloads: &[&Workload]) -> f64 {
+    let machine_cfg = MachineConfig::default();
 
     let modes = [
         ("fast_forward", Mode::FastForward),
@@ -100,7 +138,7 @@ fn main() {
         "speedup",
     ]);
     let mut functional_speedups = Vec::new();
-    for w in &workloads {
+    for w in workloads {
         let mut runs = Vec::new();
         for &(label, mode) in &modes {
             let max_ops = if cfg.smoke { 400_000 } else { 4_000_000 };
@@ -156,25 +194,8 @@ fn main() {
     table.print();
 
     // Geometric mean: ratios multiply, so their mean must too.
-    let geomean = (functional_speedups.iter().map(|s| s.ln()).sum::<f64>()
-        / functional_speedups.len() as f64)
-        .exp();
-    println!();
-    println!(
-        "functional-mode speedup (geomean over {} workloads): {geomean:.2}x",
-        functional_speedups.len()
-    );
-    if let Some(base) = baseline {
-        let floor = base - RATCHET_MARGIN;
-        println!("ratchet: baseline {base:.2}x, floor {floor:.2}x");
-        if geomean.is_nan() || geomean < floor {
-            eprintln!("decoded-core throughput regressed below the ratchet floor");
-            std::process::exit(1);
-        }
-        if geomean > base + RATCHET_MARGIN {
-            println!("speedup grew; consider raising the baseline to {geomean:.2}");
-        }
-    }
+    (functional_speedups.iter().map(|s| s.ln()).sum::<f64>() / functional_speedups.len() as f64)
+        .exp()
 }
 
 /// The baseline speedup in `path`: its last line that is neither blank

@@ -5,7 +5,7 @@
 //! run under every technique under comparison. Because a technique run is
 //! "construct [`crate::driver::SimDriver`]s, loop over segments" with no shared
 //! mutable state, cells are embarrassingly parallel: workers claim jobs
-//! from an atomic counter and results are returned **in job order**
+//! from one [`CellQueue`] and results are returned **in job order**
 //! regardless of thread count or scheduling, so campaign output is
 //! deterministic and directly comparable across runs.
 //!
@@ -14,10 +14,11 @@
 //! A production campaign over thousands of cells cannot be all-or-nothing.
 //! Every cell runs under [`std::panic::catch_unwind`], so a panicking
 //! technique costs exactly its own cell; failed cells are retried a
-//! bounded, deterministic number of times (see [`RetryPolicy`] — retry
-//! order is seeded and reproducible, with no wall-clock backoff, so two
-//! runs of the same campaign produce byte-identical reports); whatever
-//! still fails lands in the [`CampaignReport::failures`] ledger with its
+//! bounded, deterministic number of times (see [`RetryPolicy`] — no
+//! wall-clock backoff, and retry counts and the ledger do not depend on
+//! retry order, so two runs of the same campaign produce byte-identical
+//! reports); whatever still fails lands in the
+//! [`CampaignReport::failures`] ledger with its
 //! workload / technique / cause context while every other cell's result
 //! is delivered bit-identical to a fault-free run. Checkpoint-store
 //! faults (corrupt records, I/O errors) are healed by the ladder layer
@@ -49,15 +50,14 @@
 // on this path reports through the ledger instead of unwrapping.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use pgss_ckpt::Store;
 use pgss_cpu::MachineConfig;
 use pgss_obs::{scope_line, MetricsFrame, MetricsRecorder, MetricsReport, Recorder, Span};
-use pgss_stats::DetRng;
 use pgss_workloads::Workload;
 
 use crate::ckpt::{CheckpointLadder, LadderReport, LadderSpec, SimContext};
@@ -236,33 +236,26 @@ impl std::error::Error for CampaignError {}
 /// of their inputs, so a retry either deterministically succeeds (the
 /// fault was external — e.g. an injected or environmental panic) or
 /// deterministically fails again, and waiting would only slow the grid.
-/// The retry *order* is a seeded shuffle of the failed cells, so two runs
-/// with the same seed replay retries identically — reports are
-/// byte-identical — while not hammering cells in claim order.
+/// A failed attempt goes to the back of the [`CellQueue`]. Retry order
+/// reaches no output: the retry count and the failure ledger (in job
+/// order) are the same whichever order retries run in, so reports are
+/// byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per cell (first run included); 1 disables retry.
     pub max_attempts: u32,
-    /// Seed for the retry-order shuffle.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 2,
-            seed: 0x7067_7373, // "pgss"
-        }
+        RetryPolicy { max_attempts: 2 }
     }
 }
 
 impl RetryPolicy {
     /// No retries: one attempt per cell.
     pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 }
 
@@ -277,7 +270,8 @@ impl RetryPolicy {
 /// process-global state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
-    /// Worker threads for the claim loop; must be at least 1.
+    /// Worker threads that run cells; must be at least 1. A checkpointed
+    /// campaign builds its ladders on the calling thread.
     pub workers: usize,
     /// Retry policy for failed cells.
     pub retry: RetryPolicy,
@@ -324,8 +318,8 @@ impl CampaignConfig {
 /// failure ledger for everything else, and checkpointing accounting.
 ///
 /// The report is plain data with deterministic contents — equal campaigns
-/// (same jobs, same faults, same retry seed) produce `==`, byte-identical
-/// reports regardless of thread count.
+/// (same jobs, same faults) produce `==`, byte-identical reports
+/// regardless of thread count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignReport {
     /// Successful cells, in job order (failed cells leave gaps).
@@ -339,18 +333,18 @@ pub struct CampaignReport {
     pub ladder: LadderReport,
     /// Checkpoint-store faults healed or tolerated along the way:
     /// quarantined corrupt records, store I/O errors, failed write-backs,
-    /// capture-pass panics — one human-readable line each. These are
-    /// informational: the affected cells still produced bit-exact results
-    /// via recapture or unaccelerated execution.
+    /// capture-pass panics — one human-readable line each, in group order.
+    /// These are informational: the affected cells still produced
+    /// bit-exact results via recapture or unaccelerated execution.
     pub checkpoint_faults: Vec<String>,
     /// Observability: a `"campaign"` scope (job/retry/failure counters,
     /// checkpoint-store and ladder accounting, detail-share distribution)
     /// followed by one `"workload/technique"` scope per successful cell in
-    /// job order, each carrying that cell's driver counters. Per-worker
-    /// frames are merged at join in job order, so the report — and its
-    /// [`MetricsReport::to_jsonl`] export — is byte-identical regardless
-    /// of the worker count (span wall times are excluded from comparison
-    /// and export; see `pgss_obs`).
+    /// job order, each carrying that cell's driver counters. Per-cell
+    /// frames are folded in job order once the workers finish, so the
+    /// report — and its [`MetricsReport::to_jsonl`] export — is
+    /// byte-identical regardless of the worker count (span wall times are
+    /// excluded from comparison and export; see `pgss_obs`).
     pub metrics: MetricsReport,
 }
 
@@ -614,9 +608,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs **one** campaign cell in full isolation: fresh recorder, fresh
 /// fault slot, `catch_unwind` around the technique, typed-fault-outranks-
 /// panic resolution. This is the single execution path for a cell — the
-/// claim-loop workers here and the campaign server's workers both call
-/// it, so a cell's result and metric frame are bit-identical no matter
-/// which scheduler ran it.
+/// library's [`CellQueue`] workers and the campaign server's workers both
+/// call it, so a cell's result and metric frame are bit-identical no
+/// matter which of them ran it.
 ///
 /// The returned frame is the cell's **raw** driver frame; the
 /// estimate-derived counters are layered on separately (at finalize
@@ -681,101 +675,296 @@ pub fn annotate_cell_frame(cell: &CellResult, frame: &mut MetricsFrame) {
     frame.add("cell.samples", cell.estimate.samples);
 }
 
-/// Runs the cells named by `order` (indices into `jobs`) on up to
-/// `threads` claim-loop workers, isolating each cell via [`run_cell`].
-/// Successes are appended to `results` together with the cell's metric
-/// frame, failures to `failed`; both keyed by job index, so callers can
-/// merge passes and sort once at the end.
-fn run_cells(
-    jobs: &[Job<'_>],
-    order: &[usize],
-    threads: usize,
-    ctx: &SimContext,
-    results: &mut Vec<(usize, CellResult, MetricsFrame)>,
-    failed: &mut Vec<(usize, CellError)>,
-) {
-    if order.is_empty() {
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads.min(order.len()).max(1))
-            .map(|_| {
-                let cursor = &cursor;
-                s.spawn(move || {
-                    let mut ok = Vec::new();
-                    let mut bad = Vec::new();
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = order.get(k) else { break };
-                        match run_cell(&jobs[i], ctx) {
-                            Ok((cell, frame)) => ok.push((i, cell, frame)),
-                            Err(error) => bad.push((i, error)),
-                        }
-                    }
-                    (ok, bad)
-                })
-            })
-            .collect();
-        for worker in workers {
-            match worker.join() {
-                Ok((ok, bad)) => {
-                    results.extend(ok);
-                    failed.extend(bad);
-                }
-                // A panic escaping catch_unwind means the harness itself
-                // is broken (cell bookkeeping, not a technique): propagate.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
+/// A ladder group's checkpoint ladder as a [`CellQueue`] tracks it.
+enum LadderSlot {
+    NotBuilt,
+    Building,
+    /// `None` runs the group unaccelerated: a plain campaign, a failed
+    /// [`LadderGroup::build`], or a group whose cells all settled.
+    Ready(Option<Arc<CheckpointLadder>>),
 }
 
-/// Runs the cells named by `order` under `ctx` with isolation and retry:
-/// a first pass over `order`, then up to `retry.max_attempts - 1`
-/// seeded-order retry passes over whatever failed, then a ledger for the
-/// rest.
-fn execute(
-    jobs: &[Job<'_>],
-    order: &[usize],
-    ctx: &SimContext,
-    config: &CampaignConfig,
-    results: &mut Vec<(usize, CellResult, MetricsFrame)>,
-    report: &mut CampaignReport,
-) {
-    let (threads, retry) = (config.workers, &config.retry);
-    let mut failed: Vec<(usize, CellError)> = Vec::new();
-    run_cells(jobs, order, threads, ctx, results, &mut failed);
-    for attempt in 2..=retry.max_attempts {
-        if failed.is_empty() {
-            break;
-        }
-        // Deterministic, seeded retry order: canonical (sorted) base,
-        // shuffled by (seed, attempt) — reproducible run to run.
-        let mut again: Vec<usize> = failed.iter().map(|&(i, _)| i).collect();
-        again.sort_unstable();
-        let mut rng = DetRng::seed_from_u64(
-            retry
-                .seed
-                .wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
-        rng.shuffle(&mut again);
-        report.retries += again.len() as u64;
-        failed.clear();
-        run_cells(jobs, &again, threads, ctx, results, &mut failed);
-    }
-    report
-        .failures
-        .extend(failed.into_iter().map(|(job_index, error)| {
-            let job = &jobs[job_index];
-            CellFailure {
-                job_index,
-                workload: job.workload.name().to_string(),
-                technique: job.technique.name(),
-                attempts: retry.max_attempts,
-                error,
+/// A unit of work claimed from a [`CellQueue`].
+pub enum Work {
+    /// Build ladder group `.0` and report it with [`CellQueue::built`].
+    Build(usize),
+    /// Run a cell and settle it with [`CellQueue::done`] or
+    /// [`CellQueue::fail`].
+    Cell {
+        /// The cell's index in the job slice.
+        cell: usize,
+        /// Its group's ladder; `None` runs it unaccelerated.
+        ladder: Option<Arc<CheckpointLadder>>,
+    },
+}
+
+/// The campaign work queue: the one scheduler behind [`run_with`],
+/// [`run_checkpointed_with`] and the campaign server. Callers claim and
+/// settle under their own lock and run the work outside it.
+///
+/// A claim hands out the first pending cell, in pending order, whose
+/// group's ladder is ready; failing that, the build of the first pending
+/// cell's unbuilt group. [`CellQueue::claim_cell`] and
+/// [`CellQueue::claim_build`] hand out one kind each, by the same rule;
+/// one thread making every build of a fresh queue makes them in group
+/// order, so their checkpoint faults come in group order. A failed
+/// attempt goes to the back of the pending order while
+/// [`RetryPolicy::max_attempts`] lasts; after that its ledger entry (an
+/// `F`) is kept in cell order.
+///
+/// When a group's last cell settles, its ladder is dropped and its
+/// [`LadderReport`] merged. A build is claimed only when no ready group
+/// has pending cells, so every resident ladder has a cell in flight or is
+/// being built: `n` claimers — say `n - 1` that run cells and one that
+/// builds — hold at most `n` ladders, and a settled or cancelled queue
+/// holds none.
+pub struct CellQueue<F> {
+    group_of: Vec<usize>,
+    /// Per group: its ladder, and its cells not yet settled or cancelled.
+    groups: Vec<(LadderSlot, usize)>,
+    pending: VecDeque<usize>,
+    done: Vec<bool>,
+    done_count: usize,
+    failed_attempts: Vec<u32>,
+    in_flight: usize,
+    max_attempts: u32,
+    retries: u64,
+    failures: Vec<(usize, F)>,
+    ladder: LadderReport,
+    faults: Vec<String>,
+}
+
+impl<F> CellQueue<F> {
+    /// A queue over jobs `0..cells`, all pending. The cells of each of
+    /// `groups` ([`ladder_groups`]) share a ladder built on demand; any
+    /// other cell runs unaccelerated, in one group that is ready from the
+    /// start, so with no groups claims come in job order.
+    pub fn new(cells: usize, groups: &[LadderGroup], retry: &RetryPolicy) -> CellQueue<F> {
+        let mut group_of = vec![groups.len(); cells];
+        for (g, group) in groups.iter().enumerate() {
+            for &i in &group.cells {
+                group_of[i] = g;
             }
-        }));
+        }
+        let ungrouped = group_of.iter().filter(|&&g| g == groups.len()).count();
+        let slots = groups.iter().map(|g| (LadderSlot::NotBuilt, g.cells.len()));
+        CellQueue {
+            group_of,
+            groups: slots
+                .chain([(LadderSlot::Ready(None), ungrouped)])
+                .collect(),
+            pending: (0..cells).collect(),
+            done: vec![false; cells],
+            done_count: 0,
+            failed_attempts: vec![0; cells],
+            in_flight: 0,
+            max_attempts: retry.max_attempts,
+            retries: 0,
+            failures: Vec::new(),
+            ladder: LadderReport::default(),
+            faults: Vec::new(),
+        }
+    }
+
+    /// The next unit of work, or `None` while nothing is claimable: the
+    /// first pending cell whose group's ladder is ready, else the build
+    /// of the first pending cell's unbuilt group.
+    pub fn claim(&mut self) -> Option<Work> {
+        self.claim_cell()
+            .or_else(|| self.claim_build().map(Work::Build))
+    }
+
+    /// The cell [`CellQueue::claim`] would hand out, if any.
+    pub fn claim_cell(&mut self) -> Option<Work> {
+        let ready = self.pending.iter().enumerate().find_map(|(pos, &i)| {
+            match &self.groups[self.group_of[i]].0 {
+                LadderSlot::Ready(ladder) => Some((pos, ladder.clone())),
+                _ => None,
+            }
+        });
+        let (pos, ladder) = ready?;
+        let cell = self.pending.remove(pos)?;
+        self.in_flight += 1;
+        Some(Work::Cell { cell, ladder })
+    }
+
+    /// The build [`CellQueue::claim`] would hand out, if any: only when no
+    /// pending cell's group is ready.
+    pub fn claim_build(&mut self) -> Option<usize> {
+        let slot = |i: &usize| &self.groups[self.group_of[*i]].0;
+        if self
+            .pending
+            .iter()
+            .any(|i| matches!(slot(i), LadderSlot::Ready(_)))
+        {
+            return None;
+        }
+        let group = self
+            .pending
+            .iter()
+            .map(|&i| self.group_of[i])
+            .find(|&g| matches!(self.groups[g].0, LadderSlot::NotBuilt))?;
+        self.groups[group].0 = LadderSlot::Building;
+        Some(group)
+    }
+
+    /// Reports a claimed build: the group's cells become claimable, with
+    /// the ladder, or unaccelerated after a failed build. Its fault notes
+    /// join the checkpoint-fault log.
+    pub fn built(&mut self, group: usize, built: Result<CheckpointLadder, String>) {
+        self.groups[group].0 = LadderSlot::Ready(match built {
+            Ok(ladder) => {
+                self.faults.extend_from_slice(ladder.fault_log());
+                Some(Arc::new(ladder))
+            }
+            Err(fault) => {
+                self.faults.push(fault);
+                None
+            }
+        });
+        if self.groups[group].1 == 0 {
+            self.release(group);
+        }
+    }
+
+    /// Settles a claimed cell that succeeded.
+    pub fn done(&mut self, cell: usize) {
+        self.in_flight -= 1;
+        self.settle_done(cell);
+    }
+
+    /// Settles a claimed cell's failed attempt: requeues it and returns
+    /// `true` while its retry budget lasts, else ledgers `ledger(attempts)`.
+    pub fn fail(&mut self, cell: usize, ledger: impl FnOnce(u32) -> F) -> bool {
+        self.in_flight -= 1;
+        self.failed_attempts[cell] += 1;
+        let attempts = self.failed_attempts[cell];
+        if attempts < self.max_attempts {
+            self.retries += 1;
+            self.pending.push_back(cell);
+            return true;
+        }
+        self.ledger(cell, ledger(attempts));
+        false
+    }
+
+    /// Settles a claimed cell of a cancelled campaign: neither done nor
+    /// ledgered.
+    pub fn abandon(&mut self, cell: usize) {
+        self.in_flight -= 1;
+        self.close(cell);
+    }
+
+    /// Drops every pending cell; cells in flight settle as they return.
+    pub fn cancel(&mut self) {
+        for cell in std::mem::take(&mut self.pending) {
+            self.close(cell);
+        }
+    }
+
+    /// Marks a pending cell done unrun (a result recorded before a
+    /// restart); a cell that is not pending is left as it is.
+    pub fn mark_done(&mut self, cell: usize) {
+        if self.take_pending(cell) {
+            self.settle_done(cell);
+        }
+    }
+
+    /// Ledgers a pending cell unrun (a failure recorded before a restart);
+    /// a cell that is not pending is left as it is.
+    pub fn mark_failed(&mut self, cell: usize, entry: F) {
+        if self.take_pending(cell) {
+            self.ledger(cell, entry);
+        }
+    }
+
+    /// Adds retries recorded before a restart to the retry count.
+    pub fn add_retries(&mut self, retries: u64) {
+        self.retries += retries;
+    }
+
+    fn take_pending(&mut self, cell: usize) -> bool {
+        let pos = self.pending.iter().position(|&i| i == cell);
+        pos.and_then(|pos| self.pending.remove(pos)).is_some()
+    }
+
+    fn settle_done(&mut self, cell: usize) {
+        self.done[cell] = true;
+        self.done_count += 1;
+        self.close(cell);
+    }
+
+    fn ledger(&mut self, cell: usize, entry: F) {
+        let at = self.failures.partition_point(|&(i, _)| i < cell);
+        self.failures.insert(at, (cell, entry));
+        self.close(cell);
+    }
+
+    fn close(&mut self, cell: usize) {
+        let group = self.group_of[cell];
+        self.groups[group].1 -= 1;
+        if self.groups[group].1 == 0 {
+            self.release(group);
+        }
+    }
+
+    /// Drops a settled group's ladder; a build in flight is dropped by
+    /// [`CellQueue::built`] instead.
+    fn release(&mut self, group: usize) {
+        if let LadderSlot::Ready(slot) = &mut self.groups[group].0 {
+            if let Some(ladder) = slot.take() {
+                self.ladder.merge(&ladder.report());
+            }
+        }
+    }
+
+    /// Cells in the campaign.
+    pub fn cell_count(&self) -> usize {
+        self.done.len()
+    }
+
+    /// Cells done so far.
+    pub fn done_count(&self) -> usize {
+        self.done_count
+    }
+
+    /// Whether `cell` is done.
+    pub fn is_done(&self, cell: usize) -> bool {
+        self.done[cell]
+    }
+
+    /// Claimed cells not yet settled.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    /// Whether a claimed build is not reported yet.
+    pub fn is_building(&self) -> bool {
+        self.groups
+            .iter()
+            .any(|g| matches!(g.0, LadderSlot::Building))
+    }
+
+    /// Whether every cell is done or ledgered.
+    pub fn is_settled(&self) -> bool {
+        self.done_count + self.failures.len() == self.cell_count()
+    }
+
+    /// Failed attempts that were requeued.
+    pub fn retries(&self) -> u64 {
+        self.retries
+    }
+
+    /// The failure ledger, in cell order.
+    pub fn failures(&self) -> impl Iterator<Item = &F> {
+        self.failures.iter().map(|(_, entry)| entry)
+    }
+
+    /// Ladders built and not yet dropped.
+    pub fn resident_ladders(&self) -> usize {
+        let resident = |g: &&(LadderSlot, usize)| matches!(g.0, LadderSlot::Ready(Some(_)));
+        self.groups.iter().filter(resident).count()
+    }
 }
 
 /// Folds per-cell metric frames and the campaign-level recorder into
@@ -822,7 +1011,7 @@ fn finalize(
 /// [`CampaignReport`] whose successful cells are **in job order** —
 /// output is identical for any worker count.
 ///
-/// Workers claim the next unclaimed job from an atomic cursor, so long
+/// Workers claim the next unclaimed job from one [`CellQueue`], so long
 /// cells (FullDetailed on the largest workload) never leave other workers
 /// idle behind a static partition. A panicking technique costs only its
 /// own cell (see the module docs); `workers == 0` or a zero-attempt retry
@@ -854,10 +1043,12 @@ pub fn run_with(
 /// abort: corrupt records are quarantined and recaptured (self-healing),
 /// I/O errors fall back to capture, and a panicking capture pass demotes
 /// its group to unaccelerated execution — each event is recorded in
-/// [`CampaignReport::checkpoint_faults`], and none of them changes any
-/// cell's bits. Groups are processed sequentially so at most one
-/// workload's ladder is resident; cells within a group run on the
-/// configured worker count ([`CampaignConfig::workers`]).
+/// [`CampaignReport::checkpoint_faults`], in group order, and none of
+/// them changes any cell's bits. The [`CampaignConfig::workers`] workers
+/// run one group's cells while the calling thread builds the next
+/// group's ladder, and a ladder is dropped once its group's last cell
+/// settles, so at most `workers + 1` ladders are resident (see
+/// [`CellQueue`]).
 ///
 /// `stride == 0` is reported as [`CampaignError::InvalidConfig`].
 pub fn run_checkpointed_with(
@@ -870,10 +1061,10 @@ pub fn run_checkpointed_with(
 }
 
 /// The one campaign engine behind [`run_with`] and
-/// [`run_checkpointed_with`]: validation, the `campaign.run` span, cell
-/// execution and the report fold. Checkpointing — a rung stride and the
-/// store ladders persist in, if any — changes only how jobs are grouped
-/// and which [`SimContext`] each group runs under.
+/// [`run_checkpointed_with`]: validation, the `campaign.run` span, the
+/// [`CellQueue`] its workers drain, and the report fold. Checkpointing —
+/// a rung stride and the store ladders persist in, if any — changes only
+/// how the queue groups jobs.
 fn run_campaign(
     jobs: &[Job<'_>],
     config: &CampaignConfig,
@@ -894,71 +1085,147 @@ fn run_campaign(
     }
     let campaign_rec = Arc::new(MetricsRecorder::new());
     campaign_rec.add("campaign.jobs", jobs.len() as u64);
-    let mut results = Vec::with_capacity(jobs.len());
+    // Route the store's hit/miss/quarantine/byte counters into the
+    // campaign scope; they are sums, so they do not depend on when each
+    // ladder is built.
+    let store = checkpointing
+        .and_then(|(_, store)| store)
+        .map(|st| st.clone().with_recorder(Arc::clone(&campaign_rec) as _));
+    let groups = checkpointing.map_or_else(Vec::new, |(stride, _)| {
+        let groups = ladder_groups(jobs, stride);
+        campaign_rec.add("campaign.groups", groups.len() as u64);
+        groups
+    });
+    let queue = CellQueue::new(jobs.len(), &groups, &config.retry);
     let campaign_span = Span::enter(&*campaign_rec, "campaign.run");
-    match checkpointing {
-        // One pass over every job, so no worker idles at a group boundary.
-        None => {
-            let order: Vec<usize> = (0..jobs.len()).collect();
-            let ctx = SimContext::none();
-            execute(jobs, &order, &ctx, config, &mut results, &mut report);
-        }
-        Some(ck) => run_groups(jobs, ck, config, &campaign_rec, &mut results, &mut report),
-    }
+    let Drain { queue, results, .. } = drain(jobs, &groups, store.as_ref(), queue, config.workers);
     drop(campaign_span);
-    report.failures.sort_unstable_by_key(|f| f.job_index);
+    report.failures = queue.failures.into_iter().map(|(_, f)| f).collect();
+    report.retries = queue.retries;
+    if checkpointing.is_some() {
+        report.ladder = queue.ladder;
+        report.checkpoint_faults = queue.faults;
+        // Mirror the ladder accounting as campaign-scope counters so the
+        // JSONL export carries the acceleration story alongside the cells.
+        campaign_rec.add("ckpt.ladder.jumps", report.ladder.jumps);
+        campaign_rec.add("ckpt.ladder.skipped_ops", report.ladder.skipped_ops);
+        campaign_rec.add("ckpt.ladder.executed_ops", report.ladder.executed_ops);
+        campaign_rec.add("ckpt.ladder.capture_ops", report.ladder.capture_ops);
+        campaign_rec.add(
+            "campaign.checkpoint_faults",
+            report.checkpoint_faults.len() as u64,
+        );
+    }
     finalize(&mut report, results, &campaign_rec);
     Ok(report)
 }
 
-/// The checkpointed half of [`run_campaign`]: groups cells sharing a
-/// workload and configuration, captures (or loads) one ladder per group
-/// and runs the group's cells against it.
-fn run_groups(
+/// What [`drain`]'s workers share under one lock.
+struct Drain {
+    queue: CellQueue<CellFailure>,
+    /// Successful cells with their raw frames, in completion order.
+    results: Vec<(usize, CellResult, MetricsFrame)>,
+    /// A worker panicked outside [`run_cell`]'s isolation, so the harness
+    /// itself is broken: the others stop, and the scope re-raises it.
+    aborted: bool,
+}
+
+/// Drains `queue`: up to `workers` threads claim and run cells while the
+/// calling thread claims and builds ladders. Each loops: claim under the
+/// lock, run the work outside it, settle, wake the others, and wait while
+/// nothing is claimable until every cell has settled.
+///
+/// Building on one thread that runs no cells keeps a ladder build from
+/// waiting on a worker's cell, and allocates and frees every ladder
+/// buffer on one thread: with builds spread over the workers, each
+/// worker's allocator arena kept a released ladder's buffers, and the
+/// warm-store benchmark grid's peak RSS grew by about 60%.
+fn drain(
     jobs: &[Job<'_>],
-    (stride, store): (u64, Option<&Store>),
-    config: &CampaignConfig,
-    campaign_rec: &Arc<MetricsRecorder>,
-    results: &mut Vec<(usize, CellResult, MetricsFrame)>,
-    report: &mut CampaignReport,
-) {
-    // Route the store's hit/miss/quarantine/byte counters into the
-    // campaign scope. All store traffic happens on this thread (groups
-    // are processed sequentially), so the counters are deterministic.
-    let store = store.map(|st| st.clone().with_recorder(Arc::clone(campaign_rec) as _));
-    let groups = ladder_groups(jobs, stride);
-    campaign_rec.add("campaign.groups", groups.len() as u64);
-    for group in &groups {
-        let ladder = match group.build(jobs, store.as_ref()) {
-            Ok(ladder) => {
-                report
-                    .checkpoint_faults
-                    .extend(ladder.fault_log().iter().cloned());
-                Some(Arc::new(ladder))
+    groups: &[LadderGroup],
+    store: Option<&Store>,
+    queue: CellQueue<CellFailure>,
+    workers: usize,
+) -> Drain {
+    let state = Mutex::new(Drain {
+        queue,
+        results: Vec::with_capacity(jobs.len()),
+        aborted: false,
+    });
+    let wake = Condvar::new();
+    // No technique code runs under the lock and each update leaves the
+    // state whole, so a poisoned lock still guards a usable state.
+    let lock = || state.lock().unwrap_or_else(PoisonError::into_inner);
+    let work_loop = |builds: bool| loop {
+        let mut st = lock();
+        let work = loop {
+            if st.aborted || st.queue.is_settled() {
+                return;
             }
-            Err(fault) => {
-                report.checkpoint_faults.push(fault);
-                None
+            let claimed = if builds {
+                st.queue.claim_build().map(Work::Build)
+            } else {
+                st.queue.claim_cell()
+            };
+            if let Some(work) = claimed {
+                break work;
             }
+            st = wake.wait(st).unwrap_or_else(PoisonError::into_inner);
         };
-        let ctx = ladder.as_ref().map_or_else(SimContext::none, |ladder| {
-            SimContext::with_ladder(Arc::clone(ladder))
-        });
-        execute(jobs, &group.cells, &ctx, config, results, report);
-        if let Some(ladder) = ladder {
-            report.ladder.merge(&ladder.report());
+        drop(st);
+        match work {
+            Work::Build(group) => {
+                let built = groups[group].build(jobs, store);
+                lock().queue.built(group, built);
+            }
+            Work::Cell { cell, ladder } => {
+                let ctx = ladder.map_or_else(SimContext::none, SimContext::with_ladder);
+                let outcome = run_cell(&jobs[cell], &ctx);
+                // Settling the group's last cell drops its ladder, so this
+                // handle goes first.
+                drop(ctx);
+                match outcome {
+                    Ok((result, frame)) => {
+                        let mut st = lock();
+                        st.queue.done(cell);
+                        st.results.push((cell, result, frame));
+                    }
+                    Err(error) => {
+                        let job = &jobs[cell];
+                        let workload = job.workload.name().to_string();
+                        let technique = job.technique.name();
+                        lock().queue.fail(cell, |attempts| CellFailure {
+                            job_index: cell,
+                            workload,
+                            technique,
+                            attempts,
+                            error,
+                        });
+                    }
+                }
+            }
         }
-    }
-    // Mirror the ladder accounting as campaign-scope counters so the
-    // JSONL export carries the acceleration story alongside the cells.
-    campaign_rec.add("ckpt.ladder.jumps", report.ladder.jumps);
-    campaign_rec.add("ckpt.ladder.skipped_ops", report.ladder.skipped_ops);
-    campaign_rec.add("ckpt.ladder.executed_ops", report.ladder.executed_ops);
-    campaign_rec.add("ckpt.ladder.capture_ops", report.ladder.capture_ops);
-    campaign_rec.add(
-        "campaign.checkpoint_faults",
-        report.checkpoint_faults.len() as u64,
-    );
+        wake.notify_all();
+    };
+    let run = |builds: bool| {
+        catch_unwind(AssertUnwindSafe(|| work_loop(builds))).inspect_err(|_| {
+            lock().aborted = true;
+            wake.notify_all();
+        })
+    };
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..workers.min(jobs.len()))
+            .map(|_| s.spawn(|| run(false)))
+            .collect();
+        let mut outcomes = vec![run(true)];
+        outcomes.extend(workers.into_iter().filter_map(|w| w.join().ok()));
+        for outcome in outcomes {
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    state.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -967,7 +1234,7 @@ fn run_groups(
 mod tests {
     use super::*;
     use crate::{PgssSim, Smarts, TurboSmarts};
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn suite() -> Vec<Workload> {
         vec![
@@ -1256,10 +1523,7 @@ mod tests {
         assert!(err.to_string().contains("at least one worker"));
         let config = CampaignConfig {
             workers: 2,
-            retry: RetryPolicy {
-                max_attempts: 0,
-                seed: 0,
-            },
+            retry: RetryPolicy { max_attempts: 0 },
         };
         let err = run_with(&jobs, &config).unwrap_err();
         assert!(matches!(
@@ -1383,14 +1647,171 @@ mod tests {
         };
         let techs: Vec<&(dyn Technique + Sync)> = vec![&flaky];
         let jobs = grid(&workloads, &techs, MachineConfig::default());
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            seed: 7,
-        };
+        let retry = RetryPolicy { max_attempts: 3 };
         let report = run_with(&jobs, &CampaignConfig { workers: 2, retry }).unwrap();
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].attempts, 3);
         assert_eq!(report.retries, 2, "two retry passes over the one cell");
         assert_eq!(report.cells.len(), 2);
+    }
+
+    /// A small program named `name`: about 100k ops, so a ladder capture
+    /// is cheap even in a debug build.
+    fn tiny(name: &str) -> Workload {
+        use pgss_workloads::{Kernel, WorkloadBuilder};
+        let mut b = WorkloadBuilder::new(name, 3);
+        let seg = b.add_segment(Kernel::ComputeInt {
+            chains: 2,
+            ops_per_chain: 4,
+        });
+        b.run(seg, 10_000);
+        b.finish()
+    }
+
+    #[test]
+    fn queue_releases_a_ladder_when_its_groups_last_cell_settles() {
+        let workloads = vec![tiny("a"), tiny("b")];
+        let (smarts, _, pgss) = techniques();
+        let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
+        let jobs = grid(&workloads, &techs, MachineConfig::default());
+        let groups = ladder_groups(&jobs, 10_000);
+        let mut q: CellQueue<u32> = CellQueue::new(jobs.len(), &groups, &RetryPolicy::default());
+        let cell = |q: &mut CellQueue<u32>| match q.claim() {
+            Some(Work::Cell {
+                cell,
+                ladder: Some(ladder),
+            }) => (cell, ladder),
+            _ => panic!("expected a cell with a ladder"),
+        };
+
+        assert!(matches!(q.claim(), Some(Work::Build(0))));
+        assert!(
+            q.claim_cell().is_none(),
+            "group 0's cells wait for its ladder"
+        );
+        q.built(0, groups[0].build(&jobs, None));
+        let (c0, l0) = cell(&mut q);
+        let (c1, l1) = cell(&mut q);
+        assert_eq!((c0, c1), (0, 1));
+        assert!(Arc::ptr_eq(&l0, &l1));
+        let weak = Arc::downgrade(&l0);
+        drop((l0, l1));
+        // Group 0 has nothing pending, so the next claim builds group 1.
+        assert!(matches!(q.claim(), Some(Work::Build(1))));
+        assert!(q.claim().is_none(), "everything is claimed");
+        q.done(0);
+        assert!(weak.upgrade().is_some(), "cell 1 is still open");
+        assert!(q.fail(1, |_| unreachable!("one attempt left")));
+        assert!(weak.upgrade().is_some(), "cell 1 was requeued");
+        q.built(1, groups[1].build(&jobs, None));
+        assert_eq!(q.resident_ladders(), 2);
+
+        // Pending order is now 2, 3, then the retried 1, which runs with
+        // its own group's ladder.
+        let (c2, l2) = cell(&mut q);
+        let (c3, l3) = cell(&mut q);
+        let (retried, l1) = cell(&mut q);
+        assert_eq!((c2, c3, retried), (2, 3, 1));
+        assert!(Arc::ptr_eq(&l1, &weak.upgrade().unwrap()));
+        assert!(!Arc::ptr_eq(&l1, &l2));
+        let weak1 = Arc::downgrade(&l2);
+        drop((l1, l2, l3));
+        q.done(1);
+        assert!(weak.upgrade().is_none(), "group 0 settled: ladder dropped");
+        assert_eq!(q.resident_ladders(), 1);
+
+        // A group whose last cell is ledgered releases its ladder too.
+        q.done(2);
+        assert!(q.fail(3, |_| unreachable!("one attempt left")));
+        let (c3, l3) = cell(&mut q);
+        assert_eq!(c3, 3);
+        drop(l3);
+        assert!(!q.fail(3, |attempts| attempts));
+        assert!(weak1.upgrade().is_none(), "group 1 settled: ladder dropped");
+        assert_eq!(q.resident_ladders(), 0);
+        assert!(q.is_settled());
+        assert_eq!(q.failures().collect::<Vec<_>>(), [&2]);
+        assert_eq!(q.retries(), 2);
+        assert!(q.ladder.capture_ops > 0, "released ladders are accounted");
+    }
+
+    /// Claimers step in a seeded random order, so ladders are built,
+    /// used and released in many interleavings. Whether every claimer may
+    /// build (the server) or one claimer only builds and the others only
+    /// run cells (`drain`), no more ladders are ever resident than there
+    /// are claimers, and a settled queue holds none.
+    #[test]
+    fn queue_holds_at_most_one_ladder_per_claimer() {
+        let workloads: Vec<Workload> = ["a", "b", "c", "d", "e"].map(tiny).into();
+        let (smarts, _, pgss) = techniques();
+        let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss, &smarts];
+        let jobs = grid(&workloads, &techs, MachineConfig::default());
+        let groups = ladder_groups(&jobs, 10_000);
+        for (claimers, one_builder) in [1, 2, 3, 4].map(|n| [(n, false), (n, true)]).concat() {
+            if one_builder && claimers < 2 {
+                continue;
+            }
+            let mut rng = pgss_stats::DetRng::seed_from_u64(claimers as u64);
+            let mut q: CellQueue<()> = CellQueue::new(jobs.len(), &groups, &RetryPolicy::default());
+            let mut held: Vec<Option<Work>> = (0..claimers).map(|_| None).collect();
+            let mut ladders = Vec::new();
+            while !q.is_settled() {
+                // One claimer steps: an idle one claims, a busy one
+                // finishes its work (a cell fails a third of the time).
+                let c = rng.range_usize(claimers);
+                match held[c].take() {
+                    None if !one_builder => held[c] = q.claim(),
+                    None if c == 0 => held[c] = q.claim_build().map(Work::Build),
+                    None => held[c] = q.claim_cell(),
+                    Some(Work::Build(g)) => q.built(g, groups[g].build(&jobs, None)),
+                    Some(Work::Cell { cell, ladder }) => {
+                        ladders.extend(ladder.as_ref().map(Arc::downgrade));
+                        drop(ladder);
+                        if rng.range_u64(3) == 0 {
+                            q.fail(cell, |_| ());
+                        } else {
+                            q.done(cell);
+                        }
+                    }
+                }
+                let held_ladders = (q.groups.iter())
+                    .filter(|g| matches!(g.0, LadderSlot::Building | LadderSlot::Ready(Some(_))))
+                    .count();
+                assert!(
+                    held_ladders <= claimers,
+                    "{held_ladders} ladders held by {claimers} claimers"
+                );
+            }
+            assert_eq!(q.resident_ladders(), 0);
+            assert!(ladders.iter().all(|l| l.upgrade().is_none()));
+            assert_eq!(q.done_count() + q.failures().count(), jobs.len());
+        }
+    }
+
+    /// A technique whose `name` panics breaks the harness outside any
+    /// cell's isolation; the campaign must re-raise the panic, not leave
+    /// the other workers waiting on the lost cell.
+    #[test]
+    #[should_panic(expected = "nameless")]
+    fn a_panic_outside_cell_isolation_propagates() {
+        silence_injected_panic_reports();
+        struct Nameless;
+        impl Technique for Nameless {
+            fn name(&self) -> String {
+                panic!("{INJECTED_PANIC_TAG} nameless");
+            }
+            fn run_traced(
+                &self,
+                _: &Workload,
+                _: &MachineConfig,
+                _: &SimContext,
+            ) -> (Estimate, RunTrace) {
+                unreachable!("name panics first")
+            }
+        }
+        let workloads = vec![tiny("a"), tiny("b"), tiny("c")];
+        let techs: Vec<&(dyn Technique + Sync)> = vec![&Nameless];
+        let jobs = grid(&workloads, &techs, MachineConfig::default());
+        let _ = run_with(&jobs, &CampaignConfig::with_workers(2));
     }
 }

@@ -5,22 +5,25 @@
 //!
 //! One accept thread hands connections to per-connection handler threads
 //! speaking the line-delimited JSON protocol (see [`crate::client`]). A
-//! fixed pool of worker threads shares a single scheduler state under one
-//! mutex: workers claim *cells* (or checkpoint-ladder builds) from the
-//! job that the round-robin cursor reaches first, so a long campaign
-//! never starves a short one — idle workers steal whatever runnable cell
-//! any job has, subject to per-tenant concurrency quotas.
+//! fixed pool of worker threads shares one scheduler state under one
+//! mutex. Each job wraps the library's work queue,
+//! [`pgss::campaign::CellQueue`], which decides what runs: a cell whose
+//! ladder is ready, else its group's ladder build; retries; and when a
+//! group's ladder is dropped. The server adds only what a daemon needs
+//! around it: workers claim from the job the round-robin cursor reaches
+//! first, subject to per-tenant concurrency quotas, so a long campaign
+//! never starves a short one; claimed cells hold leases; cancellation
+//! and drain stop claims; and every transition is persisted.
 //!
-//! The server re-derives none of the library's campaign engine: cell
-//! order is [`Materialized::job`], ladders are built per
+//! Cell order is [`Materialized::job`], ladder groups are
 //! [`pgss::campaign::ladder_groups`], every cell executes through
-//! [`pgss::campaign::run_cell`] with its group's ladder attached, and
-//! reports render through [`pgss::wire::canonical_artifact`] — so a
-//! server-side cell and report are bit-identical to a library-side one.
-//! A completed cell is rendered once, into the artifact lines it prints
-//! (a [`CellRecord`] under the job-record key namespace), persisted
-//! immediately and streamed to any watchers out of order; reports and
-//! watch replays are assembled from the stored lines.
+//! [`pgss::campaign::run_cell`], and reports render through
+//! [`pgss::wire::canonical_artifact`] — so a server-side cell and report
+//! are bit-identical to a library-side one. A completed cell is rendered
+//! once, into the artifact lines it prints (a [`CellRecord`] under the
+//! job-record key namespace), persisted immediately and streamed to any
+//! watchers out of order; reports and watch replays are assembled from
+//! the stored lines.
 //!
 //! # Durability and resume
 //!
@@ -41,7 +44,8 @@
 //! in-flight cells finish (their results are discarded, freeing the
 //! worker), and once the job drains a durable `Cancelled` status is
 //! written. A cancelled job still answers `status` and `report` from
-//! whatever it completed before the cancel.
+//! whatever it completed before the cancel. A finished or cancelled job
+//! holds no ladder: the queue drops each one as its group settles.
 //!
 //! # Leases, backpressure, drain, GC
 //!
@@ -64,7 +68,7 @@
 // would turn one bad record or request into a dead daemon.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -74,7 +78,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use pgss::campaign::{ladder_groups, run_cell, CellError, LadderGroup, RetryPolicy};
+use pgss::campaign::{
+    ladder_groups, run_cell, CellError, CellQueue, LadderGroup, RetryPolicy, Work,
+};
 use pgss::wire::{self, WireFailure};
 use pgss::{CheckpointLadder, SimContext};
 use pgss_ckpt::{index_key, job_key, JobRecordKind, RecordError, Store};
@@ -289,55 +295,21 @@ enum WatchMsg {
     End(String),
 }
 
-enum LadderState {
-    NotBuilt,
-    Building,
-    /// `None` means the build panicked and the group runs unaccelerated
-    /// (see [`LadderGroup::build`]).
-    Ready(Option<Arc<CheckpointLadder>>),
-}
-
-/// A job's runnable grid: the materialised spec, the ladder groups the
-/// library runner would form over its jobs, and each cell's group.
+/// A job's runnable grid: the materialised spec and the ladder groups the
+/// library runner would form over its jobs.
 struct Grid {
     mat: Materialized,
     groups: Vec<LadderGroup>,
-    group_of: Vec<usize>,
 }
 
-impl Grid {
-    fn new(mat: Materialized) -> Grid {
-        let groups = ladder_groups(&mat.jobs(), mat.stride);
-        let mut group_of = vec![0; mat.cell_count()];
-        for (g, group) in groups.iter().enumerate() {
-            for &i in &group.cells {
-                group_of[i] = g;
-            }
-        }
-        Grid {
-            mat,
-            groups,
-            group_of,
-        }
-    }
-}
-
+/// A job: its grid, the library's [`CellQueue`] over it, and what the
+/// server adds — tenant, phase, watchers, leases and cancellation.
 struct JobState {
     tenant: String,
     grid: Arc<Grid>,
+    queue: CellQueue<WireFailure>,
     phase: JobPhase,
-    total: usize,
-    done: Vec<bool>,
-    done_count: usize,
-    pending: VecDeque<usize>,
-    /// Failed attempts so far, per still-retriable cell.
-    attempts: BTreeMap<usize, u32>,
-    inflight: usize,
     cancelled: bool,
-    retries: u64,
-    failures: Vec<WireFailure>,
-    /// Build state of each of `grid.groups`' ladders.
-    ladders: Vec<LadderState>,
     watchers: Vec<mpsc::Sender<WatchMsg>>,
     started: Option<Instant>,
     /// Lease expiry (clock ns) per in-flight cell, when supervision is on.
@@ -350,38 +322,19 @@ struct JobState {
 impl JobState {
     /// A freshly queued job over `mat`: every cell pending, no ladder
     /// built.
-    fn new(tenant: String, mat: Materialized) -> JobState {
-        let grid = Grid::new(mat);
-        let total = grid.group_of.len();
+    fn new(tenant: String, mat: Materialized, retry: &RetryPolicy) -> JobState {
+        let groups = ladder_groups(&mat.jobs(), mat.stride);
         JobState {
             tenant,
-            ladders: grid.groups.iter().map(|_| LadderState::NotBuilt).collect(),
-            grid: Arc::new(grid),
+            queue: CellQueue::new(mat.cell_count(), &groups, retry),
+            grid: Arc::new(Grid { mat, groups }),
             phase: JobPhase::Queued,
-            total,
-            done: vec![false; total],
-            done_count: 0,
-            pending: (0..total).collect(),
-            attempts: BTreeMap::new(),
-            inflight: 0,
             cancelled: false,
-            retries: 0,
-            failures: Vec::new(),
             watchers: Vec::new(),
             started: None,
             leases: BTreeMap::new(),
             reaped: BTreeSet::new(),
         }
-    }
-
-    fn ladder_of(&self, cell: usize) -> &LadderState {
-        &self.ladders[self.grid.group_of[cell]]
-    }
-
-    fn settled(&self) -> bool {
-        self.done_count + self.failures.len() == self.total
-            && self.pending.is_empty()
-            && self.inflight == 0
     }
 }
 
@@ -409,11 +362,6 @@ struct Inner {
     addr: OnceLock<BoundAddr>,
 }
 
-enum WorkItem {
-    Build { id: u64, group: usize },
-    Cell { id: u64, cell: usize },
-}
-
 /// Renders finished cell `cell` of job `id` as a watch-event line: cell
 /// identity (named by [`Materialized::job`]), progress, and the stored
 /// IPC and annotated scope line.
@@ -425,9 +373,9 @@ fn event_line(id: u64, job: &JobState, cell: usize, record: &CellRecord) -> Stri
     out.push_str("\",\"index\":");
     out.push_str(&cell.to_string());
     out.push_str(",\"done\":");
-    out.push_str(&job.done_count.to_string());
+    out.push_str(&job.queue.done_count().to_string());
     out.push_str(",\"total\":");
-    out.push_str(&job.total.to_string());
+    out.push_str(&job.queue.cell_count().to_string());
     out.push_str(",\"workload\":");
     json_string(&mut out, desc.workload.name());
     out.push_str(",\"technique\":");
@@ -462,8 +410,8 @@ impl Inner {
     fn write_status(&self, id: u64, job: &JobState) {
         let record = StatusRecord {
             phase: job.phase,
-            retries: job.retries,
-            failures: job.failures.clone(),
+            retries: job.queue.retries(),
+            failures: job.queue.failures().cloned().collect(),
         };
         if self
             .store
@@ -478,7 +426,7 @@ impl Inner {
         st.jobs
             .values()
             .filter(|j| j.tenant == tenant)
-            .map(|j| j.inflight)
+            .map(|j| j.queue.in_flight())
             .sum()
     }
 
@@ -489,7 +437,9 @@ impl Inner {
             .count()
     }
 
-    fn find_work(&self, st: &mut State) -> Option<WorkItem> {
+    /// Claims work from the first job, round-robin, whose tenant is
+    /// under its cell quota and whose queue has something to claim.
+    fn find_work(&self, st: &mut State) -> Option<(u64, Arc<Grid>, Work)> {
         if self.draining.load(Ordering::SeqCst) {
             // Draining: nothing new is claimed; pending cells stay
             // durable for the next server run.
@@ -502,27 +452,20 @@ impl Inner {
             let Some(job) = st.jobs.get(&id) else {
                 continue;
             };
-            if job.phase.is_terminal() || job.cancelled || job.pending.is_empty() {
+            if job.phase.is_terminal() {
                 continue;
             }
             let quota = self.cfg.quota_for(&job.tenant);
             if self.running_cells(st, &job.tenant) >= quota.max_concurrent_cells {
                 continue;
             }
-            // Prefer a cell whose ladder is ready; otherwise start
-            // building the first pending cell's ladder.
-            let ready_pos = job
-                .pending
-                .iter()
-                .position(|&i| matches!(job.ladder_of(i), LadderState::Ready(_)));
             let Some(job) = st.jobs.get_mut(&id) else {
                 continue;
             };
-            if let Some(pos) = ready_pos {
-                let Some(cell) = job.pending.remove(pos) else {
-                    continue;
-                };
-                job.inflight += 1;
+            let Some(work) = job.queue.claim() else {
+                continue;
+            };
+            if let Work::Cell { cell, .. } = work {
                 if let Some(deadline) = self.cfg.lease_deadline_ns {
                     job.leases
                         .insert(cell, self.cfg.clock.now_ns().saturating_add(deadline));
@@ -535,19 +478,10 @@ impl Inner {
                     }
                     self.write_status(id, job);
                 }
-                st.rr = (idx + 1) % n;
-                return Some(WorkItem::Cell { id, cell });
             }
-            let build = job
-                .pending
-                .iter()
-                .map(|&i| job.grid.group_of[i])
-                .find(|&g| matches!(job.ladders[g], LadderState::NotBuilt));
-            if let Some(g) = build {
-                job.ladders[g] = LadderState::Building;
-                st.rr = (idx + 1) % n;
-                return Some(WorkItem::Build { id, group: g });
-            }
+            let grid = Arc::clone(&job.grid);
+            st.rr = (idx + 1) % n;
+            return Some((id, grid, work));
         }
         None
     }
@@ -577,7 +511,6 @@ impl Inner {
 
     fn complete_job(&self, id: u64, job: &mut JobState) {
         job.phase = JobPhase::Done;
-        job.failures.sort_unstable_by_key(|f| f.job_index);
         self.write_status(id, job);
         self.rec.add("serve.jobs.completed", 1);
         if let Some(t0) = job.started {
@@ -589,7 +522,6 @@ impl Inner {
 
     fn finish_cancel(&self, id: u64, job: &mut JobState) {
         job.phase = JobPhase::Cancelled;
-        job.pending.clear();
         self.write_status(id, job);
         self.rec.add("serve.jobs.cancelled", 1);
         self.end_watchers(job);
@@ -597,14 +529,14 @@ impl Inner {
 
     fn worker_loop(self: &Arc<Inner>) {
         loop {
-            let item = {
+            let (id, grid, work) = {
                 let mut st = self.lock();
                 loop {
                     if self.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    if let Some(item) = self.find_work(&mut st) {
-                        break item;
+                    if let Some(claimed) = self.find_work(&mut st) {
+                        break claimed;
                     }
                     st = match self.work.wait(st) {
                         Ok(g) => g,
@@ -612,43 +544,36 @@ impl Inner {
                     };
                 }
             };
-            match item {
-                WorkItem::Build { id, group } => self.run_build(id, group),
-                WorkItem::Cell { id, cell } => self.run_one_cell(id, cell),
+            match work {
+                Work::Build(group) => self.run_build(id, &grid, group),
+                Work::Cell { cell, ladder } => self.run_one_cell(id, &grid, cell, ladder),
             }
             self.work.notify_all();
         }
     }
 
-    fn run_build(&self, id: u64, group: usize) {
-        let Some(grid) = self.lock().jobs.get(&id).map(|j| Arc::clone(&j.grid)) else {
-            return;
-        };
-        let ladder = match grid.groups[group].build(&grid.mat.jobs(), Some(&self.store)) {
-            Ok(ladder) => Some(Arc::new(ladder)),
-            Err(_) => {
-                self.rec.add("serve.ladders.degraded", 1);
-                None
-            }
-        };
+    fn run_build(&self, id: u64, grid: &Grid, group: usize) {
+        let built = grid.groups[group].build(&grid.mat.jobs(), Some(&self.store));
+        if built.is_err() {
+            self.rec.add("serve.ladders.degraded", 1);
+        }
         if let Some(job) = self.lock().jobs.get_mut(&id) {
-            job.ladders[group] = LadderState::Ready(ladder);
+            job.queue.built(group, built);
         }
     }
 
-    fn run_one_cell(&self, id: u64, cell: usize) {
-        let Some((grid, ladder)) = self.lock().jobs.get(&id).map(|j| {
-            let ladder = match j.ladder_of(cell) {
-                LadderState::Ready(l) => l.clone(),
-                _ => None,
-            };
-            (Arc::clone(&j.grid), ladder)
-        }) else {
-            return;
-        };
+    fn run_one_cell(
+        &self,
+        id: u64,
+        grid: &Grid,
+        cell: usize,
+        ladder: Option<Arc<CheckpointLadder>>,
+    ) {
         let ctx = ladder.map_or_else(SimContext::none, SimContext::with_ladder);
         let outcome = run_cell(&grid.mat.job(cell), &ctx)
             .map(|(result, frame)| CellRecord::new(&result, frame));
+        // The queue drops the ladder when the group's last cell settles.
+        drop(ctx);
 
         let mut st = self.lock();
         let Some(job) = st.jobs.get_mut(&id) else {
@@ -662,7 +587,7 @@ impl Inner {
             self.rec.add("serve.lease.late_result", 1);
             return;
         }
-        if !self.release_cell(id, job) {
+        if !self.release_cell(id, job, cell) {
             return;
         }
         match outcome {
@@ -679,13 +604,11 @@ impl Inner {
                     // missing record, and a restart re-runs the cell.
                     self.rec.add("serve.store.put_failed", 1);
                 }
-                job.done[cell] = true;
-                job.done_count += 1;
-                job.attempts.remove(&cell);
+                job.queue.done(cell);
                 self.rec.add("serve.cells.executed", 1);
                 let line = event_line(id, job, cell, &record);
                 self.notify_watchers(job, &line);
-                if job.settled() {
+                if job.queue.is_settled() {
                     self.complete_job(id, job);
                 }
             }
@@ -693,46 +616,39 @@ impl Inner {
         }
     }
 
-    /// Frees the worker slot a finished or reaped cell held. Returns
-    /// false when the job was cancelled: the cell's outcome is then
-    /// discarded, and the cancel is finished once nothing is in flight.
-    fn release_cell(&self, id: u64, job: &mut JobState) -> bool {
-        job.inflight -= 1;
+    /// Returns true when the outcome of a finished or reaped cell should
+    /// be settled. When the job was cancelled the outcome is discarded
+    /// instead, and the cancel is finished once nothing is in flight.
+    fn release_cell(&self, id: u64, job: &mut JobState, cell: usize) -> bool {
         if !job.cancelled {
             return true;
         }
-        if job.inflight == 0 && !job.phase.is_terminal() {
+        job.queue.abandon(cell);
+        if job.queue.in_flight() == 0 && !job.phase.is_terminal() {
             self.finish_cancel(id, job);
         }
         false
     }
 
     /// Settles one failed attempt of `cell` — a worker's error or a
-    /// lease reap: requeues the cell while its retry budget lasts,
-    /// otherwise enters it in the failure ledger, persists the status,
-    /// and completes the job if that was its last open cell.
+    /// lease reap — through the queue's retry budget: a ledgered cell
+    /// persists the status and completes the job if it was the last.
     fn settle_failure(&self, id: u64, job: &mut JobState, cell: usize, error: &CellError) {
-        let attempts = job.attempts.entry(cell).or_insert(0);
-        *attempts += 1;
-        let attempts = *attempts;
-        if attempts < self.cfg.retry.max_attempts {
-            job.retries += 1;
-            job.pending.push_back(cell);
-            self.rec.add("serve.cells.retried", 1);
-            return;
-        }
-        job.attempts.remove(&cell);
         let desc = job.grid.mat.job(cell);
-        job.failures.push(WireFailure {
+        let requeued = job.queue.fail(cell, |attempts| WireFailure {
             job_index: cell,
             workload: desc.workload.name().to_string(),
             technique: desc.technique.name(),
             attempts,
             error: error.to_string(),
         });
+        if requeued {
+            self.rec.add("serve.cells.retried", 1);
+            return;
+        }
         self.rec.add("serve.cells.failed", 1);
         self.write_status(id, job);
-        if job.settled() {
+        if job.queue.is_settled() {
             self.complete_job(id, job);
         }
     }
@@ -772,13 +688,22 @@ impl Inner {
             }
             job.reaped.insert(cell);
             self.rec.add("serve.lease.reaped", 1);
-            if self.release_cell(id, job) {
+            if self.release_cell(id, job, cell) {
                 self.settle_failure(id, job, cell, &CellError::DeadlineExceeded { deadline_ns });
             }
         }
         drop(st);
         // Requeued retries (and freed quota slots) need workers.
         self.work.notify_all();
+    }
+
+    /// True when no worker holds a cell or ladder build — the drain
+    /// completion condition.
+    fn drained(&self) -> bool {
+        let st = self.lock();
+        st.jobs
+            .values()
+            .all(|j| j.queue.in_flight() == 0 && !j.queue.is_building())
     }
 
     /// Reads cell `i`'s durable record: `Ok(None)` if it was never
@@ -795,15 +720,6 @@ impl Inner {
         CellRecord::decode(&bytes)
             .map(Some)
             .map_err(|e| format!("cell {i} corrupt: {e}"))
-    }
-
-    /// True when no worker holds a cell or ladder build — the drain
-    /// completion condition.
-    fn drained(&self) -> bool {
-        let st = self.lock();
-        st.jobs.values().all(|j| {
-            j.inflight == 0 && !j.ladders.iter().any(|g| matches!(g, LadderState::Building))
-        })
     }
 
     /// The supervision thread: polls wall time at a short cadence but
@@ -1000,13 +916,10 @@ fn resume_jobs(inner: &Arc<Inner>) {
             inner.rec.add("serve.jobs.unresumable", 1);
             continue;
         };
-        let mut job = JobState::new(tenant, mat);
-        for i in 0..job.total {
+        let mut job = JobState::new(tenant, mat, &inner.cfg.retry);
+        for i in 0..job.queue.cell_count() {
             match inner.read_cell(id, i) {
-                Ok(Some(_)) => {
-                    job.done[i] = true;
-                    job.done_count += 1;
-                }
+                Ok(Some(_)) => job.queue.mark_done(i),
                 Ok(None) => {}
                 Err(_) => {
                     // Unreadable, or checksummed clean but undecodable:
@@ -1018,15 +931,15 @@ fn resume_jobs(inner: &Arc<Inner>) {
                 }
             }
         }
-        let failed: Vec<usize> = status.failures.iter().map(|f| f.job_index).collect();
-        job.pending.retain(|i| !job.done[*i] && !failed.contains(i));
+        for failure in status.failures {
+            job.queue.mark_failed(failure.job_index, failure);
+        }
+        job.queue.add_retries(status.retries);
         job.phase = status.phase;
         job.cancelled = status.phase == JobPhase::Cancelled;
-        job.retries = status.retries;
-        job.failures = status.failures;
         if job.cancelled {
-            job.pending.clear();
-        } else if job.phase == JobPhase::Done && !job.pending.is_empty() {
+            job.queue.cancel();
+        } else if job.phase == JobPhase::Done && !job.queue.is_settled() {
             // Cell records lost since the job finished (quarantined as
             // corrupt, or never written): the records are the completion
             // set, so re-run exactly those cells.
@@ -1035,8 +948,10 @@ fn resume_jobs(inner: &Arc<Inner>) {
         }
         if !job.phase.is_terminal() {
             inner.rec.add("serve.jobs.resumed", 1);
-            inner.rec.add("serve.cells.resumed", job.done_count as u64);
-            if job.settled() {
+            inner
+                .rec
+                .add("serve.cells.resumed", job.queue.done_count() as u64);
+            if job.queue.is_settled() {
                 // Everything finished before the kill, but the Done
                 // status never landed: settle it now.
                 inner.complete_job(id, &mut job);
@@ -1300,7 +1215,7 @@ fn dispatch(inner: &Arc<Inner>, line: &str, w: &mut Stream) -> io::Result<bool> 
             inner.work.notify_all();
             let inflight: usize = {
                 let st = inner.lock();
-                st.jobs.values().map(|j| j.inflight).sum()
+                st.jobs.values().map(|j| j.queue.in_flight()).sum()
             };
             write_line(
                 w,
@@ -1354,7 +1269,7 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
         }
     };
     let job = match spec.materialize() {
-        Ok(mat) => JobState::new(tenant.clone(), mat),
+        Ok(mat) => JobState::new(tenant.clone(), mat, &inner.cfg.retry),
         Err(e) => {
             inner.rec.add("serve.jobs.rejected", 1);
             return err_line(&e);
@@ -1383,7 +1298,7 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
         e.put_bytes(&spec.encode());
         pgss_ckpt::fnv1a64(&e.into_bytes())
     };
-    let total = job.total;
+    let total = job.queue.cell_count();
     // Durable order matters: spec and status first, then the index that
     // names them — a crash between writes leaves an unnamed record, not
     // a dangling index entry. A job whose spec or index entry did not
@@ -1441,10 +1356,10 @@ fn handle_status(inner: &Arc<Inner>, req: &Value) -> String {
         Ok((_, job)) => ok_line(&format!(
             "\"phase\":\"{}\",\"done\":{},\"total\":{},\"failed\":{},\"retries\":{}",
             job.phase.as_str(),
-            job.done_count,
-            job.total,
-            job.failures.len(),
-            job.retries
+            job.queue.done_count(),
+            job.queue.cell_count(),
+            job.queue.failures().count(),
+            job.queue.retries()
         )),
         Err(e) => err_line(&e),
     }
@@ -1458,8 +1373,8 @@ fn handle_cancel(inner: &Arc<Inner>, req: &Value) -> String {
                 err_line(&format!("job is already {}", job.phase.as_str()))
             } else {
                 job.cancelled = true;
-                job.pending.clear();
-                if job.inflight == 0 {
+                job.queue.cancel();
+                if job.queue.in_flight() == 0 {
                     inner.finish_cancel(id, job);
                 }
                 ok_line("\"cancelled\":true")
@@ -1493,10 +1408,7 @@ fn handle_cancel(inner: &Arc<Inner>, req: &Value) -> String {
 /// resume and therefore legitimately collectable.
 fn handle_gc(inner: &Arc<Inner>) -> String {
     let st = inner.lock();
-    let building = st
-        .jobs
-        .values()
-        .any(|j| j.ladders.iter().any(|g| matches!(g, LadderState::Building)));
+    let building = st.jobs.values().any(|j| j.queue.is_building());
     if building {
         inner.rec.add("serve.backpressure.rejections", 1);
         return busy_line(
@@ -1509,7 +1421,7 @@ fn handle_gc(inner: &Arc<Inner>) -> String {
     for (&id, job) in &st.jobs {
         live.insert(job_key(JobRecordKind::Spec, id, 0));
         live.insert(job_key(JobRecordKind::Status, id, 0));
-        for i in 0..job.total {
+        for i in 0..job.queue.cell_count() {
             live.insert(job_key(JobRecordKind::Cell, id, i as u64));
         }
         let jobs = job.grid.mat.jobs();
@@ -1544,7 +1456,7 @@ fn assemble_report(inner: &Arc<Inner>, req: &Value) -> Result<Vec<String>, Strin
     }
     let mut cell_lines = Vec::new();
     let mut scope_lines = Vec::new();
-    for i in (0..job.total).filter(|&i| job.done[i]) {
+    for i in (0..job.queue.cell_count()).filter(|&i| job.queue.is_done(i)) {
         let Some(record) = inner.read_cell(id, i)? else {
             return Err(format!(
                 "cell {i} finished but its record is missing (the store write failed); \
@@ -1554,10 +1466,11 @@ fn assemble_report(inner: &Arc<Inner>, req: &Value) -> Result<Vec<String>, Strin
         cell_lines.push(record.cell_line);
         scope_lines.push(record.scope_line);
     }
+    let failures: Vec<WireFailure> = job.queue.failures().cloned().collect();
     Ok(wire::canonical_artifact(
         cell_lines,
-        &job.failures,
-        job.retries,
+        &failures,
+        job.queue.retries(),
         scope_lines,
     ))
 }
@@ -1572,8 +1485,8 @@ fn handle_watch(inner: &Arc<Inner>, req: &Value, w: &mut Stream) -> io::Result<(
         // Replay what already finished, in job order, before going live.
         // A done cell whose record is missing or unreadable is skipped:
         // `report` names it, and a restart re-runs it.
-        let replay: Vec<String> = (0..job.total)
-            .filter(|&i| job.done[i])
+        let replay: Vec<String> = (0..job.queue.cell_count())
+            .filter(|&i| job.queue.is_done(i))
             .filter_map(|i| {
                 let record = inner.read_cell(id, i).ok()??;
                 Some(event_line(id, job, i, &record))
@@ -1602,5 +1515,91 @@ fn handle_watch(inner: &Arc<Inner>, req: &Value, w: &mut Stream) -> io::Result<(
                 return write_line(w, "{\"ok\":true,\"event\":\"end\",\"phase\":\"detached\"}")
             }
         }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::{Client, JobStatus};
+
+    /// Two ladder groups of four cells each.
+    const SPEC: &str = r#"{"suite":[
+          {"name":"164.gzip","scale":0.002},{"name":"183.equake","scale":0.002}],
+        "techniques":[{"kind":"smarts","period_ops":50000},
+                      {"kind":"turbo_smarts","period_ops":50000},
+                      {"kind":"online_simpoint","interval_ops":100000},
+                      {"kind":"pgss","ff_ops":50000,"spacing_ops":100000}],
+        "stride":50000}"#;
+
+    fn wait_for(addr: &BoundAddr, job: &str, until: impl Fn(&JobStatus) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(600);
+        loop {
+            let status = Client::connect(addr).unwrap().status(job).unwrap();
+            if until(&status) {
+                return;
+            }
+            assert!(Instant::now() < deadline, "stuck at {status:?}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    /// Waits out any ladder build still in flight for `job` (a cancel
+    /// does not wait for one), then returns the ladders its queue holds.
+    fn resident_ladders(server: &Server, job: &str) -> usize {
+        let id = parse_job_id(job).unwrap();
+        loop {
+            let st = server.inner.lock();
+            let queue = &st.jobs[&id].queue;
+            if !queue.is_building() {
+                return queue.resident_ladders();
+            }
+            drop(st);
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn done_and_cancelled_jobs_hold_no_ladder_and_gc_keeps_their_records() {
+        let dir = std::env::temp_dir().join(format!("pgss-serve-ladders-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(&dir, Listen::Tcp("127.0.0.1:0".into()), cfg).unwrap();
+        let addr = server.addr().clone();
+
+        let cancelled = Client::connect(&addr).unwrap().submit("t", SPEC).unwrap();
+        wait_for(&addr, &cancelled, |s| s.done >= 1);
+        Client::connect(&addr).unwrap().cancel(&cancelled).unwrap();
+        wait_for(&addr, &cancelled, |s| s.phase == "cancelled");
+        assert_eq!(resident_ladders(&server, &cancelled), 0);
+
+        let done = Client::connect(&addr).unwrap().submit("t", SPEC).unwrap();
+        wait_for(&addr, &done, |s| s.phase == "done");
+        assert_eq!(resident_ladders(&server, &done), 0);
+
+        // The in-memory ladders are gone, but GC still roots their
+        // records: nothing is swept, and every ladder record survives.
+        let gc = Client::connect(&addr).unwrap().gc().unwrap();
+        assert_eq!(gc.swept, 0);
+        let st = server.inner.lock();
+        let mut rungs = 0;
+        for job in st.jobs.values() {
+            let jobs = job.grid.mat.jobs();
+            for group in &job.grid.groups {
+                let keys = group.live_keys(&jobs, &server.inner.store);
+                rungs += keys.len() - 1;
+                for key in keys {
+                    assert!(server.inner.store.path_for(key).is_file());
+                }
+            }
+        }
+        assert!(rungs > 0, "the jobs persisted ladder rungs");
+        drop(st);
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

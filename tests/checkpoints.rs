@@ -22,8 +22,8 @@ use pgss::ckpt::{
     encode_machine_state, CheckpointKey,
 };
 use pgss::{
-    campaign, AdaptivePgss, CampaignConfig, CheckpointLadder, LadderSpec, OnlineSimPoint, PgssSim,
-    SimContext, SimPointOffline, Smarts, Technique, TurboSmarts, SNAPSHOT_FORMAT_VERSION,
+    campaign, AdaptivePgss, CampaignConfig, CheckpointLadder, Job, LadderSpec, OnlineSimPoint,
+    PgssSim, SimContext, SimPointOffline, Smarts, Technique, TurboSmarts, SNAPSHOT_FORMAT_VERSION,
 };
 use pgss_ckpt::{fnv1a64, CodecError, STORE_FORMAT_VERSION};
 use pgss_cpu::{
@@ -224,6 +224,152 @@ fn corrupt_rung_is_quarantined_recaptured_and_bit_exact() {
         "{:?}",
         clean.checkpoint_faults
     );
+}
+
+/// SMARTS whose first attempt on each workload panics, so every ladder
+/// group of a campaign has one retried cell.
+struct FlakyOnce {
+    inner: Smarts,
+    failed_on: std::sync::Mutex<Vec<String>>,
+}
+
+impl FlakyOnce {
+    fn new() -> FlakyOnce {
+        FlakyOnce {
+            inner: Smarts {
+                period_ops: 100_000,
+                ..Smarts::default()
+            },
+            failed_on: std::sync::Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl Technique for FlakyOnce {
+    fn name(&self) -> String {
+        format!("FlakyOnce({})", self.inner.name())
+    }
+    fn run_traced(
+        &self,
+        workload: &Workload,
+        config: &MachineConfig,
+        ctx: &SimContext,
+    ) -> (pgss::Estimate, pgss::RunTrace) {
+        let first = {
+            let mut failed_on = self.failed_on.lock().unwrap();
+            let first = !failed_on.iter().any(|n| n == workload.name());
+            if first {
+                failed_on.push(workload.name().to_string());
+            }
+            first
+        };
+        assert!(
+            !first,
+            "{} first attempt on {}",
+            campaign::INJECTED_PANIC_TAG,
+            workload.name()
+        );
+        self.inner.run_traced(workload, config, ctx)
+    }
+    fn tracks(&self) -> Vec<pgss::Track> {
+        self.inner.tracks()
+    }
+}
+
+#[test]
+fn checkpointed_multi_group_campaign_is_identical_across_worker_counts() {
+    campaign::silence_injected_panic_reports();
+    let workloads = vec![pgss_workloads::twolf(0.01), pgss_workloads::parser(0.01)];
+    let pgss = PgssSim {
+        ff_ops: 100_000,
+        spacing_ops: 200_000,
+        ..PgssSim::default()
+    };
+    // `campaign::grid` order (workload-major) with a fresh flaky technique.
+    fn jobs<'a>(
+        workloads: &'a [Workload],
+        flaky: &'a FlakyOnce,
+        pgss: &'a PgssSim,
+    ) -> Vec<Job<'a>> {
+        let techs: [&(dyn Technique + Sync); 2] = [flaky, pgss];
+        workloads
+            .iter()
+            .flat_map(|w| techs.map(|t| Job::new(w, t)))
+            .collect()
+    }
+    let tmp = util::TempDir::new("pgss-ckpt-workers");
+    // A warm store with one corrupt rung per ladder group, copied afresh
+    // into the same directory for every run so that the healed-fault
+    // lines, which name quarantine paths, are comparable.
+    let template = tmp.path().join("template");
+    let victims: Vec<String> = {
+        let store = pgss_ckpt::Store::open(&template).unwrap();
+        let flaky = FlakyOnce::new();
+        let jobs = jobs(&workloads, &flaky, &pgss);
+        let warm = util::checkpointed_campaign(&jobs, &store);
+        assert!(warm.is_complete() && warm.checkpoint_faults.is_empty());
+        let groups = campaign::ladder_groups(&jobs, 50_000);
+        assert_eq!(groups.len(), 2);
+        groups
+            .iter()
+            .map(|group| {
+                let keys = group.live_keys(&jobs, &store);
+                assert!(keys.len() > 1, "every group's ladder has rungs");
+                let victim = store.path_for(keys[1]);
+                let mut bytes = std::fs::read(&victim).unwrap();
+                *bytes.last_mut().unwrap() ^= 0x01;
+                std::fs::write(&victim, &bytes).unwrap();
+                format!("{:016x}", keys[1])
+            })
+            .collect()
+    };
+    let run = |workers: usize| {
+        let dir = tmp.path().join("run");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(&template).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_file() {
+                std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+            }
+        }
+        let store = pgss_ckpt::Store::open(&dir).unwrap();
+        let flaky = FlakyOnce::new();
+        let config = CampaignConfig::with_workers(workers);
+        campaign::run_checkpointed_with(
+            &jobs(&workloads, &flaky, &pgss),
+            50_000,
+            Some(&store),
+            &config,
+        )
+        .unwrap()
+    };
+
+    let one = run(1);
+    assert!(one.is_complete(), "{}", one.ledger());
+    assert_eq!(one.retries, 2, "one retried cell per group");
+    assert!(one.ladder.capture_ops > 0, "corrupt rungs are recaptured");
+    let flaky = FlakyOnce::new();
+    let plain = campaign::run_with(
+        &jobs(&workloads, &flaky, &pgss),
+        &CampaignConfig::with_workers(2),
+    )
+    .unwrap();
+    assert_eq!(one.cells, plain.cells);
+    // Healed faults come in group order, whichever group healed first.
+    let position = |key: &String| {
+        one.checkpoint_faults
+            .iter()
+            .position(|f| f.contains("quarantined") && f.contains(key.as_str()))
+            .unwrap_or_else(|| panic!("no quarantine of {key}: {:?}", one.checkpoint_faults))
+    };
+    assert!(position(&victims[0]) < position(&victims[1]));
+    for workers in [2, 4] {
+        let report = run(workers);
+        assert_eq!(report, one, "{workers} workers");
+        assert_eq!(report.canonical_jsonl(), one.canonical_jsonl());
+        assert_eq!(report.metrics.to_jsonl(), one.metrics.to_jsonl());
+    }
 }
 
 #[test]

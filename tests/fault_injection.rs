@@ -12,7 +12,7 @@
 //! / truncated gets) — runs a real campaign, and proves the fault-
 //! tolerance contract: every cell not named by the plan is bit-identical
 //! to a fault-free run, every fault is ledgered with its context, and the
-//! same plan + retry seed reproduces the report byte for byte.
+//! same plan reproduces the report byte for byte.
 
 mod util;
 
@@ -137,7 +137,7 @@ fn transient_injected_panic_heals_and_replays_byte_identically() {
         "a healed transient fault must leave no trace in the results"
     );
 
-    // Same fault schedule, same retry seed: byte-identical reports.
+    // Same fault schedule: byte-identical reports.
     let replay = run_with_fault();
     assert_eq!(healed, replay);
     assert_eq!(format!("{healed:?}"), format!("{replay:?}"));

@@ -330,7 +330,10 @@ fn drain_stops_admission_and_preserves_pending_cells_durably() {
     }
 
     // The drained store resumes: 2 finished cells come back from disk,
-    // the 6 never-claimed ones execute now, nothing is recomputed.
+    // the 6 never-claimed ones execute now, nothing is recomputed. Fault
+    // plans are process-wide: hold the fault-test lock with an empty plan
+    // so a concurrently running test's cell panics cannot fail these cells.
+    let _no_faults = faults::install(FaultPlan::default());
     let cfg = ServeConfig {
         workers: 2,
         ..ServeConfig::default()
