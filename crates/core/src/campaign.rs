@@ -63,7 +63,7 @@ use pgss_workloads::Workload;
 use crate::ckpt::{CheckpointLadder, LadderReport, LadderSpec, SimContext};
 use crate::driver::RunTrace;
 use crate::estimate::{Estimate, Technique};
-use crate::wire::{self, WireFailure};
+use crate::wire;
 
 /// One campaign cell: a technique applied to a workload on a machine
 /// configuration.
@@ -417,12 +417,16 @@ impl CampaignReport {
     /// worker counts, checkpoint acceleration, store temperature, and a
     /// campaign-server run resumed after a crash, which is exactly the
     /// equivalence the server's tests pin. The layout is
-    /// [`crate::wire::canonical_artifact`] over this report's rendered cell
-    /// and scope lines; the server assembles its reports with it too,
-    /// from the lines it stored when each cell finished.
+    /// [`crate::wire::canonical_artifact`] over this report's rendered cell,
+    /// failure and scope lines; the server assembles its reports with it
+    /// too, from the lines it stored when each cell settled.
     pub fn canonical_jsonl(&self) -> String {
-        let failures: Vec<WireFailure> = self.failures.iter().map(WireFailure::from).collect();
         let cell_lines = self.cells.iter().map(wire::canonical_cell_line).collect();
+        let failure_lines = self
+            .failures
+            .iter()
+            .map(wire::canonical_failure_line)
+            .collect();
         let scope_lines = self
             .metrics
             .scopes
@@ -431,7 +435,8 @@ impl CampaignReport {
             .map(|(name, frame)| scope_line(name, frame))
             .collect();
         let mut out =
-            wire::canonical_artifact(cell_lines, &failures, self.retries, scope_lines).join("\n");
+            wire::canonical_artifact(cell_lines, failure_lines, self.retries, scope_lines)
+                .join("\n");
         out.push('\n');
         out
     }
@@ -955,9 +960,9 @@ impl<F> CellQueue<F> {
         self.retries
     }
 
-    /// The failure ledger, in cell order.
-    pub fn failures(&self) -> impl Iterator<Item = &F> {
-        self.failures.iter().map(|(_, entry)| entry)
+    /// The failure ledger as `(cell, entry)`, in cell order.
+    pub fn failures(&self) -> impl Iterator<Item = (usize, &F)> {
+        self.failures.iter().map(|(cell, entry)| (*cell, entry))
     }
 
     /// Ladders built and not yet dropped.
@@ -1730,7 +1735,7 @@ mod tests {
         assert!(weak1.upgrade().is_none(), "group 1 settled: ladder dropped");
         assert_eq!(q.resident_ladders(), 0);
         assert!(q.is_settled());
-        assert_eq!(q.failures().collect::<Vec<_>>(), [&2]);
+        assert_eq!(q.failures().collect::<Vec<_>>(), [(3, &2)]);
         assert_eq!(q.retries(), 2);
         assert!(q.ladder.capture_ops > 0, "released ladders are accounted");
     }

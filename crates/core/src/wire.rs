@@ -1,16 +1,14 @@
-//! The failure-ledger codec and the canonical campaign artifact.
+//! The canonical campaign artifact.
 //!
-//! The campaign server persists each finished cell as the artifact lines
-//! it renders and must reassemble them — possibly across a server
-//! restart — into output **byte-identical** to a direct library run. This
-//! module owns both halves of that contract:
-//!
-//! * the line renderers — [`canonical_cell_line`] for a cell and
-//!   [`canonical_artifact`] for the whole layout — behind both
-//!   [`crate::CampaignReport::canonical_jsonl`] and the server's report
-//!   assembly, so both sides emit the same bytes;
-//! * the binary codec (on [`pgss_ckpt::codec`]) for failure-ledger
-//!   entries, which the server keeps as data in its status record.
+//! The campaign server persists each finished cell and each failure-ledger
+//! entry as the artifact lines it renders and must reassemble them —
+//! possibly across a server restart — into output **byte-identical** to a
+//! direct library run. This module owns the line renderers behind that
+//! contract — [`canonical_cell_line`] for a cell,
+//! [`canonical_failure_line`] for a ledger entry and
+//! [`canonical_artifact`] for the whole layout — which both
+//! [`crate::CampaignReport::canonical_jsonl`] and the server's report
+//! assembly use, so both sides emit the same bytes.
 //!
 //! [`WIRE_FORMAT_VERSION`] is printed in every artifact line, so a layout
 //! change is visible to anything that compares artifacts.
@@ -31,13 +29,12 @@
 //! only — see `pgss_obs`), and floats are emitted with shortest-roundtrip
 //! formatting, so bit-identical results produce byte-identical artifacts.
 
-// Decoded records feed campaign reports; a stray unwrap would turn a
-// corrupt record into an abort instead of a typed error.
+// Artifact lines are what the server stores and reports; a stray unwrap
+// here would turn one odd cell into an aborted report.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fmt::Write as _;
 
-use pgss_ckpt::{CodecError, Decoder, Encoder};
 use pgss_obs::{json_f64, json_string};
 
 use crate::campaign::{CellFailure, CellResult};
@@ -46,80 +43,26 @@ use crate::campaign::{CellFailure, CellResult};
 /// artifact line. Bump on any layout change.
 pub const WIRE_FORMAT_VERSION: u32 = 1;
 
-// ---------------------------------------------------------------------------
-// Failure-ledger entries
-
-/// Encodes one failure-ledger entry.
-pub fn put_failure(e: &mut Encoder, f: &WireFailure) {
-    e.put_u64(f.job_index as u64);
-    e.put_str(&f.workload);
-    e.put_str(&f.technique);
-    e.put_u32(f.attempts);
-    e.put_str(&f.error);
-}
-
-/// A failure-ledger entry as persisted. The cause is stored **rendered**
-/// (the [`crate::CellError`] `Display` form): the ledger's purpose
-/// downstream of a campaign is the human-readable report line, and
-/// rendering at fail time keeps the record format independent of the
-/// `CellError` variant set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireFailure {
-    /// Index of the failed cell in the campaign's job grid.
-    pub job_index: usize,
-    /// Workload name of the failed cell.
-    pub workload: String,
-    /// Technique name of the failed cell.
-    pub technique: String,
-    /// Attempts made before giving up.
-    pub attempts: u32,
-    /// Rendered terminal error.
-    pub error: String,
-}
-
-impl From<&CellFailure> for WireFailure {
-    fn from(f: &CellFailure) -> WireFailure {
-        WireFailure {
-            job_index: f.job_index,
-            workload: f.workload.clone(),
-            technique: f.technique.clone(),
-            attempts: f.attempts,
-            error: f.error.to_string(),
-        }
-    }
-}
-
-/// Decodes an entry written by [`put_failure`].
-pub fn get_failure(d: &mut Decoder<'_>) -> Result<WireFailure, CodecError> {
-    Ok(WireFailure {
-        job_index: usize::try_from(d.get_u64()?)
-            .map_err(|_| CodecError::Malformed("job index overflow"))?,
-        workload: d.get_str()?,
-        technique: d.get_str()?,
-        attempts: d.get_u32()?,
-        error: d.get_str()?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Canonical campaign artifact
-
 /// The canonical campaign artifact, one JSONL line per element: the
 /// header, every successful cell's [`canonical_cell_line`] in job order,
-/// the failure ledger, then the per-cell metric `scope_lines` (each
-/// cell's annotated frame on the pinned `pgss-obs` schema, in job order).
-/// The one layout behind both [`crate::CampaignReport::canonical_jsonl`]
-/// and the campaign server's reports, which pass lines rendered once
-/// when each cell finished.
+/// the failure ledger's [`canonical_failure_line`]s in job order, then the
+/// per-cell metric `scope_lines` (each cell's annotated frame on the
+/// pinned `pgss-obs` schema, in job order). The one layout behind both
+/// [`crate::CampaignReport::canonical_jsonl`] and the campaign server's
+/// reports, which pass lines rendered once when each cell settled.
 pub fn canonical_artifact(
     cell_lines: Vec<String>,
-    failures: &[WireFailure],
+    failure_lines: Vec<String>,
     retries: u64,
     scope_lines: Vec<String>,
 ) -> Vec<String> {
-    let mut lines = vec![canonical_header(cell_lines.len(), failures.len(), retries)];
+    let mut lines = vec![canonical_header(
+        cell_lines.len(),
+        failure_lines.len(),
+        retries,
+    )];
     lines.extend(cell_lines);
-    lines.extend(failures.iter().map(canonical_failure_line));
+    lines.extend(failure_lines);
     lines.extend(scope_lines);
     lines
 }
@@ -203,8 +146,9 @@ pub fn canonical_cell_line(cell: &CellResult) -> String {
     out
 }
 
-/// One failure-ledger artifact line.
-fn canonical_failure_line(f: &WireFailure) -> String {
+/// One failure-ledger entry's artifact line; the cause is rendered in its
+/// [`crate::CellError`] `Display` form.
+pub fn canonical_failure_line(f: &CellFailure) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
@@ -215,7 +159,7 @@ fn canonical_failure_line(f: &WireFailure) -> String {
     out.push_str(",\"technique\":");
     json_string(&mut out, &f.technique);
     let _ = write!(out, ",\"attempts\":{},\"error\":", f.attempts);
-    json_string(&mut out, &f.error);
+    json_string(&mut out, &f.error.to_string());
     out.push('}');
     out
 }
@@ -267,24 +211,16 @@ mod tests {
     }
 
     #[test]
-    fn failure_roundtrips() {
-        let f = WireFailure {
+    fn failure_line_format_is_pinned() {
+        let f = CellFailure {
             job_index: 7,
             workload: "177.mesa".to_string(),
             technique: "PGSS".to_string(),
             attempts: 2,
-            error: crate::campaign::CellError::Panicked("boom".to_string()).to_string(),
+            error: crate::campaign::CellError::Panicked("boom".to_string()),
         };
-        let mut e = Encoder::new();
-        put_failure(&mut e, &f);
-        let bytes = e.into_bytes();
-        let mut d = Decoder::new(&bytes);
-        let back = get_failure(&mut d).unwrap();
-        d.finish().unwrap();
-        assert_eq!(back, f);
-        assert_eq!(back.error, "technique panicked: boom");
         assert_eq!(
-            canonical_failure_line(&back),
+            canonical_failure_line(&f),
             "{\"v\":1,\"kind\":\"failure\",\"job\":7,\"workload\":\"177.mesa\",\
              \"technique\":\"PGSS\",\"attempts\":2,\"error\":\"technique panicked: boom\"}"
         );

@@ -6,11 +6,14 @@
 //!
 //! * **Index** (singleton) — every job id the store knows, its tenant,
 //!   and the submit-sequence counter. Rewritten on submit.
-//! * **Spec** — the immutable submission: tenant, sequence, canonical
-//!   [`CampaignSpec`] bytes. Written once.
-//! * **Status** — the mutable phase, retry count, and failure ledger.
-//!   Rewritten (atomically, via the store's write-then-rename) on every
-//!   transition.
+//! * **Spec** — the immutable submission: the `submit` request line,
+//!   verbatim ([`SpecRecord`]). Written once; on resume its `"spec"`
+//!   object goes through [`crate::CampaignSpec::from_json`], the same
+//!   validation a submit gets.
+//! * **Status** — the mutable phase, retry count, and failure ledger, each
+//!   ledger entry stored as the artifact line it prints
+//!   ([`pgss::wire::canonical_failure_line`]). Rewritten (atomically, via
+//!   the store's write-then-rename) on every transition.
 //! * **Cell** — one completed cell as the artifact lines it prints: its
 //!   [`pgss::wire::canonical_cell_line`], its annotated metric-scope
 //!   line, and the IPC its watch event quotes ([`CellRecord`]). Rendered
@@ -24,16 +27,14 @@
 //! work is simply re-run.
 
 use pgss::campaign::{annotate_cell_frame, CellResult};
-use pgss::wire::{canonical_cell_line, WireFailure};
+use pgss::wire::canonical_cell_line;
 use pgss_ckpt::{CodecError, Decoder, Encoder};
 use pgss_obs::{scope_line, MetricsFrame};
-
-use crate::spec::CampaignSpec;
 
 /// Version of every job-record payload in this module. A record written
 /// under another version reads as a decode error and gets the usual
 /// corrupt-record treatment (quarantine, then re-run or start empty).
-pub const JOB_RECORD_VERSION: u32 = 2;
+pub const JOB_RECORD_VERSION: u32 = 3;
 
 /// Where a job is in its lifecycle. `Done` and `Cancelled` are terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,15 +125,12 @@ impl IndexRecord {
     }
 }
 
-/// A job's immutable submission record.
-#[derive(Debug, Clone, PartialEq)]
+/// A job's immutable submission record: the `submit` request line it
+/// was accepted from.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecRecord {
-    /// Submitting tenant.
-    pub tenant: String,
-    /// Submission sequence number (feeds the job-id digest).
-    pub seq: u64,
-    /// The validated spec.
-    pub spec: CampaignSpec,
+    /// The request line, verbatim.
+    pub request: String,
 }
 
 impl SpecRecord {
@@ -140,9 +138,7 @@ impl SpecRecord {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_u32(JOB_RECORD_VERSION);
-        e.put_str(&self.tenant);
-        e.put_u64(self.seq);
-        e.put_bytes(&self.spec.encode());
+        e.put_str(&self.request);
         e.into_bytes()
     }
 
@@ -150,27 +146,22 @@ impl SpecRecord {
     pub fn decode(bytes: &[u8]) -> Result<SpecRecord, CodecError> {
         let mut d = Decoder::new(bytes);
         d.expect_version(JOB_RECORD_VERSION, "job record version mismatch")?;
-        let tenant = d.get_str()?;
-        let seq = d.get_u64()?;
-        let spec_bytes = d.get_bytes()?;
+        let request = d.get_str()?;
         d.finish()?;
-        let mut sd = Decoder::new(&spec_bytes);
-        let spec = CampaignSpec::decode(&mut sd)?;
-        sd.finish()?;
-        Ok(SpecRecord { tenant, seq, spec })
+        Ok(SpecRecord { request })
     }
 }
 
 /// A job's mutable status record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatusRecord {
     /// Lifecycle phase.
     pub phase: JobPhase,
     /// Total retry attempts performed so far.
     pub retries: u64,
-    /// Terminal failures, in job-index order; these cells are settled
-    /// and are **not** re-run on resume.
-    pub failures: Vec<WireFailure>,
+    /// Terminal failures as `(job index, artifact line)`, in job-index
+    /// order; these cells are settled and are **not** re-run on resume.
+    pub failures: Vec<(u64, String)>,
 }
 
 impl StatusRecord {
@@ -181,8 +172,9 @@ impl StatusRecord {
         e.put_u8(self.phase.tag());
         e.put_u64(self.retries);
         e.put_u64(self.failures.len() as u64);
-        for f in &self.failures {
-            pgss::wire::put_failure(&mut e, f);
+        for (cell, line) in &self.failures {
+            e.put_u64(*cell);
+            e.put_str(line);
         }
         e.into_bytes()
     }
@@ -193,10 +185,11 @@ impl StatusRecord {
         d.expect_version(JOB_RECORD_VERSION, "job record version mismatch")?;
         let phase = JobPhase::from_tag(d.get_u8()?)?;
         let retries = d.get_u64()?;
-        let n = d.get_len(1)?;
+        let n = d.get_len(16)?;
         let mut failures = Vec::with_capacity(n);
         for _ in 0..n {
-            failures.push(pgss::wire::get_failure(&mut d)?);
+            let cell = d.get_u64()?;
+            failures.push((cell, d.get_str()?));
         }
         d.finish()?;
         Ok(StatusRecord {
@@ -262,15 +255,32 @@ impl CellRecord {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::json;
 
-    fn spec() -> CampaignSpec {
-        let v = json::parse(
-            r#"{"suite":[{"name":"164.gzip","scale":0.01}],
-                "techniques":[{"kind":"smarts","period_ops":50000}],"stride":50000}"#,
-        )
-        .unwrap();
-        CampaignSpec::from_json(&v).unwrap()
+    fn index_record() -> IndexRecord {
+        IndexRecord {
+            next_seq: 3,
+            jobs: vec![(0xdead, "t0".into()), (0xbeef, "t1".into())],
+        }
+    }
+
+    fn spec_record() -> SpecRecord {
+        SpecRecord {
+            request: r#"{"op":"submit","tenant":"t0","spec":{"suite":[{"name":"164.gzip","scale":0.01}],"techniques":[{"kind":"smarts","period_ops":50000}],"stride":50000}}"#.into(),
+        }
+    }
+
+    fn status_record() -> StatusRecord {
+        StatusRecord {
+            phase: JobPhase::Running,
+            retries: 4,
+            failures: vec![(
+                1,
+                "{\"v\":1,\"kind\":\"failure\",\"job\":1,\"workload\":\"164.gzip\",\
+                 \"technique\":\"SMARTS(50k)\",\"attempts\":2,\
+                 \"error\":\"technique panicked: boom\"}"
+                    .into(),
+            )],
+        }
     }
 
     fn cell_record() -> CellRecord {
@@ -283,30 +293,11 @@ mod tests {
 
     #[test]
     fn records_roundtrip() {
-        let idx = IndexRecord {
-            next_seq: 3,
-            jobs: vec![(0xdead, "t0".into()), (0xbeef, "t1".into())],
-        };
+        let idx = index_record();
         assert_eq!(IndexRecord::decode(&idx.encode()).unwrap(), idx);
-
-        let sr = SpecRecord {
-            tenant: "t0".into(),
-            seq: 2,
-            spec: spec(),
-        };
+        let sr = spec_record();
         assert_eq!(SpecRecord::decode(&sr.encode()).unwrap(), sr);
-
-        let st = StatusRecord {
-            phase: JobPhase::Running,
-            retries: 4,
-            failures: vec![WireFailure {
-                job_index: 1,
-                workload: "164.gzip".into(),
-                technique: "SMARTS(50k)".into(),
-                attempts: 2,
-                error: "technique panicked: boom".into(),
-            }],
-        };
+        let st = status_record();
         assert_eq!(StatusRecord::decode(&st.encode()).unwrap(), st);
 
         let cell = cell_record();
@@ -341,6 +332,32 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(CellRecord::decode(&trailing).is_err());
+    }
+
+    #[test]
+    fn job_record_format_is_pinned() {
+        // Bump JOB_RECORD_VERSION deliberately when a digest changes; a
+        // store written under the old layout then has its index
+        // quarantined and starts empty instead of decoding wrongly.
+        assert_eq!(JOB_RECORD_VERSION, 3);
+        let digests = [
+            index_record().encode(),
+            spec_record().encode(),
+            status_record().encode(),
+            cell_record().encode(),
+        ]
+        .map(|bytes| pgss_ckpt::fnv1a64(&bytes));
+        assert_eq!(
+            digests,
+            [
+                0x4ae8_2c7e_1975_2356,
+                0x8c6a_9186_987c_0bd7,
+                0xfe7b_5a26_8c5d_db4b,
+                0xf20f_4c9d_068e_0da8,
+            ],
+            "a job-record encoding changed (index, spec, status, cell); \
+             bump JOB_RECORD_VERSION"
+        );
     }
 
     #[test]

@@ -22,15 +22,19 @@
 //! are bit-identical to a library-side one. A completed cell is rendered
 //! once, into the artifact lines it prints (a [`CellRecord`] under the
 //! job-record key namespace), persisted immediately and streamed to any
-//! watchers out of order; reports and watch replays are assembled from
-//! the stored lines.
+//! watchers out of order; a ledgered cell is rendered once, into its
+//! [`wire::canonical_failure_line`], kept in the job's status record.
+//! Reports and watch replays are assembled from the stored lines.
 //!
 //! # Durability and resume
 //!
 //! All job state lives in the same content-addressed store as the
-//! checkpoint ladders (see [`crate::record`] for the record kinds). On
-//! startup the server reads the index, re-materialises every job from its
-//! spec record, probes the job's cell records — present and decodable
+//! checkpoint ladders (see [`crate::record`] for the record kinds). A
+//! job's spec record is the `submit` request line it was accepted from.
+//! On startup the server reads the index, re-validates and
+//! re-materialises every job from its stored request exactly as `submit`
+//! did (a request that no longer validates leaves its job unresumable),
+//! probes the job's cell records — present and decodable
 //! means **done**, corrupt means quarantine-and-re-run — and enqueues
 //! only the remainder. A `Done` job whose records lost a cell goes back
 //! to running for exactly that cell; a cancelled job stays cancelled. A
@@ -79,9 +83,9 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use pgss::campaign::{
-    ladder_groups, run_cell, CellError, CellQueue, LadderGroup, RetryPolicy, Work,
+    ladder_groups, run_cell, CellError, CellFailure, CellQueue, LadderGroup, RetryPolicy, Work,
 };
-use pgss::wire::{self, WireFailure};
+use pgss::wire;
 use pgss::{CheckpointLadder, SimContext};
 use pgss_ckpt::{index_key, job_key, JobRecordKind, RecordError, Store};
 use pgss_obs::{json_string, scope_line, Clock, MetricsRecorder, MonotonicClock, Recorder};
@@ -307,7 +311,9 @@ struct Grid {
 struct JobState {
     tenant: String,
     grid: Arc<Grid>,
-    queue: CellQueue<WireFailure>,
+    /// The library's queue; a ledgered cell's entry is its rendered
+    /// failure line.
+    queue: CellQueue<String>,
     phase: JobPhase,
     cancelled: bool,
     watchers: Vec<mpsc::Sender<WatchMsg>>,
@@ -392,8 +398,11 @@ fn render_job_id(id: u64) -> String {
     format!("{id:016x}")
 }
 
+/// The job id `s` renders, if `s` is exactly [`render_job_id`]'s form:
+/// a sign or an uppercase hex digit would otherwise alias a real job.
 fn parse_job_id(s: &str) -> Option<u64> {
-    (s.len() == 16).then(|| u64::from_str_radix(s, 16).ok())?
+    let id = u64::from_str_radix(s, 16).ok()?;
+    (render_job_id(id) == s).then_some(id)
 }
 
 impl Inner {
@@ -411,7 +420,11 @@ impl Inner {
         let record = StatusRecord {
             phase: job.phase,
             retries: job.queue.retries(),
-            failures: job.queue.failures().cloned().collect(),
+            failures: job
+                .queue
+                .failures()
+                .map(|(cell, line)| (cell as u64, line.clone()))
+                .collect(),
         };
         if self
             .store
@@ -635,12 +648,14 @@ impl Inner {
     /// persists the status and completes the job if it was the last.
     fn settle_failure(&self, id: u64, job: &mut JobState, cell: usize, error: &CellError) {
         let desc = job.grid.mat.job(cell);
-        let requeued = job.queue.fail(cell, |attempts| WireFailure {
-            job_index: cell,
-            workload: desc.workload.name().to_string(),
-            technique: desc.technique.name(),
-            attempts,
-            error: error.to_string(),
+        let requeued = job.queue.fail(cell, |attempts| {
+            wire::canonical_failure_line(&CellFailure {
+                job_index: cell,
+                workload: desc.workload.name().to_string(),
+                technique: desc.technique.name(),
+                attempts,
+                error: error.clone(),
+            })
         });
         if requeued {
             self.rec.add("serve.cells.retried", 1);
@@ -751,12 +766,8 @@ impl Inner {
         {
             let mut st = self.lock();
             // Unblock watchers so their handler threads can exit.
-            let ids: Vec<u64> = st.jobs.keys().copied().collect();
-            for id in ids {
-                if let Some(job) = st.jobs.get_mut(&id) {
-                    job.watchers.clear();
-                    let _ = job;
-                }
+            for job in st.jobs.values_mut() {
+                job.watchers.clear();
             }
         }
         self.work.notify_all();
@@ -890,17 +901,22 @@ fn resume_jobs(inner: &Arc<Inner>) {
     let mut st = inner.lock();
     st.next_seq = index.next_seq;
     for (id, tenant) in index.jobs {
-        let spec_rec = match inner
+        // The stored submit request goes through the submit path's own
+        // validation; a record that fails any step is skipped.
+        let mat = inner
             .store
             .get_checked(job_key(JobRecordKind::Spec, id, 0))
             .ok()
             .and_then(|b| SpecRecord::decode(&b).ok())
-        {
-            Some(r) => r,
-            None => {
-                inner.rec.add("serve.jobs.unresumable", 1);
-                continue;
-            }
+            .and_then(|r| json::parse(&r.request).ok())
+            .and_then(|req| {
+                CampaignSpec::from_json(req.get("spec")?)
+                    .and_then(|spec| spec.materialize())
+                    .ok()
+            });
+        let Some(mat) = mat else {
+            inner.rec.add("serve.jobs.unresumable", 1);
+            continue;
         };
         let status = inner
             .store
@@ -912,10 +928,6 @@ fn resume_jobs(inner: &Arc<Inner>) {
                 retries: 0,
                 failures: Vec::new(),
             });
-        let Ok(mat) = spec_rec.spec.materialize() else {
-            inner.rec.add("serve.jobs.unresumable", 1);
-            continue;
-        };
         let mut job = JobState::new(tenant, mat, &inner.cfg.retry);
         for i in 0..job.queue.cell_count() {
             match inner.read_cell(id, i) {
@@ -931,8 +943,10 @@ fn resume_jobs(inner: &Arc<Inner>) {
                 }
             }
         }
-        for failure in status.failures {
-            job.queue.mark_failed(failure.job_index, failure);
+        for (cell, line) in status.failures {
+            if let Ok(cell) = usize::try_from(cell) {
+                job.queue.mark_failed(cell, line);
+            }
         }
         job.queue.add_retries(status.retries);
         job.phase = status.phase;
@@ -1177,7 +1191,7 @@ fn dispatch(inner: &Arc<Inner>, line: &str, w: &mut Stream) -> io::Result<bool> 
     match op {
         "ping" => write_line(w, &ok_line("\"pong\":true"))?,
         "submit" => {
-            let resp = handle_submit(inner, &req);
+            let resp = handle_submit(inner, &req, line);
             write_line(w, &resp)?;
         }
         "status" => {
@@ -1241,14 +1255,16 @@ fn job_from_req<'a>(req: &Value, st: &'a mut State) -> Result<(u64, &'a mut JobS
         .get("job")
         .and_then(Value::as_str)
         .and_then(parse_job_id)
-        .ok_or("request needs a \"job\" id (16 hex digits)")?;
+        .ok_or("request needs a \"job\" id (16 lowercase hex digits)")?;
     match st.jobs.get_mut(&id) {
         Some(job) => Ok((id, job)),
         None => Err(format!("unknown job {}", render_job_id(id))),
     }
 }
 
-fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
+/// Admits a submit request; `line` is the request as received, which the
+/// spec record stores verbatim.
+fn handle_submit(inner: &Arc<Inner>, req: &Value, line: &str) -> String {
     if inner.draining.load(Ordering::SeqCst) {
         inner.rec.add("serve.jobs.rejected", 1);
         return err_line("server is draining; new jobs are not admitted");
@@ -1261,14 +1277,7 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
     let Some(spec_json) = req.get("spec") else {
         return err_line("submit needs a \"spec\" object");
     };
-    let spec = match CampaignSpec::from_json(spec_json) {
-        Ok(s) => s,
-        Err(e) => {
-            inner.rec.add("serve.jobs.rejected", 1);
-            return err_line(&e);
-        }
-    };
-    let job = match spec.materialize() {
+    let job = match CampaignSpec::from_json(spec_json).and_then(|spec| spec.materialize()) {
         Ok(mat) => JobState::new(tenant.clone(), mat, &inner.cfg.retry),
         Err(e) => {
             inner.rec.add("serve.jobs.rejected", 1);
@@ -1295,7 +1304,7 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
         let mut e = pgss_ckpt::Encoder::new();
         e.put_str(&tenant);
         e.put_u64(seq);
-        e.put_bytes(&spec.encode());
+        e.put_bytes(line.as_bytes());
         pgss_ckpt::fnv1a64(&e.into_bytes())
     };
     let total = job.queue.cell_count();
@@ -1304,9 +1313,7 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
     // a dangling index entry. A job whose spec or index entry did not
     // land would be forgotten by a restart, so it is refused, not run.
     let spec_record = SpecRecord {
-        tenant: tenant.clone(),
-        seq,
-        spec,
+        request: line.to_string(),
     };
     let index = IndexRecord {
         next_seq: st.next_seq,
@@ -1466,10 +1473,10 @@ fn assemble_report(inner: &Arc<Inner>, req: &Value) -> Result<Vec<String>, Strin
         cell_lines.push(record.cell_line);
         scope_lines.push(record.scope_line);
     }
-    let failures: Vec<WireFailure> = job.queue.failures().cloned().collect();
+    let failure_lines = job.queue.failures().map(|(_, l)| l.clone()).collect();
     Ok(wire::canonical_artifact(
         cell_lines,
-        &failures,
+        failure_lines,
         job.queue.retries(),
         scope_lines,
     ))
@@ -1522,7 +1529,7 @@ fn handle_watch(inner: &Arc<Inner>, req: &Value, w: &mut Stream) -> io::Result<(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::{Client, JobStatus};
+    use crate::{Client, ClientError, JobStatus};
 
     /// Two ladder groups of four cells each.
     const SPEC: &str = r#"{"suite":[
@@ -1558,6 +1565,43 @@ mod tests {
             drop(st);
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+
+    #[test]
+    fn only_the_canonical_job_id_names_a_job() {
+        let dir = std::env::temp_dir().join(format!("pgss-serve-ids-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // No cell may run: the job stays queued while its ids are probed.
+        let cfg = ServeConfig {
+            workers: 1,
+            default_quota: TenantQuota {
+                max_concurrent_cells: 0,
+                ..TenantQuota::default()
+            },
+            ..ServeConfig::default()
+        };
+        let server = Server::start(&dir, Listen::Tcp("127.0.0.1:0".into()), cfg).unwrap();
+        let addr = server.addr().clone();
+        let submitted = Client::connect(&addr).unwrap().submit("t", SPEC).unwrap();
+        // Re-file the job under an id whose rendering has both a leading
+        // zero (a `+` parses in its place) and hex letters.
+        let id = 0xab;
+        {
+            let mut st = server.inner.lock();
+            let job = st.jobs.remove(&parse_job_id(&submitted).unwrap()).unwrap();
+            st.jobs.insert(id, job);
+            st.order = vec![id];
+        }
+        let status = |job: &str| Client::connect(&addr).unwrap().status(job);
+        assert_eq!(status("00000000000000ab").unwrap().phase, "queued");
+        for alias in ["+0000000000000ab", "00000000000000AB"] {
+            match status(alias) {
+                Err(ClientError::Server(m)) => assert!(m.contains("needs a \"job\" id"), "{m}"),
+                other => panic!("{alias} must not name job {id:x}: {other:?}"),
+            }
+        }
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

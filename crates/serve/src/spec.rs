@@ -1,7 +1,8 @@
-//! Campaign specifications: what a client submits, validated, canonically
-//! encoded (for durable records and job-id digests), and materialised
-//! into the workloads / techniques / machine configurations a campaign
-//! actually runs.
+//! Campaign specifications: what a client submits, validated by
+//! [`CampaignSpec::from_json`] (on submit, and again when a restarted
+//! server reads the stored request back), and materialised into the
+//! workloads / techniques / machine configurations a campaign actually
+//! runs.
 //!
 //! A spec is a *grid*: `suite × configs × techniques`, flattened in
 //! workload-major order (for each workload, for each configuration, every
@@ -13,7 +14,6 @@ use pgss::{
     AdaptivePgss, FullDetailed, OnlineSimPoint, PgssSim, RankedSet, Signature, SimPointOffline,
     Smarts, Technique, TurboSmarts, TwoPhaseStratified,
 };
-use pgss_ckpt::{CodecError, Decoder, Encoder};
 use pgss_cpu::MachineConfig;
 use pgss_workloads::Workload;
 
@@ -136,92 +136,6 @@ impl TechSpec {
         }
     }
 
-    fn tag(&self) -> u8 {
-        match self {
-            TechSpec::Smarts { .. } => 0,
-            TechSpec::TurboSmarts { .. } => 1,
-            TechSpec::Pgss { .. } => 2,
-            TechSpec::AdaptivePgss => 3,
-            TechSpec::SimPoint { .. } => 4,
-            TechSpec::OnlineSimPoint { .. } => 5,
-            TechSpec::Full => 6,
-            TechSpec::TwoPhase { .. } => 7,
-            TechSpec::RankedSet { .. } => 8,
-            TechSpec::PgssMav { .. } => 9,
-        }
-    }
-
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u8(self.tag());
-        match *self {
-            TechSpec::Smarts { period_ops: a }
-            | TechSpec::TurboSmarts { period_ops: a }
-            | TechSpec::OnlineSimPoint { interval_ops: a } => put_opt(e, a, Encoder::put_u64),
-            TechSpec::Pgss {
-                ff_ops: a,
-                spacing_ops: b,
-            }
-            | TechSpec::SimPoint {
-                interval_ops: a,
-                k: b,
-            }
-            | TechSpec::TwoPhase {
-                ff_ops: a,
-                budget: b,
-            }
-            | TechSpec::RankedSet {
-                ff_ops: a,
-                replicates: b,
-            }
-            | TechSpec::PgssMav {
-                ff_ops: a,
-                spacing_ops: b,
-            } => {
-                put_opt(e, a, Encoder::put_u64);
-                put_opt(e, b, Encoder::put_u64);
-            }
-            TechSpec::AdaptivePgss | TechSpec::Full => {}
-        }
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<TechSpec, CodecError> {
-        let opt = |d: &mut Decoder<'_>| get_opt(d, Decoder::get_u64);
-        Ok(match d.get_u8()? {
-            0 => TechSpec::Smarts {
-                period_ops: opt(d)?,
-            },
-            1 => TechSpec::TurboSmarts {
-                period_ops: opt(d)?,
-            },
-            2 => TechSpec::Pgss {
-                ff_ops: opt(d)?,
-                spacing_ops: opt(d)?,
-            },
-            3 => TechSpec::AdaptivePgss,
-            4 => TechSpec::SimPoint {
-                interval_ops: opt(d)?,
-                k: opt(d)?,
-            },
-            5 => TechSpec::OnlineSimPoint {
-                interval_ops: opt(d)?,
-            },
-            6 => TechSpec::Full,
-            7 => TechSpec::TwoPhase {
-                ff_ops: opt(d)?,
-                budget: opt(d)?,
-            },
-            8 => TechSpec::RankedSet {
-                ff_ops: opt(d)?,
-                replicates: opt(d)?,
-            },
-            9 => TechSpec::PgssMav {
-                ff_ops: opt(d)?,
-                spacing_ops: opt(d)?,
-            },
-            _ => return Err(CodecError::Malformed("unknown technique tag")),
-        })
-    }
-
     fn from_json(v: &Value) -> Result<TechSpec, String> {
         let kind = v
             .get("kind")
@@ -272,22 +186,6 @@ impl TechSpec {
     }
 }
 
-/// Encodes an optional override as a presence flag, then the value.
-fn put_opt<T>(e: &mut Encoder, v: Option<T>, put: fn(&mut Encoder, T)) {
-    e.put_bool(v.is_some());
-    if let Some(v) = v {
-        put(e, v);
-    }
-}
-
-/// Decodes [`put_opt`]'s bytes.
-fn get_opt<'a, T>(
-    d: &mut Decoder<'a>,
-    get: fn(&mut Decoder<'a>) -> Result<T, CodecError>,
-) -> Result<Option<T>, CodecError> {
-    Ok(if d.get_bool()? { Some(get(d)?) } else { None })
-}
-
 /// One machine configuration of the grid: the default machine with the
 /// overrides a design-space sweep typically varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -309,18 +207,6 @@ impl ConfigSpec {
             c.mshrs = m;
         }
         c
-    }
-
-    fn encode(&self, e: &mut Encoder) {
-        put_opt(e, self.issue_width, Encoder::put_u32);
-        put_opt(e, self.mshrs, Encoder::put_u32);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<ConfigSpec, CodecError> {
-        Ok(ConfigSpec {
-            issue_width: get_opt(d, Decoder::get_u32)?,
-            mshrs: get_opt(d, Decoder::get_u32)?,
-        })
     }
 
     fn from_json(v: &Value) -> Result<ConfigSpec, String> {
@@ -426,59 +312,10 @@ impl CampaignSpec {
         })
     }
 
-    /// Canonical byte encoding: the digest input for job ids and the body
-    /// of the durable spec record. Equal specs encode equal bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.put_u64(self.suite.len() as u64);
-        for (name, scale) in &self.suite {
-            e.put_str(name);
-            e.put_f64(*scale);
-        }
-        e.put_u64(self.techniques.len() as u64);
-        for t in &self.techniques {
-            t.encode(&mut e);
-        }
-        e.put_u64(self.configs.len() as u64);
-        for c in &self.configs {
-            c.encode(&mut e);
-        }
-        e.put_u64(self.stride);
-        e.into_bytes()
-    }
-
-    /// Decodes [`CampaignSpec::encode`]'s bytes.
-    pub fn decode(d: &mut Decoder<'_>) -> Result<CampaignSpec, CodecError> {
-        let n = d.get_len(1)?;
-        let mut suite = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = d.get_str()?;
-            let scale = d.get_f64()?;
-            suite.push((name, scale));
-        }
-        let n = d.get_len(1)?;
-        let mut techniques = Vec::with_capacity(n);
-        for _ in 0..n {
-            techniques.push(TechSpec::decode(d)?);
-        }
-        let n = d.get_len(1)?;
-        let mut configs = Vec::with_capacity(n);
-        for _ in 0..n {
-            configs.push(ConfigSpec::decode(d)?);
-        }
-        Ok(CampaignSpec {
-            suite,
-            techniques,
-            configs,
-            stride: d.get_u64()?,
-        })
-    }
-
     /// Instantiates the workloads and techniques this spec names.
     ///
-    /// Fails only if a workload name became unknown between validation
-    /// and materialisation — possible when a spec record written by a
-    /// newer server is resumed by an older one.
+    /// Fails if a workload name is unknown; [`CampaignSpec::from_json`]
+    /// rejects those, so only a spec built by hand can fail here.
     pub fn materialize(&self) -> Result<Materialized, String> {
         let mut workloads = Vec::with_capacity(self.suite.len());
         for (name, scale) in &self.suite {
@@ -550,16 +387,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_and_roundtrips() {
+    fn parses() {
         let spec = sample();
         assert_eq!(spec.materialize().unwrap().cell_count(), 4);
         assert_eq!(spec.configs, vec![ConfigSpec::default()]);
-        let bytes = spec.encode();
-        let mut d = Decoder::new(&bytes);
-        let back = CampaignSpec::decode(&mut d).unwrap();
-        d.finish().unwrap();
-        assert_eq!(spec, back);
-        assert_eq!(bytes, back.encode(), "canonical bytes are stable");
     }
 
     #[test]
@@ -582,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn new_estimator_kinds_roundtrip_and_build() {
+    fn new_estimator_kinds_build() {
         let v = json::parse(
             r#"{"suite":[{"name":"164.gzip","scale":0.01}],
                 "techniques":[{"kind":"two_phase","ff_ops":100000,"budget":40},
@@ -591,11 +422,6 @@ mod tests {
         )
         .unwrap();
         let spec = CampaignSpec::from_json(&v).unwrap();
-        let bytes = spec.encode();
-        let mut d = Decoder::new(&bytes);
-        let back = CampaignSpec::decode(&mut d).unwrap();
-        d.finish().unwrap();
-        assert_eq!(spec, back);
         let names: Vec<String> = spec.techniques.iter().map(|t| t.build().name()).collect();
         assert_eq!(
             names,
@@ -671,14 +497,5 @@ mod tests {
         // Cell order is workload-major, then configuration.
         let widths: Vec<u32> = m.jobs().iter().map(|j| j.config.issue_width).collect();
         assert_eq!(widths, [2, 8]);
-    }
-
-    #[test]
-    fn corrupt_spec_bytes_are_rejected() {
-        let bytes = sample().encode();
-        for cut in [0, 3, bytes.len() / 2] {
-            let mut d = Decoder::new(&bytes[..cut]);
-            assert!(CampaignSpec::decode(&mut d).is_err());
-        }
     }
 }

@@ -24,9 +24,11 @@ use std::time::{Duration, Instant};
 
 use pgss::campaign::RetryPolicy;
 use pgss::faults::{self, CellPanic, CellStall, FaultPlan, StoreFaultPlan};
-use pgss_ckpt::{is_budget_error, RecordError, RecordFault, Store};
+use pgss_ckpt::{is_budget_error, job_key, JobRecordKind, RecordError, RecordFault, Store};
 use pgss_obs::ManualClock;
-use pgss_serve::{json, BoundAddr, Client, ClientError, Listen, ServeConfig, Server};
+use pgss_serve::{
+    json, BoundAddr, Client, ClientError, Listen, ServeConfig, Server, SpecRecord, TenantQuota,
+};
 
 /// Control env var for the re-exec'd daemon: `store\x1faddr_file\x1fworkers`.
 const DAEMON_ENV: &str = "PGSS_SERVE_CHAOS_DAEMON";
@@ -220,7 +222,8 @@ fn stalled_cell_is_reaped_into_the_ledger_as_deadline_exceeded() {
 
 /// A cell that panics on every attempt fails the same way through the
 /// server as through the library: both canonical artifacts — failure
-/// line, `attempts` and `retries` included — are byte-identical.
+/// line, `attempts` and `retries` included — are byte-identical, also
+/// from a restarted server that reads the ledger back from the store.
 #[test]
 fn failing_cell_artifact_is_byte_identical_to_the_library() {
     let spec = pgss_serve::CampaignSpec::from_json(&json::parse(WIDE_SPEC).unwrap()).unwrap();
@@ -272,6 +275,113 @@ fn failing_cell_artifact_is_byte_identical_to_the_library() {
         actual, expected,
         "server artifact diverged from the library's on a failing cell"
     );
+
+    // A restarted server serves the same artifact from its records alone.
+    let cfg = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(tmp.path(), Listen::Tcp("127.0.0.1:0".into()), cfg).unwrap();
+    let addr = server.addr().clone();
+    let mut resumed = Client::connect(&addr)
+        .unwrap()
+        .report(&job)
+        .unwrap()
+        .join("\n");
+    resumed.push('\n');
+    assert_eq!(
+        resumed, expected,
+        "restarted server's artifact diverged from the library's"
+    );
+    let status = Client::connect(&addr).unwrap().status(&job).unwrap();
+    assert_eq!((status.done, status.failed, status.retries), (7, 1, 1));
+    let executed = serve_counters(&addr).get("serve.cells.executed").copied();
+    assert_eq!(executed.unwrap_or(0), 0, "a settled job re-ran cells");
+    server.stop();
+}
+
+/// A job whose spec record no longer validates is skipped on restart —
+/// counted as unresumable — while every other job resumes and the
+/// server keeps serving.
+#[test]
+fn unresumable_job_is_skipped_not_fatal() {
+    // Fault plans are process-wide: hold the fault-test lock with an
+    // empty plan so another test's faults cannot land in these cells.
+    let _no_faults = faults::install(FaultPlan::default());
+    let tmp = util::TempDir::new("pgss-chaos-unresumable");
+    // No cell runs before the restart: both jobs stay queued.
+    let parked = ServeConfig {
+        workers: 1,
+        default_quota: TenantQuota {
+            max_concurrent_cells: 0,
+            ..TenantQuota::default()
+        },
+        ..ServeConfig::default()
+    };
+    let server = Server::start(tmp.path(), Listen::Tcp("127.0.0.1:0".into()), parked).unwrap();
+    let addr = server.addr().clone();
+    let broken = Client::connect(&addr)
+        .unwrap()
+        .submit("chaos", TINY_SPEC)
+        .unwrap();
+    let healthy = Client::connect(&addr)
+        .unwrap()
+        .submit("chaos", TINY_SPEC)
+        .unwrap();
+    server.stop();
+
+    // A well-formed record whose request `submit` would have refused.
+    let record = SpecRecord {
+        request: r#"{"op":"submit","tenant":"chaos","spec":{}}"#.to_string(),
+    };
+    let id = u64::from_str_radix(&broken, 16).unwrap();
+    Store::open(tmp.path())
+        .unwrap()
+        .put(job_key(JobRecordKind::Spec, id, 0), &record.encode())
+        .unwrap();
+
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(tmp.path(), Listen::Tcp("127.0.0.1:0".into()), cfg).unwrap();
+    let addr = server.addr().clone();
+    wait_for("the healthy job to finish", || {
+        (Client::connect(&addr)
+            .unwrap()
+            .status(&healthy)
+            .unwrap()
+            .phase
+            == "done")
+            .then_some(())
+    });
+    let counters = serve_counters(&addr);
+    assert_eq!(
+        counters.get("serve.jobs.unresumable"),
+        Some(&1),
+        "{counters:?}"
+    );
+    assert_eq!(counters.get("serve.jobs.resumed"), Some(&1), "{counters:?}");
+    let gone = Client::connect(&addr).unwrap().status(&broken);
+    assert!(
+        matches!(&gone, Err(ClientError::Server(m)) if m.contains("unknown job")),
+        "expected the unresumable job to be unknown, got {gone:?}"
+    );
+    // The server keeps serving: a new job runs to completion.
+    let fresh = Client::connect(&addr)
+        .unwrap()
+        .submit("chaos", TINY_SPEC)
+        .unwrap();
+    wait_for("a new job to finish", || {
+        (Client::connect(&addr)
+            .unwrap()
+            .status(&fresh)
+            .unwrap()
+            .phase
+            == "done")
+            .then_some(())
+    });
+    server.stop();
 }
 
 /// `drain` stops admission and claiming, lets in-flight cells finish,

@@ -22,13 +22,13 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use pgss::campaign::{run_cell, Job};
-use pgss::wire::WireFailure;
+use pgss::campaign::{run_cell, CellError, CellFailure, Job};
+use pgss::wire::canonical_failure_line;
 use pgss::{PgssSim, SimContext};
 use pgss_ckpt::CodecError;
 use pgss_serve::{
-    json, CampaignSpec, CellRecord, Client, IndexRecord, JobPhase, Listen, ServeConfig, Server,
-    SpecRecord, StatusRecord,
+    json, CellRecord, Client, IndexRecord, JobPhase, Listen, ServeConfig, Server, SpecRecord,
+    StatusRecord,
 };
 use pgss_stats::DetRng;
 
@@ -141,27 +141,22 @@ fn job_record_decoders_fail_typed_on_corrupt_bytes() {
         next_seq: 3,
         jobs: vec![(0x0123_4567_89ab_cdef, "alice".into()), (7, "bob".into())],
     };
-    let spec = json::parse(
-        r#"{"suite":[{"name":"164.gzip","scale":0.01},{"name":"300.twolf","scale":0.01}],
-            "techniques":[{"kind":"smarts","period_ops":50000},{"kind":"pgss","ff_ops":50000}],
-            "configs":[{},{"issue_width":2}],"stride":50000}"#,
-    )
-    .unwrap();
     let spec = SpecRecord {
-        tenant: "alice".into(),
-        seq: 2,
-        spec: CampaignSpec::from_json(&spec).unwrap(),
+        request: r#"{"op":"submit","tenant":"alice","spec":{"suite":[{"name":"164.gzip","scale":0.01},{"name":"300.twolf","scale":0.01}],"techniques":[{"kind":"smarts","period_ops":50000},{"kind":"pgss","ff_ops":50000}],"configs":[{},{"issue_width":2}],"stride":50000}}"#.into(),
     };
     let status = StatusRecord {
         phase: JobPhase::Running,
         retries: 1,
-        failures: vec![WireFailure {
-            job_index: 3,
-            workload: "300.twolf".into(),
-            technique: "SMARTS(50k)".into(),
-            attempts: 2,
-            error: "technique panicked: boom".into(),
-        }],
+        failures: vec![(
+            3,
+            canonical_failure_line(&CellFailure {
+                job_index: 3,
+                workload: "300.twolf".into(),
+                technique: "SMARTS(50k)".into(),
+                attempts: 2,
+                error: CellError::Panicked("boom".into()),
+            }),
+        )],
     };
     let mut rng = DetRng::seed_from_u64(0x10b_f022);
     let mut fuzz = |bytes: Vec<u8>, decode: fn(&[u8]) -> Result<(), CodecError>| {
