@@ -1,8 +1,9 @@
 //! Content-addressed on-disk record store.
 //!
-//! Each record is one file named by its 64-bit key. Writes build the
-//! full record in memory, write it to a unique temp file in the same
-//! directory, and `rename` it into place — readers therefore only ever
+//! Each record is one file named by its 64-bit key. Writes put the
+//! record header and then the caller's payload (never copied into a
+//! record buffer) into a unique temp file in the same directory, and
+//! `rename` it into place — readers therefore only ever
 //! observe complete rename targets, a failed write removes its temp file,
 //! and a crash mid-write leaves at worst a stale `.tmp` file that is
 //! ignored. Reads are *tolerant*: a missing, torn, corrupt, or
@@ -43,6 +44,9 @@ pub const STORE_FORMAT_VERSION: u32 = 1;
 
 /// Leading magic of every record file.
 pub const MAGIC: &[u8; 8] = b"PGSSCKPT";
+
+/// Bytes of the fixed record header that precedes every payload.
+const HEADER_LEN: usize = 36;
 
 /// Name of the sidecar directory (inside the store) that quarantined
 /// files are moved into.
@@ -245,22 +249,22 @@ impl Store {
         let mut e = Encoder::new();
         // Header fields are written manually (not length-prefixed) so the
         // record layout is exactly the documented fixed header + payload.
-        let mut record = Vec::with_capacity(36 + payload.len());
-        record.extend_from_slice(MAGIC);
+        // The header and the payload are written to the file one after
+        // the other: the payload is never copied into a record buffer.
+        let mut header = MAGIC.to_vec();
         e.put_u32(STORE_FORMAT_VERSION);
         e.put_u64(key);
         e.put_u64(payload.len() as u64);
         e.put_u64(fnv1a64(payload));
-        record.extend_from_slice(&e.into_bytes());
-        record.extend_from_slice(payload);
+        header.extend_from_slice(&e.into_bytes());
+        let record_len = (HEADER_LEN + payload.len()) as u64;
 
         if let Some(budget) = self.budget {
             let used = self.usage_bytes()?;
-            if used.saturating_add(record.len() as u64) > budget {
+            if used.saturating_add(record_len) > budget {
                 self.recorder.add("ckpt.store.budget_rejected", 1);
                 return Err(io::Error::other(format!(
-                    "{BUDGET_EXCEEDED}: {used} bytes held + {} incoming > {budget} budget",
-                    record.len()
+                    "{BUDGET_EXCEEDED}: {used} bytes held + {record_len} incoming > {budget} budget"
                 )));
             }
         }
@@ -270,11 +274,10 @@ impl Store {
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        match self.commit(&tmp, key, &record) {
+        match self.commit(&tmp, key, &header, payload) {
             Ok(()) => {
                 self.recorder.add("ckpt.store.put", 1);
-                self.recorder
-                    .add("ckpt.store.bytes_written", record.len() as u64);
+                self.recorder.add("ckpt.store.bytes_written", record_len);
                 Ok(())
             }
             Err(e) => {
@@ -291,24 +294,28 @@ impl Store {
     /// cleanup removes it); an injected torn rename reports success but
     /// leaves half a record at the destination, which the read path must
     /// detect and heal.
-    fn commit(&self, tmp: &Path, key: u64, record: &[u8]) -> io::Result<()> {
+    fn commit(&self, tmp: &Path, key: u64, header: &[u8], payload: &[u8]) -> io::Result<()> {
         #[cfg(feature = "fault-inject")]
-        match crate::faults::on_put() {
-            Some(crate::faults::PutFault::Fail(err)) => {
-                let _ = fs::write(tmp, &record[..record.len() / 2]);
-                return Err(err);
-            }
-            Some(crate::faults::PutFault::TornRename) => {
-                fs::write(tmp, record)?;
-                fs::write(self.path_for(key), &record[..record.len() / 2])?;
-                fs::remove_file(tmp)?;
-                return Ok(());
-            }
-            None => {}
+        if let Some(fault) = crate::faults::on_put() {
+            let record = [header, payload].concat();
+            let torn = &record[..record.len() / 2];
+            return match fault {
+                crate::faults::PutFault::Fail(err) => {
+                    let _ = fs::write(tmp, torn);
+                    Err(err)
+                }
+                crate::faults::PutFault::TornRename => {
+                    fs::write(tmp, &record)?;
+                    fs::write(self.path_for(key), torn)?;
+                    fs::remove_file(tmp)?;
+                    Ok(())
+                }
+            };
         }
         {
             let mut f = fs::File::create(tmp)?;
-            f.write_all(record)?;
+            f.write_all(header)?;
+            f.write_all(payload)?;
             self.fsync_file(&f)?;
         }
         fs::rename(tmp, self.path_for(key))?;
@@ -371,7 +378,6 @@ impl Store {
 
     fn get_checked_inner(&self, key: u64) -> Result<Vec<u8>, RecordError> {
         let path = self.path_for(key);
-        #[allow(unused_mut)] // mutated only under `fault-inject`
         let mut bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(RecordError::Missing),
@@ -379,9 +385,10 @@ impl Store {
         };
         #[cfg(feature = "fault-inject")]
         crate::faults::on_get(&mut bytes).map_err(|e| RecordError::Io(e.kind(), e.to_string()))?;
-        parse_record(&bytes, key)
-            .map(<[u8]>::to_vec)
-            .map_err(RecordError::Invalid)
+        parse_record(&bytes, key).map_err(RecordError::Invalid)?;
+        // Drop the header in place: the payload is never copied out.
+        bytes.drain(..HEADER_LEN);
+        Ok(bytes)
     }
 
     /// Removes the record under `key` if present.
@@ -528,7 +535,7 @@ fn record_key_of(name: &std::ffi::OsStr) -> Option<u64> {
 }
 
 fn parse_record(bytes: &[u8], key: u64) -> Result<&[u8], RecordFault> {
-    if bytes.len() < 36 {
+    if bytes.len() < HEADER_LEN {
         return Err(RecordFault::TooShort);
     }
     if &bytes[..8] != MAGIC {
@@ -547,7 +554,7 @@ fn parse_record(bytes: &[u8], key: u64) -> Result<&[u8], RecordFault> {
     if rec_key != key {
         return Err(RecordFault::KeyMismatch);
     }
-    let payload = &bytes[36..];
+    let payload = &bytes[HEADER_LEN..];
     if payload.len() as u64 != len {
         return Err(RecordFault::LengthMismatch);
     }

@@ -527,11 +527,11 @@ impl LadderGroup {
         })
     }
 
-    /// The store keys the group's persisted ladder occupies
-    /// ([`CheckpointLadder::live_keys`]): GC liveness roots.
-    pub fn live_keys(&self, jobs: &[Job<'_>], store: &Store) -> Vec<u64> {
+    /// The store key of the group's ladder record, whether or not the
+    /// record exists yet: a GC liveness root.
+    pub fn key(&self, jobs: &[Job<'_>]) -> u64 {
         let first = &jobs[self.cells[0]];
-        CheckpointLadder::live_keys(store, first.workload, &first.config, &self.spec)
+        CheckpointLadder::key(first.workload, &first.config, &self.spec)
     }
 }
 

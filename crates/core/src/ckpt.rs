@@ -6,10 +6,11 @@
 //!
 //! 1. [`pgss_ckpt::codec`] / [`pgss_ckpt::Store`] — bytes only; versioned,
 //!    checksummed, crash-safe records.
-//! 2. This module — encodes [`pgss_cpu::MachineSnapshot`] payloads,
-//!    derives content-address keys from (workload identity, machine
-//!    config, op offset), and builds [`CheckpointLadder`]s: snapshots at
-//!    a fixed op stride with *cumulative* BBV tracker state per rung.
+//! 2. This module — encodes [`pgss_cpu::MachineSnapshot`] payloads and
+//!    builds [`CheckpointLadder`]s: snapshots at a fixed op stride with
+//!    *cumulative* BBV tracker state per rung, stored as one record whose
+//!    content-address key digests (workload identity, machine config,
+//!    ladder spec, format versions).
 //! 3. [`crate::driver::SimDriver`] — when built with a ladder, *jumps*
 //!    over functional segments by restoring the highest rung inside the
 //!    segment instead of executing it.
@@ -27,19 +28,21 @@
 //! # Fault tolerance
 //!
 //! Store reads are *self-healing*: [`CheckpointLadder::load_or_capture`]
-//! reads via [`Store::get_checked`], and any record that exists but fails
-//! validation is moved into the store's quarantine sidecar (never
-//! deleted — the evidence survives for post-mortem) before the ladder is
-//! recaptured from scratch and written back. Every such event, plus any
-//! store I/O error or failed write-back, lands in the ladder's
-//! [`CheckpointLadder::fault_log`], which campaigns surface in their
-//! report ledger. Because recapture reproduces the exact bytes the rung
-//! held before it rotted, healing is invisible to results.
+//! reads the ladder's one record via [`Store::get_checked`], and a record
+//! that exists but fails validation or decoding is moved into the store's
+//! quarantine sidecar (never deleted — the evidence survives for
+//! post-mortem) before the ladder is recaptured from scratch and written
+//! back. Every such event, plus any store I/O error or failed
+//! write-back, lands in the ladder's [`CheckpointLadder::fault_log`],
+//! which campaigns surface in their report ledger. Because recapture
+//! reproduces the exact bytes the record held before it rotted, healing
+//! is invisible to results.
 
 // Checkpoint state feeds bit-exact simulation results; a stray unwrap on
 // this path would turn a recoverable corrupt record into an abort.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pgss_bbv::{BbvHash, FullBbv, FullBbvTracker, HashedBbv, HashedBbvTracker, HASHED_BBV_DIM};
@@ -80,6 +83,12 @@ pub fn encode_machine_snapshot(snap: &MachineSnapshot) -> Vec<u8> {
 /// wrote.
 pub fn encode_machine_state(state: MachineStateRef<'_>) -> Vec<u8> {
     let mut e = Encoder::new();
+    put_machine_state(&mut e, state);
+    e.into_bytes()
+}
+
+/// Appends [`encode_machine_state`]'s bytes to `e`.
+fn put_machine_state(e: &mut Encoder, state: MachineStateRef<'_>) {
     e.put_u32(SNAPSHOT_FORMAT_VERSION);
     e.put_u32(state.pc);
     for &r in state.regs {
@@ -93,7 +102,7 @@ pub fn encode_machine_state(state: MachineStateRef<'_>) -> Vec<u8> {
         None => e.put_i64_slice_rle(state.mem),
     }
     e.put_bool(state.halted);
-    put_mode_ops(&mut e, state.mode_ops);
+    put_mode_ops(e, state.mode_ops);
     e.put_u64(state.ops_since_taken);
     for c in state.caches {
         e.put_u64_slice(&c.ways);
@@ -108,7 +117,6 @@ pub fn encode_machine_state(state: MachineStateRef<'_>) -> Vec<u8> {
     for &t in &state.btb.targets {
         e.put_u32(t);
     }
-    e.into_bytes()
 }
 
 /// Decodes bytes produced by [`encode_machine_snapshot`], rejecting
@@ -283,66 +291,6 @@ fn get_hashed_bbv(d: &mut Decoder<'_>) -> Result<HashedBbv, CodecError> {
     Ok(HashedBbv::from_counts(counts))
 }
 
-/// The identity a checkpoint is keyed by: which workload (name, nominal
-/// size, program shape — scale is baked into the nominal op count), which
-/// machine configuration, and which retired-op offset. Two runs agreeing
-/// on all of these see identical machine state at the offset, so records
-/// are safely shareable across processes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckpointKey {
-    /// Workload name.
-    pub workload: String,
-    /// The workload's nominal op count (scale-dependent).
-    pub nominal_ops: u64,
-    /// Instruction count of the program (identity proxy).
-    pub program_len: u64,
-    /// Static basic-block count of the program (identity proxy).
-    pub num_blocks: u64,
-    /// Memory words the workload requires (identity proxy for its data
-    /// image).
-    pub init_words: u64,
-    /// Digest of every [`MachineConfig`] field.
-    pub config_digest: u64,
-    /// Retired-op offset the snapshot was captured at.
-    pub op_offset: u64,
-}
-
-impl CheckpointKey {
-    /// Builds the key identifying `workload` × `config` at `op_offset`.
-    pub fn new(workload: &Workload, config: &MachineConfig, op_offset: u64) -> CheckpointKey {
-        CheckpointKey {
-            workload: workload.name().to_string(),
-            nominal_ops: workload.nominal_ops(),
-            program_len: workload.program().len() as u64,
-            num_blocks: workload.program().num_blocks() as u64,
-            init_words: workload.required_memory_words() as u64,
-            config_digest: config_digest(config),
-            op_offset,
-        }
-    }
-
-    /// The 64-bit content address for [`Store`] lookups. Includes the
-    /// snapshot format version, so a version bump orphans (rather than
-    /// misreads) old records.
-    pub fn hash(&self) -> u64 {
-        self.hash_with_tag(0)
-    }
-
-    fn hash_with_tag(&self, tag: u64) -> u64 {
-        let mut e = Encoder::new();
-        e.put_u32(SNAPSHOT_FORMAT_VERSION);
-        e.put_str(&self.workload);
-        e.put_u64(self.nominal_ops);
-        e.put_u64(self.program_len);
-        e.put_u64(self.num_blocks);
-        e.put_u64(self.init_words);
-        e.put_u64(self.config_digest);
-        e.put_u64(self.op_offset);
-        e.put_u64(tag);
-        fnv1a64(&e.into_bytes())
-    }
-}
-
 /// FNV digest over every field of a [`MachineConfig`].
 pub fn config_digest(config: &MachineConfig) -> u64 {
     let mut e = Encoder::new();
@@ -404,7 +352,7 @@ impl LadderSpec {
     /// The spec a set of techniques sharing one ladder needs: `stride`,
     /// plus the union of their [`Technique::tracks`]. Hashed seeds keep
     /// their first-seen order, because store keys hash the spec: the same
-    /// techniques in the same order must find the same rungs.
+    /// techniques in the same order must find the same record.
     pub fn for_techniques<'t, T: Technique + ?Sized + 't>(
         stride: u64,
         techniques: impl IntoIterator<Item = &'t T>,
@@ -421,12 +369,18 @@ impl LadderSpec {
     }
 }
 
-/// One rung: the workload's complete state at `retired`, held as encoded
-/// (zero-run-compressed) bytes plus cumulative-since-op-0 tracker counts.
+/// Version of a ladder's store record. Bump on any change to its layout
+/// (the snapshot bytes inside it included); it is part of the record's
+/// key, so a store of an older layout misses once and recaptures.
+const LADDER_FORMAT_VERSION: u32 = 1;
+
+/// One rung: the workload's complete state at `retired`, held as the
+/// byte range of its encoded (zero-run-compressed) snapshot inside the
+/// ladder's record, plus cumulative-since-op-0 tracker counts.
 #[derive(Debug, Clone)]
 pub(crate) struct LadderRung {
     pub(crate) retired: u64,
-    pub(crate) machine: Vec<u8>,
+    machine: Range<usize>,
     pub(crate) hashed_cum: Vec<HashedBbv>,
     pub(crate) full_cum: Option<FullBbv>,
 }
@@ -492,9 +446,16 @@ impl LadderReport {
 /// be replaced by a restore of the highest rung the segment spans —
 /// with identical observable results, because functional warming is
 /// deterministic and mode-independent.
+///
+/// The ladder is its store record: one buffer holding a format version,
+/// the rung count, the spec's track shape, then every rung in order (its
+/// offset, its snapshot bytes, one cumulative hashed BBV per seed, and
+/// the full BBV when tracked). It is loaded, written back and
+/// quarantined whole.
 #[derive(Debug)]
 pub struct CheckpointLadder {
     spec: LadderSpec,
+    record: Vec<u8>,
     rungs: Vec<LadderRung>,
     capture_ops: u64,
     counters: LadderCounters,
@@ -520,25 +481,54 @@ impl CheckpointLadder {
             .with_full
             .then(|| FullBbvTracker::new(workload.program()));
         let mut sink = (hashed, full);
+        let mut e = Encoder::new();
+        e.put_u32(LADDER_FORMAT_VERSION);
+        e.put_u64(0); // the rung count, set once the capture ends
+        e.put_u64(spec.hashed_seeds.len() as u64);
+        e.put_bool(spec.with_full);
         let mut rungs = Vec::new();
         let mut retired = 0u64;
         loop {
             let r = machine.run_with(Mode::Functional, spec.stride, &mut sink);
             retired += r.ops;
             if r.ops == spec.stride {
+                e.put_u64(retired);
+                e.put_u64(0); // the snapshot's length, set once the capture ends
+                let start = e.len();
+                put_machine_state(&mut e, machine.state());
+                let machine = start..e.len();
+                let hashed_cum: Vec<HashedBbv> = sink.0.iter().map(|t| *t.current()).collect();
+                for h in &hashed_cum {
+                    put_hashed_bbv(&mut e, h);
+                }
+                let full_cum = sink.1.as_ref().map(|t| t.current().clone());
+                if let Some(f) = &full_cum {
+                    e.put_u64_slice(f.counts());
+                }
                 rungs.push(LadderRung {
                     retired,
-                    machine: encode_machine_state(machine.state()),
-                    hashed_cum: sink.0.iter().map(|t| *t.current()).collect(),
-                    full_cum: sink.1.as_ref().map(|t| t.current().clone()),
+                    machine,
+                    hashed_cum,
+                    full_cum,
                 });
             }
             if r.halted || r.ops < spec.stride {
                 break;
             }
         }
+        // Snapshots are encoded straight into the record, not copied in,
+        // so the counts that precede them are filled in last: the rung
+        // count after the 4-byte version, each snapshot's length before
+        // its bytes.
+        let mut record = e.into_bytes();
+        record[4..12].copy_from_slice(&(rungs.len() as u64).to_le_bytes());
+        for rung in &rungs {
+            let len = rung.machine.len() as u64;
+            record[rung.machine.start - 8..rung.machine.start].copy_from_slice(&len.to_le_bytes());
+        }
         CheckpointLadder {
             spec: spec.clone(),
+            record,
             rungs,
             capture_ops: retired,
             counters: LadderCounters::default(),
@@ -546,18 +536,18 @@ impl CheckpointLadder {
         }
     }
 
-    /// Like [`CheckpointLadder::capture`], but first tries to load every
-    /// rung from `store` (keyed by workload identity × config × offset ×
-    /// spec) and, after a capture, writes the rungs back.
+    /// Like [`CheckpointLadder::capture`], but first tries to load the
+    /// ladder's record from `store` (keyed by workload identity × config
+    /// × spec) and, after a capture, writes the record back.
     ///
     /// Store reads are tolerant *and self-healing*: a record that exists
-    /// but fails validation is quarantined (moved into the store's
-    /// sidecar directory, never deleted) and the whole ladder is
+    /// but fails validation or decoding is quarantined (moved into the
+    /// store's sidecar directory, never deleted) and the ladder is
     /// recaptured and written back, transparently re-creating the
-    /// quarantined rungs. Missing records and I/O errors also fall back
-    /// to capture. Writes are best-effort (an unwritable store only costs
-    /// future reuse). Every fault handled this way is described in
-    /// [`CheckpointLadder::fault_log`].
+    /// quarantined record. A missing record and an I/O error also fall
+    /// back to capture. Writes are best-effort (an unwritable store only
+    /// costs future reuse). Every fault handled this way, but for a plain
+    /// miss, is described in [`CheckpointLadder::fault_log`].
     pub fn load_or_capture(
         store: &Store,
         workload: &Workload,
@@ -565,180 +555,63 @@ impl CheckpointLadder {
         spec: &LadderSpec,
     ) -> Self {
         assert!(spec.stride > 0, "ladder stride must be positive");
-        let tag = Self::spec_tag(spec);
-        let meta_key = CheckpointKey::new(workload, config, u64::MAX).hash_with_tag(tag);
-        let mut log = Vec::new();
-        if let Some(mut ladder) =
-            Self::try_load(store, workload, config, spec, tag, meta_key, &mut log)
-        {
-            ladder.fault_log = log;
-            return ladder;
-        }
+        let key = Self::key(workload, config, spec);
+        let name = workload.name();
+        let fault = match store.get_checked(key) {
+            Ok(record) => match decode_ladder(&record, spec) {
+                Ok(rungs) => {
+                    return CheckpointLadder {
+                        spec: spec.clone(),
+                        record,
+                        rungs,
+                        capture_ops: 0,
+                        counters: LadderCounters::default(),
+                        fault_log: Vec::new(),
+                    }
+                }
+                // The record checksummed clean but is not the ladder its
+                // key promises: quarantine it like corruption.
+                Err(e) => Some(format!(
+                    "{name}: undecodable ladder record (key {key:016x}): {e}; {}; recapturing",
+                    quarantine_note(store, key)
+                )),
+            },
+            Err(RecordError::Missing) => None,
+            Err(RecordError::Invalid(fault)) => Some(format!(
+                "{name}: corrupt ladder record (key {key:016x}): {fault}; {}; recapturing",
+                quarantine_note(store, key)
+            )),
+            Err(e @ RecordError::Io(..)) => Some(format!(
+                "{name}: ladder record (key {key:016x}) unreadable: {e}; recapturing"
+            )),
+        };
         let mut ladder = Self::capture(workload, config, spec);
-        // Best-effort write-back; rungs first so a complete meta record
-        // implies complete rungs.
-        let mut ok = true;
-        for rung in &ladder.rungs {
-            let key = CheckpointKey::new(workload, config, rung.retired).hash_with_tag(tag);
-            if let Err(e) = store.put(key, &encode_rung(rung)) {
-                log.push(format!(
-                    "{}: write-back of checkpoint rung @{} failed: {e}",
-                    workload.name(),
-                    rung.retired
-                ));
-                ok = false;
-            }
+        ladder.fault_log.extend(fault);
+        if let Err(e) = store.put(key, &ladder.record) {
+            ladder.fault_log.push(format!(
+                "{name}: write-back of ladder record (key {key:016x}) failed: {e}"
+            ));
         }
-        if ok {
-            let mut e = Encoder::new();
-            e.put_u64(ladder.capture_ops);
-            e.put_u64(ladder.rungs.len() as u64);
-            if let Err(e) = store.put(meta_key, &e.into_bytes()) {
-                log.push(format!(
-                    "{}: write-back of ladder meta record failed: {e}",
-                    workload.name()
-                ));
-            }
-        }
-        ladder.fault_log = log;
         ladder
     }
 
-    /// One tolerated store read for `try_load`: `Ok(payload)` on a valid
-    /// record, `Err(abandon_load)` otherwise — quarantining invalid
-    /// records (self-healing) and logging everything except a silent
-    /// first-run miss.
-    fn read_healing(
-        store: &Store,
-        key: u64,
-        what: &str,
-        silent_miss: bool,
-        workload: &Workload,
-        log: &mut Vec<String>,
-    ) -> Result<Vec<u8>, ()> {
-        match store.get_checked(key) {
-            Ok(payload) => Ok(payload),
-            Err(RecordError::Missing) => {
-                if !silent_miss {
-                    log.push(format!(
-                        "{}: missing {what} (key {key:016x}) despite complete meta; recapturing",
-                        workload.name()
-                    ));
-                }
-                Err(())
-            }
-            Err(RecordError::Invalid(fault)) => {
-                log.push(format!(
-                    "{}: corrupt {what} (key {key:016x}): {fault}; {}; recapturing",
-                    workload.name(),
-                    quarantine_note(store, key)
-                ));
-                Err(())
-            }
-            Err(e @ RecordError::Io(..)) => {
-                log.push(format!(
-                    "{}: {what} (key {key:016x}) unreadable: {e}; recapturing",
-                    workload.name()
-                ));
-                Err(())
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal; mirrors load_or_capture's context
-    fn try_load(
-        store: &Store,
-        workload: &Workload,
-        config: &MachineConfig,
-        spec: &LadderSpec,
-        tag: u64,
-        meta_key: u64,
-        log: &mut Vec<String>,
-    ) -> Option<Self> {
-        let meta =
-            Self::read_healing(store, meta_key, "ladder meta record", true, workload, log).ok()?;
-        let Ok(count) = decode_meta_count(&meta, spec.stride) else {
-            log.push(format!(
-                "{}: undecodable ladder meta record (key {meta_key:016x}); {}; recapturing",
-                workload.name(),
-                quarantine_note(store, meta_key)
-            ));
-            return None;
-        };
-        // Grown as rungs load: the count is bounded by the record's own
-        // capture length, not by what the store actually holds.
-        let mut rungs = Vec::new();
-        for i in 1..=count {
-            let offset = i * spec.stride;
-            let key = CheckpointKey::new(workload, config, offset).hash_with_tag(tag);
-            let what = format!("checkpoint rung @{offset}");
-            let payload = Self::read_healing(store, key, &what, false, workload, log).ok()?;
-            let rung = match decode_rung(&payload, spec) {
-                Ok(rung) if rung.retired == offset => rung,
-                // The record checksummed clean but its payload is not the
-                // rung the key promises — quarantine it like corruption.
-                _ => {
-                    log.push(format!(
-                        "{}: undecodable {what} (key {key:016x}); {}; recapturing",
-                        workload.name(),
-                        quarantine_note(store, key)
-                    ));
-                    return None;
-                }
-            };
-            rungs.push(rung);
-        }
-        Some(CheckpointLadder {
-            spec: spec.clone(),
-            rungs,
-            capture_ops: 0,
-            counters: LadderCounters::default(),
-            fault_log: Vec::new(),
-        })
-    }
-
-    /// The content addresses a persisted ladder for `workload` × `config`
-    /// × `spec` occupies in `store`: the meta record plus every rung the
-    /// meta record declares, up to the first rung whose record file is
-    /// absent (where `load_or_capture` would stop and recapture too).
-    /// These are GC liveness roots — a [`Store::gc`] caller marks them
-    /// live to keep accelerated campaigns warm across sweeps.
-    ///
-    /// When the meta record is missing or corrupt the ladder is already
-    /// unreachable (`load_or_capture` would recapture), so only the meta
-    /// key itself is reported; any orphaned rungs are legitimately
-    /// collectable and will be transparently re-created on the next
-    /// capture. Rungs are probed by file existence, never read, so a
-    /// meta record forging a huge capture length costs one probe. Callers must not run a sweep concurrently with a ladder
-    /// *capture*: rungs are written before their meta record, so a sweep
-    /// in that window would (harmlessly but wastefully) collect them.
-    pub fn live_keys(
-        store: &Store,
-        workload: &Workload,
-        config: &MachineConfig,
-        spec: &LadderSpec,
-    ) -> Vec<u64> {
-        let tag = Self::spec_tag(spec);
-        let meta_key = CheckpointKey::new(workload, config, u64::MAX).hash_with_tag(tag);
-        let mut keys = vec![meta_key];
-        let Ok(meta) = store.get_checked(meta_key) else {
-            return keys;
-        };
-        let count = decode_meta_count(&meta, spec.stride).unwrap_or(0);
-        for i in 1..=count {
-            let key = CheckpointKey::new(workload, config, i * spec.stride).hash_with_tag(tag);
-            if !store.path_for(key).is_file() {
-                break;
-            }
-            keys.push(key);
-        }
-        keys
-    }
-
-    /// A digest of the spec, mixed into keys so ladders with different
-    /// tracked seeds never alias.
-    fn spec_tag(spec: &LadderSpec) -> u64 {
+    /// The store key of the ladder for `workload` × `config` × `spec`: a
+    /// digest of the workload's identity (name, nominal size, program
+    /// shape — scale is baked into the nominal op count), every config
+    /// field, the spec, and the record and snapshot format versions. Two
+    /// runs agreeing on all of these capture identical ladders, so the
+    /// record is safely shareable across processes, and its key is known
+    /// before the record exists — a GC liveness root.
+    pub(crate) fn key(workload: &Workload, config: &MachineConfig, spec: &LadderSpec) -> u64 {
         let mut e = Encoder::new();
+        e.put_u32(LADDER_FORMAT_VERSION);
+        e.put_u32(SNAPSHOT_FORMAT_VERSION);
+        e.put_str(workload.name());
+        e.put_u64(workload.nominal_ops());
+        e.put_u64(workload.program().len() as u64);
+        e.put_u64(workload.program().num_blocks() as u64);
+        e.put_u64(workload.required_memory_words() as u64);
+        e.put_u64(config_digest(config));
         e.put_u64(spec.stride);
         e.put_u64_slice(&spec.hashed_seeds);
         e.put_bool(spec.with_full);
@@ -770,6 +643,11 @@ impl CheckpointLadder {
         self.spec.with_full
     }
 
+    /// `rung`'s encoded machine snapshot.
+    pub(crate) fn snapshot(&self, rung: &LadderRung) -> &[u8] {
+        &self.record[rung.machine.clone()]
+    }
+
     /// The highest rung strictly after `after` and at or below `upto`.
     pub(crate) fn best_rung_in(&self, after: u64, upto: u64) -> Option<&LadderRung> {
         let idx = self.rungs.partition_point(|r| r.retired <= upto);
@@ -789,8 +667,8 @@ impl CheckpointLadder {
     }
 
     /// Store faults this ladder healed or tolerated while loading /
-    /// writing back: quarantined corrupt records, missing rungs, I/O
-    /// errors, failed write-backs — one human-readable line each, in the
+    /// writing back: a quarantined corrupt or undecodable record, an I/O
+    /// error, a failed write-back — one human-readable line each, in the
     /// order encountered. Empty on a clean load or a first capture.
     pub fn fault_log(&self) -> &[String] {
         &self.fault_log
@@ -816,69 +694,51 @@ fn quarantine_note(store: &Store, key: u64) -> String {
     }
 }
 
-/// The rung count of a ladder meta record (capture ops, rung count) for a
-/// ladder of rungs every `stride` ops. A capture retires at least
-/// `count × stride` ops, so a count whose rungs would lie beyond the
-/// record's own capture length is malformed — rejected here, before any
-/// caller iterates by it.
-fn decode_meta_count(bytes: &[u8], stride: u64) -> Result<u64, CodecError> {
-    let mut d = Decoder::new(bytes);
-    let capture_ops = d.get_u64()?;
+/// Decodes a ladder record for `spec` into its rungs, checking the
+/// format version, the track shape against the spec, each rung's offset
+/// against its stride and each snapshot by a walk over its bytes (so a
+/// corrupt record surfaces here, as a recapture, and never as a panic at
+/// jump time), and that no byte trails the last rung. The rung vector
+/// grows as rungs decode: the declared count allocates nothing.
+fn decode_ladder(record: &[u8], spec: &LadderSpec) -> Result<Vec<LadderRung>, CodecError> {
+    let mut d = Decoder::new(record);
+    d.expect_version(LADDER_FORMAT_VERSION, "ladder format version mismatch")?;
     let count = d.get_u64()?;
-    d.finish()?;
-    match count.checked_mul(stride) {
-        Some(last_rung) if last_rung <= capture_ops => Ok(count),
-        _ => Err(CodecError::Malformed(
-            "ladder meta rung count exceeds its capture",
-        )),
-    }
-}
-
-fn encode_rung(rung: &LadderRung) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u64(rung.retired);
-    e.put_bytes(&rung.machine);
-    e.put_u64(rung.hashed_cum.len() as u64);
-    for h in &rung.hashed_cum {
-        put_hashed_bbv(&mut e, h);
-    }
-    e.put_bool(rung.full_cum.is_some());
-    if let Some(f) = &rung.full_cum {
-        e.put_u64_slice(f.counts());
-    }
-    e.into_bytes()
-}
-
-fn decode_rung(bytes: &[u8], spec: &LadderSpec) -> Result<LadderRung, CodecError> {
-    let mut d = Decoder::new(bytes);
-    let retired = d.get_u64()?;
-    let machine = d.get_bytes()?;
-    // Validate eagerly so a corrupted record surfaces here (tolerant
-    // fallback to capture) rather than as a panic at jump time — by a
-    // walk over the bytes, without building the memory image.
-    validate_machine_snapshot(&machine)?;
-    let n = d.get_u64()?;
-    if n != spec.hashed_seeds.len() as u64 {
+    if d.get_u64()? != spec.hashed_seeds.len() as u64 {
         return Err(CodecError::Malformed("ladder seed count mismatch"));
     }
-    let mut hashed_cum = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        hashed_cum.push(get_hashed_bbv(&mut d)?);
-    }
-    let full_cum = d
-        .get_bool()?
-        .then(|| d.get_counts().map(FullBbv::from_counts))
-        .transpose()?;
-    if full_cum.is_some() != spec.with_full {
+    if d.get_bool()? != spec.with_full {
         return Err(CodecError::Malformed("ladder full-BBV mismatch"));
     }
+    let mut rungs = Vec::new();
+    for i in 1..=count {
+        let retired = d.get_u64()?;
+        if Some(retired) != i.checked_mul(spec.stride) {
+            return Err(CodecError::Malformed("ladder rung off its stride"));
+        }
+        let len = d.get_len(1)?;
+        let start = record.len() - d.remaining();
+        d.skip(len)?;
+        let machine = start..start + len;
+        validate_machine_snapshot(&record[machine.clone()])?;
+        let hashed_cum = spec
+            .hashed_seeds
+            .iter()
+            .map(|_| get_hashed_bbv(&mut d))
+            .collect::<Result<_, _>>()?;
+        let full_cum = spec
+            .with_full
+            .then(|| d.get_counts().map(FullBbv::from_counts))
+            .transpose()?;
+        rungs.push(LadderRung {
+            retired,
+            machine,
+            hashed_cum,
+            full_cum,
+        });
+    }
     d.finish()?;
-    Ok(LadderRung {
-        retired,
-        machine,
-        hashed_cum,
-        full_cum,
-    })
+    Ok(rungs)
 }
 
 /// Per-run context threaded to [`crate::Technique::run_traced`]:
@@ -972,11 +832,9 @@ mod tests {
         assert!(decode_machine_snapshot(&good[..good.len() - 3]).is_err());
     }
 
-    #[test]
-    fn rung_decoder_fails_typed_on_corrupt_bytes() {
-        // The in-place decoder fuzz of `tests/checkpoints.rs`, on a rung
-        // with both BBV kinds, small enough to try every bit flip.
-        use pgss_stats::DetRng;
+    /// A ladder with both BBV kinds on a workload and machine small
+    /// enough that its record can be fuzzed bit by bit.
+    fn small_ladder() -> (Workload, MachineConfig, LadderSpec) {
         use pgss_workloads::{Kernel, WorkloadBuilder};
         let mut b = WorkloadBuilder::new("fuzz", 11);
         let branchy = b.add_segment(Kernel::Branchy {
@@ -985,7 +843,6 @@ mod tests {
             work_per_side: 2,
         });
         b.run(branchy, 40_000);
-        let w = b.finish();
         let mut cfg = MachineConfig {
             memory_words: 1 << 12,
             ..MachineConfig::default()
@@ -1000,10 +857,39 @@ mod tests {
             hashed_seeds: vec![7],
             with_full: true,
         };
+        (b.finish(), cfg, spec)
+    }
+
+    #[test]
+    fn ladder_record_format_is_pinned() {
+        // Bump LADDER_FORMAT_VERSION deliberately when a digest changes:
+        // the version is part of the key, so a store written under the
+        // old layout then misses once and recaptures instead of decoding
+        // wrongly.
+        assert_eq!(LADDER_FORMAT_VERSION, 1);
+        let (w, cfg, spec) = small_ladder();
         let ladder = CheckpointLadder::capture(&w, &cfg, &spec);
-        let valid = encode_rung(&ladder.rungs[0]);
-        let decode = |bytes: &[u8]| decode_rung(bytes, &spec).map(drop);
-        assert_eq!(decode(&valid), Ok(()));
+        assert_eq!(ladder.len(), 2);
+        assert_eq!(
+            [
+                fnv1a64(&ladder.record),
+                CheckpointLadder::key(&w, &cfg, &spec)
+            ],
+            [0x8c6c_aa6a_c1be_6635, 0x81cf_f713_3cb4_ed98],
+            "the ladder record or its key changed (record, key); bump \
+             LADDER_FORMAT_VERSION"
+        );
+    }
+
+    #[test]
+    fn ladder_decoder_fails_typed_on_corrupt_bytes() {
+        // The in-place decoder fuzz of `tests/checkpoints.rs`, on a
+        // ladder record small enough to try every bit flip.
+        use pgss_stats::DetRng;
+        let (w, cfg, spec) = small_ladder();
+        let valid = CheckpointLadder::capture(&w, &cfg, &spec).record;
+        let decode = |bytes: &[u8]| decode_ladder(bytes, &spec).map(|rungs| rungs.len());
+        assert_eq!(decode(&valid), Ok(2));
         for cut in 0..valid.len() {
             assert!(
                 decode(&valid[..cut]).is_err(),
@@ -1030,19 +916,76 @@ mod tests {
     }
 
     #[test]
-    fn keys_separate_workload_config_and_offset() {
+    fn ladder_decoder_rejects_a_record_of_another_spec() {
+        let (w, cfg, spec) = small_ladder();
+        let record = CheckpointLadder::capture(&w, &cfg, &spec).record;
+        let decode = |spec: LadderSpec| decode_ladder(&record, &spec).map(drop);
+        let malformed = |what| Err(CodecError::Malformed(what));
+        assert_eq!(
+            decode(LadderSpec {
+                stride: 10_000,
+                ..spec.clone()
+            }),
+            malformed("ladder rung off its stride")
+        );
+        assert_eq!(
+            decode(LadderSpec {
+                hashed_seeds: vec![7, 8],
+                ..spec.clone()
+            }),
+            malformed("ladder seed count mismatch")
+        );
+        assert_eq!(
+            decode(LadderSpec {
+                with_full: false,
+                ..spec.clone()
+            }),
+            malformed("ladder full-BBV mismatch")
+        );
+        // A rung's offset rewritten off its stride.
+        let mut bytes = record.clone();
+        bytes[21..29].copy_from_slice(&20_001u64.to_le_bytes());
+        assert_eq!(
+            decode_ladder(&bytes, &spec).map(drop),
+            malformed("ladder rung off its stride")
+        );
+    }
+
+    #[test]
+    fn keys_separate_workload_config_and_spec() {
         let w = workload();
         let cfg = MachineConfig::default();
-        let base = CheckpointKey::new(&w, &cfg, 100).hash();
-        assert_eq!(CheckpointKey::new(&w, &cfg, 100).hash(), base);
-        assert_ne!(CheckpointKey::new(&w, &cfg, 200).hash(), base);
+        let spec = LadderSpec::machine_only(100);
+        let base = CheckpointLadder::key(&w, &cfg, &spec);
+        assert_eq!(CheckpointLadder::key(&w, &cfg, &spec), base);
         let other_cfg = MachineConfig {
             issue_width: 2,
             ..cfg
         };
-        assert_ne!(CheckpointKey::new(&w, &other_cfg, 100).hash(), base);
         let other_w = pgss_workloads::wupwise(0.005);
-        assert_ne!(CheckpointKey::new(&other_w, &cfg, 100).hash(), base);
+        for key in [
+            CheckpointLadder::key(&w, &cfg, &LadderSpec::machine_only(200)),
+            CheckpointLadder::key(
+                &w,
+                &cfg,
+                &LadderSpec {
+                    hashed_seeds: vec![7],
+                    ..spec.clone()
+                },
+            ),
+            CheckpointLadder::key(
+                &w,
+                &cfg,
+                &LadderSpec {
+                    with_full: true,
+                    ..spec.clone()
+                },
+            ),
+            CheckpointLadder::key(&w, &other_cfg, &spec),
+            CheckpointLadder::key(&other_w, &cfg, &spec),
+        ] {
+            assert_ne!(key, base);
+        }
     }
 
     #[test]
@@ -1074,7 +1017,10 @@ mod tests {
         let direct = m.snapshot();
         let rung = ladder.best_rung_in(0, 60_000).unwrap();
         assert_eq!(rung.retired, 60_000);
-        assert_eq!(decode_machine_snapshot(&rung.machine).unwrap(), direct);
+        assert_eq!(
+            decode_machine_snapshot(ladder.snapshot(rung)).unwrap(),
+            direct
+        );
     }
 
     #[test]
@@ -1094,14 +1040,14 @@ mod tests {
         let loaded = CheckpointLadder::load_or_capture(&store, &w, &cfg, &spec);
         assert_eq!(loaded.report().capture_ops, 0, "second build loads");
         assert_eq!(loaded.len(), captured.len());
+        assert_eq!(loaded.record, captured.record);
         for (a, b) in loaded.rungs.iter().zip(&captured.rungs) {
             assert_eq!(a.retired, b.retired);
             assert_eq!(a.machine, b.machine);
             assert_eq!(a.hashed_cum, b.hashed_cum);
         }
-        // Corrupt one rung record: the load path falls back to capture.
-        let tag = CheckpointLadder::spec_tag(&spec);
-        let key = CheckpointKey::new(&w, &cfg, spec.stride).hash_with_tag(tag);
+        // Corrupt the ladder record: the load path falls back to capture.
+        let key = CheckpointLadder::key(&w, &cfg, &spec);
         let path = store.path_for(key);
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
@@ -1110,7 +1056,7 @@ mod tests {
         let refetched = CheckpointLadder::load_or_capture(&store, &w, &cfg, &spec);
         assert!(
             refetched.report().capture_ops > 0,
-            "corrupt rung must force recapture"
+            "corrupt record must force recapture"
         );
         // Self-healing: the corrupt record was quarantined (not deleted),
         // the event was logged, and the recapture wrote a healthy record
@@ -1119,8 +1065,8 @@ mod tests {
         assert!(
             log.iter().any(|l| l.contains("quarantined")
                 && l.contains(w.name())
-                && l.contains(&format!("@{}", spec.stride))),
-            "fault log must name the quarantined rung: {log:?}"
+                && l.contains(&format!("{key:016x}"))),
+            "fault log must name the quarantined record: {log:?}"
         );
         assert!(store
             .quarantine_dir()
@@ -1129,89 +1075,10 @@ mod tests {
         let healed = CheckpointLadder::load_or_capture(&store, &w, &cfg, &spec);
         assert_eq!(healed.report().capture_ops, 0, "store did not self-heal");
         assert!(healed.fault_log().is_empty());
-        for (a, b) in healed.rungs.iter().zip(&captured.rungs) {
-            assert_eq!(a.machine, b.machine, "healed rung differs from capture");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crafted_meta_rung_count_is_rejected_not_allocated() {
-        let dir = std::env::temp_dir().join(format!("pgss-ladder-meta-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Store::open(&dir).unwrap();
-        let w = workload();
-        let cfg = MachineConfig::default();
-        let spec = LadderSpec::machine_only(40_000);
-        let fresh = CheckpointLadder::capture(&w, &cfg, &spec);
-        let capture_ops = fresh.report().capture_ops;
-        let meta_key =
-            CheckpointKey::new(&w, &cfg, u64::MAX).hash_with_tag(CheckpointLadder::spec_tag(&spec));
-        // Checksummed records whose rung count overflows `count × stride`
-        // or lies beyond the record's own capture length.
-        for count in [u64::MAX, 1 << 40] {
-            let mut e = Encoder::new();
-            e.put_u64(capture_ops);
-            e.put_u64(count);
-            store.put(meta_key, &e.into_bytes()).unwrap();
-            assert_eq!(
-                CheckpointLadder::live_keys(&store, &w, &cfg, &spec),
-                vec![meta_key],
-                "count {count}"
-            );
-            let recaptured = CheckpointLadder::load_or_capture(&store, &w, &cfg, &spec);
-            assert_eq!(
-                recaptured.report().capture_ops,
-                capture_ops,
-                "count {count}"
-            );
-            assert_eq!(recaptured.len(), fresh.len());
-            for (a, b) in recaptured.rungs.iter().zip(&fresh.rungs) {
-                assert_eq!((a.retired, &a.machine), (b.retired, &b.machine));
-            }
-            let clean = CheckpointLadder::load_or_capture(&store, &w, &cfg, &spec);
-            assert_eq!(clean.report().capture_ops, 0, "count {count}: not healed");
-            assert!(clean.fault_log().is_empty());
-            assert_eq!(
-                CheckpointLadder::live_keys(&store, &w, &cfg, &spec).len(),
-                1 + fresh.len()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn forged_capture_length_does_not_inflate_live_keys() {
-        let dir = std::env::temp_dir().join(format!("pgss-ladder-live-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Store::open(&dir).unwrap();
-        let w = workload();
-        let cfg = MachineConfig::default();
-        let spec = LadderSpec::machine_only(40_000);
-        let meta_key =
-            CheckpointKey::new(&w, &cfg, u64::MAX).hash_with_tag(CheckpointLadder::spec_tag(&spec));
-        // A well-formed meta record whose capture length (and so its rung
-        // count) is forged, with no rung records behind it.
-        let mut e = Encoder::new();
-        e.put_u64(u64::MAX);
-        e.put_u64(u64::MAX / spec.stride);
-        store.put(meta_key, &e.into_bytes()).unwrap();
-        // Trusting the count would list ~4.6e14 keys and never return.
         assert_eq!(
-            CheckpointLadder::live_keys(&store, &w, &cfg, &spec),
-            vec![meta_key]
+            healed.record, captured.record,
+            "healed record differs from capture"
         );
-
-        // A real ladder: the meta record plus every rung.
-        store.remove(meta_key).unwrap();
-        let captured = CheckpointLadder::load_or_capture(&store, &w, &cfg, &spec);
-        assert!(!captured.is_empty());
-        let keys = CheckpointLadder::live_keys(&store, &w, &cfg, &spec);
-        assert_eq!(keys.len(), 1 + captured.len());
-        assert_eq!(keys[0], meta_key);
-        for key in &keys {
-            assert!(store.get_checked(*key).is_ok(), "key {key:016x} not live");
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

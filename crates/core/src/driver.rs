@@ -478,7 +478,7 @@ impl SimDriver {
                 if let Some(rung) = ladder.best_rung_in(self.retired, upto) {
                     skipped = rung.retired - self.retired;
                     let pre = self.machine.mode_ops();
-                    decode_machine_snapshot_into(&rung.machine, &mut self.machine)
+                    decode_machine_snapshot_into(ladder.snapshot(rung), &mut self.machine)
                         .expect("ladder rungs are validated at construction");
                     // The restored machine carries the capture pass's op
                     // accounting; charge this run's instead, with the

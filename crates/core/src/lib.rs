@@ -90,9 +90,7 @@ pub use campaign::{
     CampaignConfig, CampaignError, CampaignReport, CellError, CellFailure, CellResult, Job,
     RetryPolicy,
 };
-pub use ckpt::{
-    CheckpointKey, CheckpointLadder, LadderReport, LadderSpec, SimContext, SNAPSHOT_FORMAT_VERSION,
-};
+pub use ckpt::{CheckpointLadder, LadderReport, LadderSpec, SimContext, SNAPSHOT_FORMAT_VERSION};
 pub use driver::{Bbv, RunTrace, Segment, SegmentOutcome, Signature, SimDriver, Track};
 pub use estimate::{relative_error, Estimate, GroundTruth, PhaseSummary, Technique};
 // Observability surface: campaigns return `MetricsReport`s and drivers

@@ -37,8 +37,8 @@ pub enum ClientError {
     Protocol(String),
     /// The server answered `"ok":false` with this error.
     Server(String),
-    /// The server is saturated (connection cap, tenant quota, or a
-    /// deferred `gc`) and attached a retry hint. Transient by
+    /// The server is saturated (connection cap or tenant quota) and
+    /// attached a retry hint. Transient by
     /// construction: retrying after `retry_after_ms` is expected to
     /// succeed once load drains.
     Busy {
@@ -439,9 +439,7 @@ impl Client {
     }
 
     /// Asks the server to garbage-collect its store: mark every record a
-    /// live root can reach, sweep the rest. Answers
-    /// [`ClientError::Busy`] (retryable) while a checkpoint-ladder build
-    /// is in flight.
+    /// live root can reach, sweep the rest.
     pub fn gc(&mut self) -> Result<GcOutcome, ClientError> {
         let v = self.round_trip("{\"op\":\"gc\"}")?;
         Ok(GcOutcome {

@@ -1275,6 +1275,7 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value, line: &str) -> String {
         .unwrap_or("default")
         .to_string();
     let Some(spec_json) = req.get("spec") else {
+        inner.rec.add("serve.jobs.rejected", 1);
         return err_line("submit needs a \"spec\" object");
     };
     let job = match CampaignSpec::from_json(spec_json).and_then(|spec| spec.materialize()) {
@@ -1403,26 +1404,18 @@ fn handle_cancel(inner: &Arc<Inner>, req: &Value) -> String {
 /// - the job index, plus every indexed job's spec and status records;
 /// - **all** cell records `0..total` of every job, finished or not —
 ///   unfinished jobs never lose what they already computed;
-/// - every ladder record ([`LadderGroup::live_keys`]: meta plus the
-///   rungs the meta declares) of every job's ladder groups.
+/// - the ladder record ([`LadderGroup::key`]) of every job's ladder
+///   groups.
 ///
-/// A ladder *capture*'s write-back runs outside the scheduler lock
-/// (rungs land before their meta record), so GC defers with a `busy`
-/// answer while any build is in flight — builds are claimed under the
-/// lock, so none can start mid-sweep either. Quarantined evidence is
-/// structurally out of reach ([`Store::gc`] never enters the sidecar).
+/// A ladder build's write-back runs outside the scheduler lock, but it
+/// needs no deferral: the record's key is live before the record lands,
+/// and the write-back's temporary file is never swept. Quarantined
+/// evidence is structurally out of reach ([`Store::gc`] never enters the
+/// sidecar).
 /// Records of jobs orphaned by a quarantined index are unreachable by
 /// resume and therefore legitimately collectable.
 fn handle_gc(inner: &Arc<Inner>) -> String {
     let st = inner.lock();
-    let building = st.jobs.values().any(|j| j.queue.is_building());
-    if building {
-        inner.rec.add("serve.backpressure.rejections", 1);
-        return busy_line(
-            "gc deferred: a checkpoint-ladder build is in flight",
-            inner.cfg.retry_after_ms,
-        );
-    }
     let mut live: BTreeSet<u64> = BTreeSet::new();
     live.insert(index_key());
     for (&id, job) in &st.jobs {
@@ -1432,9 +1425,7 @@ fn handle_gc(inner: &Arc<Inner>) -> String {
             live.insert(job_key(JobRecordKind::Cell, id, i as u64));
         }
         let jobs = job.grid.mat.jobs();
-        for group in &job.grid.groups {
-            live.extend(group.live_keys(&jobs, &inner.store));
-        }
+        live.extend(job.grid.groups.iter().map(|group| group.key(&jobs)));
     }
     let report = inner.store.gc(|key| live.contains(&key));
     drop(st);
@@ -1567,11 +1558,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn only_the_canonical_job_id_names_a_job() {
-        let dir = std::env::temp_dir().join(format!("pgss-serve-ids-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // No cell may run: the job stays queued while its ids are probed.
+    /// A server whose default quota runs no cell and claims no build.
+    fn idle_server(dir: &std::path::Path) -> Server {
+        let _ = std::fs::remove_dir_all(dir);
         let cfg = ServeConfig {
             workers: 1,
             default_quota: TenantQuota {
@@ -1580,7 +1569,14 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        let server = Server::start(&dir, Listen::Tcp("127.0.0.1:0".into()), cfg).unwrap();
+        Server::start(dir, Listen::Tcp("127.0.0.1:0".into()), cfg).unwrap()
+    }
+
+    #[test]
+    fn only_the_canonical_job_id_names_a_job() {
+        let dir = std::env::temp_dir().join(format!("pgss-serve-ids-{}", std::process::id()));
+        // No cell may run: the job stays queued while its ids are probed.
+        let server = idle_server(&dir);
         let addr = server.addr().clone();
         let submitted = Client::connect(&addr).unwrap().submit("t", SPEC).unwrap();
         // Re-file the job under an id whose rendering has both a leading
@@ -1600,6 +1596,58 @@ mod tests {
                 other => panic!("{alias} must not name job {id:x}: {other:?}"),
             }
         }
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_runs_while_a_ladder_build_is_in_flight() {
+        let dir = std::env::temp_dir().join(format!("pgss-serve-gc-build-{}", std::process::id()));
+        let server = idle_server(&dir);
+        let addr = server.addr().clone();
+        let job = Client::connect(&addr).unwrap().submit("t", SPEC).unwrap();
+        let store = &server.inner.store;
+        let ladder_key = {
+            let mut st = server.inner.lock();
+            let state = st.jobs.get_mut(&parse_job_id(&job).unwrap()).unwrap();
+            let group = state.queue.claim_build().expect("a build to claim");
+            assert!(state.queue.is_building());
+            let key = state.grid.groups[group].key(&state.grid.mat.jobs());
+            // The build's write-back lands, and one garbage record.
+            store.put(key, b"ladder").unwrap();
+            store.put(0x0bad, b"garbage").unwrap();
+            key
+        };
+        let gc = Client::connect(&addr).unwrap().gc().unwrap();
+        assert_eq!(gc.swept, 1, "{gc:?}");
+        assert!(store.path_for(ladder_key).is_file(), "ladder key not live");
+        assert!(!store.path_for(0x0bad).exists());
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_submit_without_a_spec_counts_as_rejected() {
+        let dir = std::env::temp_dir().join(format!("pgss-serve-nospec-{}", std::process::id()));
+        let server = idle_server(&dir);
+        let addr = server.addr().clone();
+        let BoundAddr::Tcp(socket) = addr else {
+            unreachable!("listening on TCP")
+        };
+        for request in [r#"{"op":"submit"}"#, r#"{"op":"submit","spec":{}}"#] {
+            let mut stream = TcpStream::connect(socket).unwrap();
+            writeln!(stream, "{request}").unwrap();
+            let mut reply = String::new();
+            BufReader::new(stream).read_line(&mut reply).unwrap();
+            assert!(reply.starts_with("{\"ok\":false"), "{request}: {reply}");
+        }
+        let metrics = Client::connect(&addr).unwrap().metrics().unwrap();
+        let v = json::parse(&metrics).unwrap();
+        let rejected = v
+            .get("counters")
+            .and_then(|c| c.get("serve.jobs.rejected"))
+            .and_then(Value::as_u64);
+        assert_eq!(rejected, Some(2), "{metrics}");
         server.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1630,18 +1678,12 @@ mod tests {
         let gc = Client::connect(&addr).unwrap().gc().unwrap();
         assert_eq!(gc.swept, 0);
         let st = server.inner.lock();
-        let mut rungs = 0;
         for job in st.jobs.values() {
             let jobs = job.grid.mat.jobs();
             for group in &job.grid.groups {
-                let keys = group.live_keys(&jobs, &server.inner.store);
-                rungs += keys.len() - 1;
-                for key in keys {
-                    assert!(server.inner.store.path_for(key).is_file());
-                }
+                assert!(server.inner.store.path_for(group.key(&jobs)).is_file());
             }
         }
-        assert!(rungs > 0, "the jobs persisted ladder rungs");
         drop(st);
         server.stop();
         let _ = std::fs::remove_dir_all(&dir);

@@ -41,22 +41,35 @@ for workload in grid-plain grid-ckpt-warm serve-cold; do
     esac
 done
 
-echo "== checkpoints pay (grid-ckpt-warm campaign_s below grid-plain's, default grid)"
+echo "== checkpoints pay (grid-ckpt-warm loads its store; campaign_s below grid-plain's, default grid)"
 # On the default grid a warm-store checkpointed campaign runs faster than
 # the plain one; state transfer that regresses to copying the whole memory
 # image makes it slower. The full-suite runs above cannot stand in for
 # these: one 1 s run's campaign_s spreads too widely there (plain read
 # 6.0-7.5 s against warm's 5.0-5.4 s in three alternated pairs, a margin
 # of 14-29%), so a gate on them would either pass a regression or fail at
-# random.
+# random. The warm run must also load every ladder its set-up stored: if
+# the set-up's ladder key and the campaign's ever differ, the campaign
+# recaptures and still prints correct output (a recapture produces the
+# same bytes), so the benchmark's stderr note is the only sign.
+# campaign_s WORKLOAD STDERR_FILE
 campaign_s() {
     (cd campaign_bench && cargo run --release -q --offline -- \
-        --workload "$1" --seconds 3 --trace 0 | tail -n 1) |
+        --workload "$1" --seconds 3 --trace 0 2>"$2" | tail -n 1) |
         sed -n 's/.*"campaign_s":{"value":\([0-9.eE+-]*\).*/\1/p'
 }
-plain_s=$(campaign_s grid-plain)
-warm_s=$(campaign_s grid-ckpt-warm)
+warm_err=$(mktemp)
+trap 'rm -f "$warm_err"' EXIT
+plain_s=$(campaign_s grid-plain /dev/stderr)
+warm_s=$(campaign_s grid-ckpt-warm "$warm_err")
+cat "$warm_err" >&2
 echo "grid-plain ${plain_s:-?} s, grid-ckpt-warm ${warm_s:-?} s"
+if grep -q "the warmed store missed" "$warm_err"; then
+    echo "grid-ckpt-warm missed its warmed store and recaptured"
+    exit 1
+fi
+rm -f "$warm_err"
+trap - EXIT
 if ! awk -v plain="$plain_s" -v warm="$warm_s" \
     'BEGIN { exit !(plain != "" && warm != "" && warm + 0 < plain + 0) }'; then
     echo "checkpointed campaign is not faster than the plain one"

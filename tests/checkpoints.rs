@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use pgss::ckpt::{
     decode_machine_snapshot, decode_machine_snapshot_into, encode_machine_snapshot,
-    encode_machine_state, CheckpointKey,
+    encode_machine_state,
 };
 use pgss::{
     campaign, AdaptivePgss, CampaignConfig, CheckpointLadder, Job, LadderSpec, OnlineSimPoint,
@@ -158,6 +158,36 @@ fn checkpointed_campaign_round_trips_through_the_store() {
 }
 
 #[test]
+fn each_ladder_is_one_store_record() {
+    let (tmp, store) = util::temp_store("pgss-ckpt-one-record");
+    let workloads = vec![pgss_workloads::gzip(0.01), pgss_workloads::equake(0.01)];
+    let smarts = Smarts {
+        period_ops: 100_000,
+        ..Smarts::default()
+    };
+    let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts];
+    let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
+    let report = util::checkpointed_campaign(&jobs, &store);
+    assert!(report.is_complete(), "{}", report.ledger());
+    assert!(report.ladder.capture_ops > 0 && report.checkpoint_faults.is_empty());
+
+    // Two (workload, config) groups: two record files, at the groups' keys.
+    let mut files: Vec<_> = std::fs::read_dir(tmp.path())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.is_file())
+        .collect();
+    files.sort();
+    let mut expected: Vec<_> = campaign::ladder_groups(&jobs, 50_000)
+        .iter()
+        .map(|group| store.path_for(group.key(&jobs)))
+        .collect();
+    expected.sort();
+    assert_eq!(expected.len(), 2);
+    assert_eq!(files, expected);
+}
+
+#[test]
 fn corrupt_rung_is_quarantined_recaptured_and_bit_exact() {
     let (tmp, store) = util::temp_store("pgss-ckpt-quarantine");
     let dir = tmp.path();
@@ -179,9 +209,8 @@ fn corrupt_rung_is_quarantined_recaptured_and_bit_exact() {
     let first = util::checkpointed_campaign(&jobs, &store);
     assert_eq!(plain.cells, first.cells);
 
-    // Corrupt exactly one ladder rung: rung records carry a machine
-    // snapshot (kilobytes) while the meta record is tens of bytes, so the
-    // largest record file is a rung. Flip one payload byte.
+    // Corrupt the ladder: its one record is the only file in the store.
+    // Flip one payload byte.
     let victim = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -213,7 +242,7 @@ fn corrupt_rung_is_quarantined_recaptured_and_bit_exact() {
     // The corrupt record is preserved (not deleted) in the sidecar, and
     // a fresh, healthy record took its place in the store.
     assert!(dir.join("quarantine").join(&victim_name).is_file());
-    assert!(victim.is_file(), "recapture must write the rung back");
+    assert!(victim.is_file(), "recapture must write the ladder back");
 
     // Next run loads clean: no recapture, no faults.
     let clean = util::checkpointed_campaign(&jobs, &store);
@@ -298,7 +327,7 @@ fn checkpointed_multi_group_campaign_is_identical_across_worker_counts() {
             .collect()
     }
     let tmp = util::TempDir::new("pgss-ckpt-workers");
-    // A warm store with one corrupt rung per ladder group, copied afresh
+    // A warm store with one corrupt ladder record per group, copied afresh
     // into the same directory for every run so that the healed-fault
     // lines, which name quarantine paths, are comparable.
     let template = tmp.path().join("template");
@@ -313,13 +342,12 @@ fn checkpointed_multi_group_campaign_is_identical_across_worker_counts() {
         groups
             .iter()
             .map(|group| {
-                let keys = group.live_keys(&jobs, &store);
-                assert!(keys.len() > 1, "every group's ladder has rungs");
-                let victim = store.path_for(keys[1]);
+                let key = group.key(&jobs);
+                let victim = store.path_for(key);
                 let mut bytes = std::fs::read(&victim).unwrap();
                 *bytes.last_mut().unwrap() ^= 0x01;
                 std::fs::write(&victim, &bytes).unwrap();
-                format!("{:016x}", keys[1])
+                format!("{key:016x}")
             })
             .collect()
     };
@@ -348,7 +376,7 @@ fn checkpointed_multi_group_campaign_is_identical_across_worker_counts() {
     let one = run(1);
     assert!(one.is_complete(), "{}", one.ledger());
     assert_eq!(one.retries, 2, "one retried cell per group");
-    assert!(one.ladder.capture_ops > 0, "corrupt rungs are recaptured");
+    assert!(one.ladder.capture_ops > 0, "corrupt ladders are recaptured");
     let flaky = FlakyOnce::new();
     let plain = campaign::run_with(
         &jobs(&workloads, &flaky, &pgss),
@@ -391,13 +419,6 @@ fn snapshot_format_is_pinned() {
         fnv1a64(&bytes),
         0x82b2_8722_751c_56ca,
         "machine snapshot encoding changed; bump SNAPSHOT_FORMAT_VERSION"
-    );
-
-    // Key hashing is stable too (same inputs, same record file).
-    let key = CheckpointKey::new(&w, &MachineConfig::default(), 40_000);
-    assert_eq!(
-        key.hash(),
-        CheckpointKey::new(&w, &MachineConfig::default(), 40_000).hash()
     );
 }
 

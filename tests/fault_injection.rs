@@ -156,14 +156,13 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
     assert!(clean.checkpoint_faults.is_empty());
     assert!(clean.ladder.capture_ops > 0);
 
-    // Load order is meta (get #0) then rungs (#1..): corrupt the first
-    // rung read. The store sees a checksum mismatch — indistinguishable
-    // from on-disk bit rot — quarantines the record, and the ladder
-    // recaptures.
+    // A ladder load is one read (get #0): corrupt it. The store sees a
+    // checksum mismatch — indistinguishable from on-disk bit rot —
+    // quarantines the record, and the ladder recaptures.
     let run_with_fault = || {
         let _guard = faults::install(FaultPlan {
             store: StoreFaultPlan {
-                corrupt_gets: vec![1],
+                corrupt_gets: vec![0],
                 ..StoreFaultPlan::default()
             },
             ..FaultPlan::default()
@@ -180,7 +179,7 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
         healed
             .checkpoint_faults
             .iter()
-            .any(|f| f.contains("corrupt checkpoint rung") && f.contains("quarantined")),
+            .any(|f| f.contains("corrupt ladder record") && f.contains("quarantined")),
         "{:?}",
         healed.checkpoint_faults
     );
@@ -189,7 +188,7 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
         "must recapture after quarantine"
     );
     // The quarantine sidecar preserved exactly the one faulted record
-    // (only get #1 was corrupted, and nothing has been quarantined yet).
+    // (only get #0 was corrupted, and nothing has been quarantined yet).
     assert_eq!(
         std::fs::read_dir(dir.path().join("quarantine"))
             .unwrap()
@@ -223,7 +222,7 @@ fn injected_store_io_errors_degrade_gracefully() {
 
     let plain = fault_free(|| campaign::run_with(&jobs, &CampaignConfig::default()).unwrap());
 
-    // First campaign: the very first rung write-back fails with an I/O
+    // First campaign: the ladder's write-back fails with an I/O
     // error. Capture still accelerates this run; only persistence is
     // lost, and the ledger says so.
     {
@@ -250,7 +249,7 @@ fn injected_store_io_errors_degrade_gracefully() {
         assert_eq!(faults::injection_log().len(), 1);
     }
 
-    // Second campaign: the meta read (get #0) fails with an I/O error.
+    // Second campaign: the ladder read (get #0) fails with an I/O error.
     // The ladder falls back to recapture; results are unchanged.
     {
         let _guard = faults::install(FaultPlan {
@@ -287,7 +286,7 @@ fn combined_panic_and_store_faults_in_one_campaign() {
     let clean = fault_free(|| util::checkpointed_campaign(&jobs, &store));
 
     // Everything at once: a transient worker panic on one cell plus a
-    // corrupted rung read. The campaign heals both and stays bit-exact.
+    // corrupted ladder read. The campaign heals both and stays bit-exact.
     let _guard = faults::install(FaultPlan {
         cell_panics: vec![CellPanic {
             workload: "164.gzip".to_string(),
