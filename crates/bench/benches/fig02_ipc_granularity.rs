@@ -10,7 +10,7 @@
 //! fine-grained behaviour" the figure illustrates — plus a coarse
 //! downsampled series for plotting.
 
-use pgss::analysis::ipc_trace;
+use pgss::analysis::{interval_profile, IntervalSample};
 use pgss_bench::{banner, scale, Table};
 use pgss_cpu::MachineConfig;
 use pgss_stats::Welford;
@@ -22,10 +22,13 @@ fn main() {
     );
     let w = pgss_workloads::gzip(scale());
     let cfg = MachineConfig::default();
-    // Collect once at the finest period and aggregate upward (identical to
-    // separate passes because IPC aggregates by cycles).
+    // Collect once at the finest period and aggregate upward. This is
+    // close to separate passes at each period, not identical: a detailed
+    // `Machine::run` counts the cycle it starts in, which is the cycle the
+    // previous run ended in, so `n` aggregated fine intervals count
+    // `n - 1` more cycles than one coarse pass over the same ops.
     let periods: [u64; 4] = [10_000, 100_000, 1_000_000, 10_000_000];
-    let fine = ipc_trace(&w, &cfg, periods[0]);
+    let fine = interval_profile(&w, &cfg, periods[0], 1);
 
     let mut table = Table::new(&[
         "period",
@@ -75,11 +78,11 @@ fn main() {
 
 /// Groups consecutive fine intervals into coarse ones. IPC of a group is
 /// the harmonic composition (equal ops per fine interval ⇒ mean CPI).
-fn aggregate(fine: &[(u64, f64)], group: usize) -> Vec<f64> {
+fn aggregate(fine: &[IntervalSample], group: usize) -> Vec<f64> {
     fine.chunks(group)
         .filter(|c| c.len() == group)
         .map(|c| {
-            let mean_cpi: f64 = c.iter().map(|(_, ipc)| 1.0 / ipc).sum::<f64>() / c.len() as f64;
+            let mean_cpi: f64 = c.iter().map(|s| 1.0 / s.ipc).sum::<f64>() / c.len() as f64;
             1.0 / mean_cpi
         })
         .collect()

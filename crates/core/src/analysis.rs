@@ -1,6 +1,6 @@
 //! Interval-level characterisation machinery behind the paper's Figures 2,
-//! 3, and 6–10: IPC traces, per-interval (IPC, BBV) profiles, the ΔBBV/ΔIPC
-//! quadrant analysis, and the phase-threshold sweep.
+//! 3, and 6–10: per-interval (IPC, BBV) profiles, the ΔBBV/ΔIPC quadrant
+//! analysis, and the phase-threshold sweep.
 
 use pgss_bbv::{BbvHash, HashedBbv, HashedBbvTracker};
 use pgss_cpu::{MachineConfig, Mode};
@@ -21,35 +21,11 @@ pub struct IntervalSample {
     pub ops: u64,
 }
 
-/// Runs the workload in detailed mode and returns `(ops_completed, ipc)`
-/// per `period_ops` interval — the data behind Fig. 2's IPC-versus-time
-/// curves at different sampling periods.
+/// Runs the workload in detailed mode collecting one [`IntervalSample`]
+/// (IPC + hashed BBV) per `period_ops` — the data behind Fig. 2's IPC
+/// curves and the joint data behind Figs. 3 and 7–10.
 ///
 /// The trailing partial interval is discarded.
-///
-/// # Panics
-///
-/// Panics if `period_ops` is zero.
-pub fn ipc_trace(workload: &Workload, config: &MachineConfig, period_ops: u64) -> Vec<(u64, f64)> {
-    assert!(period_ops > 0, "period_ops must be positive");
-    let mut machine = workload.machine_with(*config);
-    let mut out = Vec::new();
-    let mut completed = 0u64;
-    loop {
-        let r = machine.run(Mode::DetailedMeasured, period_ops);
-        completed += r.ops;
-        if r.ops == period_ops {
-            out.push((completed, r.ipc()));
-        }
-        if r.halted || r.ops == 0 {
-            break;
-        }
-    }
-    out
-}
-
-/// Runs the workload in detailed mode collecting one [`IntervalSample`]
-/// (IPC + hashed BBV) per `period_ops` — the joint data behind Figs. 7–10.
 ///
 /// # Panics
 ///
@@ -388,17 +364,5 @@ mod tests {
         assert!(rows[1].num_phases >= rows[2].num_phases);
         // Average interval length grows with the threshold.
         assert!(rows[2].avg_interval_ops > rows[0].avg_interval_ops);
-    }
-
-    #[test]
-    fn trace_and_profile_agree_on_a_real_workload() {
-        let w = pgss_workloads::twolf(0.002);
-        let cfg = MachineConfig::default();
-        let trace = ipc_trace(&w, &cfg, 100_000);
-        let profile = interval_profile(&w, &cfg, 100_000, 7);
-        assert_eq!(trace.len(), profile.len());
-        for ((_, a), s) in trace.iter().zip(&profile) {
-            assert!((a - s.ipc).abs() < 1e-12);
-        }
     }
 }

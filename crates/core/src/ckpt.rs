@@ -13,9 +13,12 @@
 //!    ladder spec, format versions).
 //! 3. [`crate::driver::SimDriver`] — when built with a ladder, *jumps*
 //!    over functional segments by restoring the highest rung inside the
-//!    segment instead of executing it.
+//!    segment instead of executing it, and counts each jump and the ops
+//!    it skipped in its metric frame. A built ladder is read-only: it
+//!    records nothing about its use.
 //! 4. [`crate::campaign::run_checkpointed_with`] — captures each workload's
-//!    ladder once and fans restores out to every technique in the grid.
+//!    ladder once, fans restores out to every technique in the grid, and
+//!    sums the cells' frames into the campaign's `ckpt.ladder.*` counters.
 //!
 //! This is the paper's TurboSMARTS idea (SMARTS with live-state
 //! checkpoints) generalised: any pass that functionally fast-forwards —
@@ -43,7 +46,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use pgss_bbv::{BbvHash, FullBbv, FullBbvTracker, HashedBbv, HashedBbvTracker, HASHED_BBV_DIM};
 use pgss_ckpt::{fnv1a64, CodecError, Decoder, Encoder, RecordError, Store};
@@ -385,57 +387,15 @@ pub(crate) struct LadderRung {
     pub(crate) full_cum: Option<FullBbv>,
 }
 
-/// Live counters a ladder accumulates while drivers consume it.
-#[derive(Debug, Default)]
-pub struct LadderCounters {
-    jumps: AtomicU64,
-    skipped_ops: AtomicU64,
-    executed_ops: AtomicU64,
-}
-
-/// A point-in-time copy of a ladder's counters plus its capture cost.
+/// What building a ladder cost: the ops its capture pass executed.
+/// How drivers then used the ladder — jumps, skipped and executed ops —
+/// is recorded in each cell's metric frame, not on the ladder, which is
+/// read-only once built.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LadderReport {
-    /// Restores performed in place of functional execution.
-    pub jumps: u64,
-    /// Ops skipped via those restores (charged logically, not executed).
-    pub skipped_ops: u64,
-    /// Ops actually executed by drivers bound to this ladder.
-    pub executed_ops: u64,
-    /// Ops the capture pass itself executed (0 when the ladder was
-    /// loaded from a store).
+    /// Ops the capture pass executed (0 when the ladder was loaded from
+    /// a store).
     pub capture_ops: u64,
-}
-
-impl LadderReport {
-    /// Merges another report into this one.
-    pub fn merge(&mut self, other: &LadderReport) {
-        self.jumps += other.jumps;
-        self.skipped_ops += other.skipped_ops;
-        self.executed_ops += other.executed_ops;
-        self.capture_ops += other.capture_ops;
-    }
-
-    /// Ops physically executed, capture included.
-    pub fn total_executed(&self) -> u64 {
-        self.executed_ops + self.capture_ops
-    }
-
-    /// Ops the same segment schedules would have executed without
-    /// checkpoints (no capture pass, nothing skipped).
-    pub fn baseline_ops(&self) -> u64 {
-        self.executed_ops + self.skipped_ops
-    }
-
-    /// `total_executed / baseline_ops`: below 1.0 when checkpointing
-    /// paid off.
-    pub fn executed_ratio(&self) -> f64 {
-        if self.baseline_ops() == 0 {
-            1.0
-        } else {
-            self.total_executed() as f64 / self.baseline_ops() as f64
-        }
-    }
 }
 
 /// A ladder of checkpoints up a workload's execution: snapshots every
@@ -458,7 +418,6 @@ pub struct CheckpointLadder {
     record: Vec<u8>,
     rungs: Vec<LadderRung>,
     capture_ops: u64,
-    counters: LadderCounters,
     fault_log: Vec<String>,
 }
 
@@ -531,7 +490,6 @@ impl CheckpointLadder {
             record,
             rungs,
             capture_ops: retired,
-            counters: LadderCounters::default(),
             fault_log: Vec::new(),
         }
     }
@@ -565,7 +523,6 @@ impl CheckpointLadder {
                         record,
                         rungs,
                         capture_ops: 0,
-                        counters: LadderCounters::default(),
                         fault_log: Vec::new(),
                     }
                 }
@@ -618,11 +575,6 @@ impl CheckpointLadder {
         fnv1a64(&e.into_bytes())
     }
 
-    /// The spec this ladder was captured with.
-    pub fn spec(&self) -> &LadderSpec {
-        &self.spec
-    }
-
     /// Number of rungs.
     pub fn len(&self) -> usize {
         self.rungs.len()
@@ -655,17 +607,6 @@ impl CheckpointLadder {
         (candidate.retired > after).then_some(candidate)
     }
 
-    pub(crate) fn record_jump(&self, skipped: u64) {
-        self.counters.jumps.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .skipped_ops
-            .fetch_add(skipped, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_executed(&self, ops: u64) {
-        self.counters.executed_ops.fetch_add(ops, Ordering::Relaxed);
-    }
-
     /// Store faults this ladder healed or tolerated while loading /
     /// writing back: a quarantined corrupt or undecodable record, an I/O
     /// error, a failed write-back — one human-readable line each, in the
@@ -674,12 +615,9 @@ impl CheckpointLadder {
         &self.fault_log
     }
 
-    /// Point-in-time counters plus the capture cost.
+    /// The ladder's capture cost.
     pub fn report(&self) -> LadderReport {
         LadderReport {
-            jumps: self.counters.jumps.load(Ordering::Relaxed),
-            skipped_ops: self.counters.skipped_ops.load(Ordering::Relaxed),
-            executed_ops: self.counters.executed_ops.load(Ordering::Relaxed),
             capture_ops: self.capture_ops,
         }
     }

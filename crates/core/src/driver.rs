@@ -41,7 +41,7 @@ use std::sync::{Arc, OnceLock};
 
 use pgss_bbv::{BbvHash, FullBbv, FullBbvTracker, HashedBbv, HashedBbvTracker, MavTracker};
 use pgss_cpu::{Machine, MachineConfig, MachineFault, Mode, ModeOps};
-use pgss_obs::{Recorder, Span};
+use pgss_obs::{MetricsFrame, Recorder, Span};
 use pgss_workloads::Workload;
 
 use crate::ckpt::{decode_machine_snapshot_into, CheckpointLadder, SimContext};
@@ -73,6 +73,19 @@ pub fn mode_ops_key(mode: Mode) -> &'static str {
 /// The counter of functional ops that ladder jumps skipped: charged under
 /// [`mode_ops_key`]`(Mode::Functional)` but never executed.
 pub const JUMPED_OPS_KEY: &str = "driver.ops.jumped";
+
+/// The ops a frame's segments physically executed: their logical
+/// [`mode_ops_key`] counts, net of the [`JUMPED_OPS_KEY`] distance.
+pub(crate) fn executed_ops(frame: &MetricsFrame) -> u64 {
+    let modes = [
+        Mode::FastForward,
+        Mode::Functional,
+        Mode::DetailedWarming,
+        Mode::DetailedMeasured,
+    ];
+    let logical: u64 = modes.map(|m| frame.counter(mode_ops_key(m))).iter().sum();
+    logical - frame.counter(JUMPED_OPS_KEY)
+}
 
 /// The `driver.wall.*` span name for a mode: wall time spent inside
 /// `Machine::run_with` for that mode's segments. Dividing the matching
@@ -317,7 +330,7 @@ pub struct SimDriver {
     track: Track,
     retired: u64,
     trace: RunTrace,
-    /// Checkpoint ladder to jump with / charge executed ops to, if any.
+    /// Checkpoint ladder to jump with, if any.
     ladder: Option<Arc<CheckpointLadder>>,
     /// Whether functional segments may be replaced by ladder restores:
     /// requires the ladder to cover this driver's track.
@@ -343,9 +356,8 @@ impl SimDriver {
     /// Builds a fresh machine for `workload`, a tracker per `track`, and
     /// binds the pass to everything `ctx` carries:
     ///
-    /// - **Ladder.** Every op this driver executes is charged to the
-    ///   ladder's counters, and — when the ladder covers this driver's
-    ///   track — functional segments are *jumped*: instead of executing up
+    /// - **Ladder.** When the ladder covers this driver's track,
+    ///   functional segments are *jumped*: instead of executing up
     ///   to a rung inside the segment, the rung is restored, the skipped
     ///   ops are charged as functional (so [`crate::Estimate`]s stay
     ///   byte-identical), and only the remainder executes. MAV drivers
@@ -410,49 +422,25 @@ impl SimDriver {
         }
     }
 
-    /// Moves this driver to `src`'s position, copying machine state into
-    /// this driver's existing buffers ([`pgss_cpu::Machine::restore_from`])
-    /// and adopting `src`'s retired-op position and in-flight (untaken)
-    /// tracker vectors, so this driver continues exactly as `src` would.
-    /// The trace, ladder, recorder and fault sink stay this driver's own,
-    /// so one bound driver can replay many positions and report one
-    /// trace. A tracked driver stops jumping: its taken-interval
-    /// cumulative no longer describes the adopted tracker state.
+    /// Moves this untracked driver to untracked `src`'s position, copying
+    /// machine state into this driver's existing buffers
+    /// ([`pgss_cpu::Machine::restore_from`]) and adopting `src`'s
+    /// retired-op position, so this driver continues exactly as `src`
+    /// would. The trace, ladder, recorder and fault sink stay this
+    /// driver's own, so one bound driver can replay many positions and
+    /// report one trace.
     ///
     /// # Panics
     ///
-    /// Panics if this driver's track needs tracker state `src` does not
-    /// carry.
+    /// Panics if either driver tracks anything: a tracker's in-flight
+    /// vector and its ladder cumulatives would not follow the machine.
     pub fn restore_from(&mut self, src: &SimDriver) {
+        assert!(
+            self.track == Track::None && src.track == Track::None,
+            "restore_from moves untracked drivers only"
+        );
         self.machine.restore_from(&src.machine);
         self.retired = src.retired;
-        let (src_hashed, src_full, src_mav) = &src.sink;
-        // A MAV is HashedBbv-shaped, so either hashed-shaped tracker can
-        // seed the other.
-        let hashed_shaped = src_hashed
-            .as_ref()
-            .map(|t| *t.current())
-            .or_else(|| src_mav.as_ref().map(|t| *t.current()));
-        let (hashed, full, mav) = &mut self.sink;
-        if let Some(t) = hashed {
-            t.set_current(
-                hashed_shaped
-                    .expect("source driver lacks the hashed tracker state this track requires"),
-            );
-        }
-        if let Some(t) = full {
-            let src = src_full
-                .as_ref()
-                .expect("source driver lacks the full tracker state this track requires");
-            t.set_current(src.current().clone());
-        }
-        if let Some(t) = mav {
-            t.set_current(
-                hashed_shaped
-                    .expect("source driver lacks the MAV tracker state this track requires"),
-            );
-        }
-        self.jumps_ok &= matches!(self.track, Track::None);
     }
 
     /// The fault that halted this driver's machine, if any.
@@ -469,7 +457,8 @@ impl SimDriver {
     /// executes only the remainder. The outcome — ops, halt flag,
     /// truncation, position, any taken BBV — and the machine's logical
     /// [`ModeOps`] are identical to full execution; only the physical
-    /// work differs, which the ladder's counters record.
+    /// work differs, which the recorder's `driver.jumps` and
+    /// `driver.ops.jumped` counters record.
     pub fn execute(&mut self, segment: Segment) -> SegmentOutcome {
         let mut skipped = 0u64;
         if segment.mode == Mode::Functional && self.jumps_ok && !self.machine.halted() {
@@ -503,7 +492,6 @@ impl SimDriver {
                         tr.set_current(cum.diff(taken));
                     }
                     self.retired = rung.retired;
-                    ladder.record_jump(skipped);
                 }
             }
         }
@@ -520,9 +508,6 @@ impl SimDriver {
         };
         if let Some(fault) = self.machine.fault() {
             let _ = self.fault_sink.set(fault);
-        }
-        if let Some(ladder) = &self.ladder {
-            ladder.record_executed(r.ops);
         }
         let ops = skipped + r.ops;
         self.retired += r.ops;
@@ -617,6 +602,17 @@ mod tests {
     /// A driver for `w` on the default machine with no context.
     fn driver(w: &Workload, track: Track) -> SimDriver {
         SimDriver::new(w, &MachineConfig::default(), track, &SimContext::none())
+    }
+
+    /// A context carrying `ladder` and a recorder, which is returned too:
+    /// a driver counts its ladder use in its recorder's frame.
+    fn recorded(ladder: CheckpointLadder) -> (SimContext, Arc<pgss_obs::MetricsRecorder>) {
+        let rec = Arc::new(pgss_obs::MetricsRecorder::new());
+        let ctx = SimContext {
+            recorder: Arc::clone(&rec) as Arc<dyn Recorder>,
+            ..SimContext::with_ladder(Arc::new(ladder))
+        };
+        (ctx, rec)
     }
 
     /// Executes `segments` in order, returning every outcome.
@@ -772,23 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn mav_restore_from_carries_the_tracker() {
-        let w = pgss_workloads::gzip(0.01);
-        let mut a = driver(&w, Track::Mav);
-        a.execute(Segment::new(Mode::Functional, 25_000));
-        let mut b = driver(&w, Track::Mav);
-        b.execute(Segment::new(Mode::DetailedMeasured, 4_000));
-        b.restore_from(&a);
-        let oa = a.execute(Segment::with_bbv(Mode::Functional, 25_000));
-        let ob = b.execute(Segment::with_bbv(Mode::Functional, 25_000));
-        assert_eq!(
-            oa.bbv.as_ref().unwrap().hashed(),
-            ob.bbv.as_ref().unwrap().hashed(),
-            "restore carries the mid-interval MAV accumulator"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "tracks nothing")]
     fn bbv_request_without_tracker_panics() {
         let w = tiny_workload();
@@ -800,20 +779,20 @@ mod tests {
     fn restore_from_resumes_bit_exact() {
         let w = pgss_workloads::gzip(0.01);
         let tail = [
-            Segment::with_bbv(Mode::Functional, 30_000),
+            Segment::new(Mode::Functional, 30_000),
             Segment::new(Mode::DetailedWarming, 3_000),
             Segment::new(Mode::DetailedMeasured, 1_000),
-            Segment::with_bbv(Mode::Functional, 30_000),
+            Segment::new(Mode::Functional, 30_000),
         ];
         // Continuous run: prefix then tail.
-        let mut cont = driver(&w, Track::Hashed(7));
+        let mut cont = driver(&w, Track::None);
         cont.execute(Segment::new(Mode::Functional, 25_000));
-        cont.execute(Segment::with_bbv(Mode::Functional, 25_000));
+        cont.execute(Segment::new(Mode::Functional, 25_000));
         cont.execute(Segment::new(Mode::Functional, 10_000));
         // Resumed run: a driver with a history of its own restores at
         // 60k, then both run the same tail.
-        let mut resumed = driver(&w, Track::Hashed(7));
-        resumed.execute(Segment::with_bbv(Mode::DetailedMeasured, 7_000));
+        let mut resumed = driver(&w, Track::None);
+        resumed.execute(Segment::new(Mode::DetailedMeasured, 7_000));
         resumed.restore_from(&cont);
         assert_eq!(resumed.retired(), 60_000);
         let out_cont = execute_all(&mut cont, &tail);
@@ -823,11 +802,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lacks the hashed tracker state")]
-    fn restoring_untracked_driver_into_tracked_driver_panics() {
+    #[should_panic(expected = "moves untracked drivers only")]
+    fn restore_from_rejects_a_tracked_driver_on_either_side() {
         let w = tiny_workload();
-        let src = driver(&w, Track::None);
-        driver(&w, Track::Hashed(1)).restore_from(&src);
+        let tracked = driver(&w, Track::Hashed(1));
+        let into_untracked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            driver(&w, Track::None).restore_from(&tracked)
+        }));
+        assert!(into_untracked.is_err(), "a tracked source must panic");
+        driver(&w, Track::Mav).restore_from(&driver(&w, Track::None));
     }
 
     #[test]
@@ -850,22 +833,25 @@ mod tests {
             hashed_seeds: vec![7],
             with_full: false,
         };
-        let ladder = Arc::new(CheckpointLadder::capture(&w, &cfg, &spec));
-        let ctx = SimContext::with_ladder(Arc::clone(&ladder));
+        let (ctx, rec) = recorded(CheckpointLadder::capture(&w, &cfg, &spec));
         let mut fast = SimDriver::new(&w, &cfg, Track::Hashed(7), &ctx);
         let out_fast = execute_all(&mut fast, &plan);
 
         assert_eq!(out_plain, out_fast);
         assert_eq!(plain.mode_ops(), fast.mode_ops());
         assert_eq!(plain.trace(), fast.trace());
-        let report = ladder.report();
-        assert!(report.jumps > 0, "functional segments should jump");
-        assert!(report.skipped_ops > 0);
+        let frame = rec.frame();
+        let skipped = frame.counter(JUMPED_OPS_KEY);
         assert!(
-            report.executed_ops < plain.mode_ops().total(),
+            frame.counter("driver.jumps") > 0,
+            "functional segments should jump"
+        );
+        assert!(skipped > 0);
+        assert!(
+            executed_ops(&frame) < plain.mode_ops().total(),
             "jumping must execute strictly fewer ops"
         );
-        assert_eq!(report.executed_ops + report.skipped_ops, fast.retired());
+        assert_eq!(executed_ops(&frame) + skipped, fast.retired());
     }
 
     #[test]
@@ -877,37 +863,25 @@ mod tests {
             let mut m = w.machine();
             m.run(Mode::Functional, u64::MAX).ops
         };
-        let ladder = Arc::new(CheckpointLadder::capture(
-            &w,
-            &cfg,
-            &LadderSpec::machine_only(50_000),
-        ));
-        let ctx = SimContext::with_ladder(Arc::clone(&ladder));
+        let ladder = CheckpointLadder::capture(&w, &cfg, &LadderSpec::machine_only(50_000));
+        let (ctx, rec) = recorded(ladder);
         let mut d = SimDriver::new(&w, &cfg, Track::None, &ctx);
         let out = d.execute(Segment::new(Mode::Functional, u64::MAX));
         assert!(out.halted);
         assert_eq!(out.ops, total);
         assert_eq!(d.retired(), total);
-        assert!(ladder.report().jumps > 0);
-        assert!(ladder.report().executed_ops < total);
+        let frame = rec.frame();
+        assert!(frame.counter("driver.jumps") > 0);
+        assert!(executed_ops(&frame) < total);
     }
 
     #[test]
     fn recorder_counts_logical_ops_including_jumped_distance() {
         use crate::ckpt::{CheckpointLadder, LadderSpec};
-        use pgss_obs::MetricsRecorder;
         let w = tiny_workload();
         let cfg = MachineConfig::default();
-        let ladder = Arc::new(CheckpointLadder::capture(
-            &w,
-            &cfg,
-            &LadderSpec::machine_only(50_000),
-        ));
-        let rec = Arc::new(MetricsRecorder::new());
-        let ctx = SimContext {
-            recorder: Arc::clone(&rec) as Arc<dyn Recorder>,
-            ..SimContext::with_ladder(Arc::clone(&ladder))
-        };
+        let ladder = CheckpointLadder::capture(&w, &cfg, &LadderSpec::machine_only(50_000));
+        let (ctx, rec) = recorded(ladder);
         let mut d = SimDriver::new(&w, &cfg, Track::None, &ctx);
         d.execute(Segment::new(Mode::Functional, 120_000));
         d.execute(Segment::new(Mode::DetailedWarming, 3_000));

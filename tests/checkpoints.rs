@@ -21,9 +21,11 @@ use pgss::ckpt::{
     decode_machine_snapshot, decode_machine_snapshot_into, encode_machine_snapshot,
     encode_machine_state,
 };
+use pgss::driver::{mode_ops_key, JUMPED_OPS_KEY};
 use pgss::{
-    campaign, AdaptivePgss, CampaignConfig, CheckpointLadder, Job, LadderSpec, OnlineSimPoint,
-    PgssSim, SimContext, SimPointOffline, Smarts, Technique, TurboSmarts, SNAPSHOT_FORMAT_VERSION,
+    campaign, AdaptivePgss, CampaignConfig, CheckpointLadder, Job, LadderSpec, MetricsRecorder,
+    OnlineSimPoint, PgssSim, Recorder, SimContext, SimPointOffline, Smarts, Technique, TurboSmarts,
+    SNAPSHOT_FORMAT_VERSION,
 };
 use pgss_ckpt::{fnv1a64, CodecError, STORE_FORMAT_VERSION};
 use pgss_cpu::{
@@ -80,8 +82,11 @@ fn every_technique_is_bit_exact_under_checkpoint_acceleration() {
     for t in techniques() {
         let plain = t.run_traced(&w, &cfg, &SimContext::none());
         let spec = LadderSpec::for_techniques(500_000, [t.as_ref()]);
-        let ladder = Arc::new(CheckpointLadder::capture(&w, &cfg, &spec));
-        let ctx = SimContext::with_ladder(Arc::clone(&ladder));
+        let rec = Arc::new(MetricsRecorder::new());
+        let ctx = SimContext {
+            recorder: Arc::clone(&rec) as Arc<dyn Recorder>,
+            ..SimContext::with_ladder(Arc::new(CheckpointLadder::capture(&w, &cfg, &spec)))
+        };
         let fast = t.run_traced(&w, &cfg, &ctx);
         assert_eq!(
             plain,
@@ -89,10 +94,14 @@ fn every_technique_is_bit_exact_under_checkpoint_acceleration() {
             "{}: checkpoint acceleration changed the result",
             t.name()
         );
-        let report = ladder.report();
-        assert!(report.jumps > 0, "{}: never jumped", t.name());
+        let frame = rec.frame();
         assert!(
-            report.skipped_ops > 0,
+            frame.counter("driver.jumps") > 0,
+            "{}: never jumped",
+            t.name()
+        );
+        assert!(
+            frame.counter(JUMPED_OPS_KEY) > 0,
             "{}: jumped without skipping work",
             t.name()
         );
@@ -127,14 +136,26 @@ fn checkpointed_campaign_round_trips_through_the_store() {
         "{:?}",
         first.checkpoint_faults
     );
-    assert!(first.ladder.capture_ops > 0, "first run must capture");
-    assert!(first.ladder.total_executed() < first.ladder.baseline_ops());
+    assert_ladder_totals_are_the_cells(&first);
+    let ladder = |name| util::ladder_counter(&first, name);
+    assert!(ladder("capture_ops") > 0, "first run must capture");
+    assert!(
+        ladder("executed_ops") + ladder("capture_ops")
+            < ladder("executed_ops") + ladder("skipped_ops"),
+        "checkpointing must execute fewer ops than the plain campaign"
+    );
 
     // Second run: ladders come back from disk, so nothing is recaptured
     // and the cells are still identical.
     let second = util::checkpointed_campaign(&jobs, &store);
     assert_eq!(plain.cells, second.cells);
-    assert_eq!(second.ladder.capture_ops, 0, "second run must load");
+    assert_ladder_totals_are_the_cells(&second);
+    assert_eq!(
+        util::ladder_counter(&second, "capture_ops"),
+        0,
+        "second run must load"
+    );
+    assert!(util::ladder_counter(&second, "jumps") > 0);
     assert!(second.checkpoint_faults.is_empty());
 
     // Injected corruption: truncate every record, then run again. The
@@ -150,10 +171,43 @@ fn checkpointed_campaign_round_trips_through_the_store() {
     }
     let third = util::checkpointed_campaign(&jobs, &store);
     assert_eq!(plain.cells, third.cells);
-    assert!(third.ladder.capture_ops > 0, "corrupt store must recapture");
+    assert!(
+        util::ladder_counter(&third, "capture_ops") > 0,
+        "corrupt store must recapture"
+    );
     assert!(
         !third.checkpoint_faults.is_empty(),
         "wholesale corruption must be ledgered"
+    );
+}
+
+/// Asserts that `report`'s campaign-scope `ckpt.ladder.{jumps,
+/// skipped_ops, executed_ops}` are the sums of its cell scopes' driver
+/// counters, executed ops being the logical `driver.ops.<mode>` net of
+/// the jumped ones.
+fn assert_ladder_totals_are_the_cells(report: &pgss::CampaignReport) {
+    let mut jumps = 0;
+    let mut skipped = 0;
+    let mut logical = 0;
+    for cell in &report.cells {
+        let scope = report.metrics.scope(&cell.scope_name()).unwrap();
+        jumps += scope.counter("driver.jumps");
+        skipped += scope.counter(JUMPED_OPS_KEY);
+        for mode in [
+            Mode::FastForward,
+            Mode::Functional,
+            Mode::DetailedWarming,
+            Mode::DetailedMeasured,
+        ] {
+            logical += scope.counter(mode_ops_key(mode));
+        }
+    }
+    assert!(!report.cells.is_empty());
+    assert_eq!(util::ladder_counter(report, "jumps"), jumps);
+    assert_eq!(util::ladder_counter(report, "skipped_ops"), skipped);
+    assert_eq!(
+        util::ladder_counter(report, "executed_ops"),
+        logical - skipped
     );
 }
 
@@ -169,7 +223,8 @@ fn each_ladder_is_one_store_record() {
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
     let report = util::checkpointed_campaign(&jobs, &store);
     assert!(report.is_complete(), "{}", report.ledger());
-    assert!(report.ladder.capture_ops > 0 && report.checkpoint_faults.is_empty());
+    assert!(util::ladder_counter(&report, "capture_ops") > 0);
+    assert!(report.checkpoint_faults.is_empty());
 
     // Two (workload, config) groups: two record files, at the groups' keys.
     let mut files: Vec<_> = std::fs::read_dir(tmp.path())
@@ -247,7 +302,11 @@ fn corrupt_rung_is_quarantined_recaptured_and_bit_exact() {
     // Next run loads clean: no recapture, no faults.
     let clean = util::checkpointed_campaign(&jobs, &store);
     assert_eq!(plain.cells, clean.cells);
-    assert_eq!(clean.ladder.capture_ops, 0, "store must be healed");
+    assert_eq!(
+        util::ladder_counter(&clean, "capture_ops"),
+        0,
+        "store must be healed"
+    );
     assert!(
         clean.checkpoint_faults.is_empty(),
         "{:?}",
@@ -376,7 +435,10 @@ fn checkpointed_multi_group_campaign_is_identical_across_worker_counts() {
     let one = run(1);
     assert!(one.is_complete(), "{}", one.ledger());
     assert_eq!(one.retries, 2, "one retried cell per group");
-    assert!(one.ladder.capture_ops > 0, "corrupt ladders are recaptured");
+    assert!(
+        util::ladder_counter(&one, "capture_ops") > 0,
+        "corrupt ladders are recaptured"
+    );
     let flaky = FlakyOnce::new();
     let plain = campaign::run_with(
         &jobs(&workloads, &flaky, &pgss),

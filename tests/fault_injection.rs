@@ -154,7 +154,7 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
 
     let clean = fault_free(|| util::checkpointed_campaign(&jobs, &store));
     assert!(clean.checkpoint_faults.is_empty());
-    assert!(clean.ladder.capture_ops > 0);
+    assert!(util::ladder_counter(&clean, "capture_ops") > 0);
 
     // A ladder load is one read (get #0): corrupt it. The store sees a
     // checksum mismatch — indistinguishable from on-disk bit rot —
@@ -184,7 +184,7 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
         healed.checkpoint_faults
     );
     assert!(
-        healed.ladder.capture_ops > 0,
+        util::ladder_counter(&healed, "capture_ops") > 0,
         "must recapture after quarantine"
     );
     // The quarantine sidecar preserved exactly the one faulted record
@@ -204,7 +204,7 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
     // With faults cleared the recaptured store loads clean.
     let after = fault_free(|| util::checkpointed_campaign(&jobs, &store));
     assert_eq!(clean.cells, after.cells);
-    assert_eq!(after.ladder.capture_ops, 0);
+    assert_eq!(util::ladder_counter(&after, "capture_ops"), 0);
     assert!(
         after.checkpoint_faults.is_empty(),
         "{:?}",
@@ -268,7 +268,8 @@ fn injected_store_io_errors_degrade_gracefully() {
     let healed = fault_free(|| util::checkpointed_campaign(&jobs, &store));
     assert_eq!(plain.cells, healed.cells);
     assert_eq!(
-        healed.ladder.capture_ops, 0,
+        util::ladder_counter(&healed, "capture_ops"),
+        0,
         "{:?}",
         healed.checkpoint_faults
     );

@@ -65,6 +65,14 @@ pub fn checkpointed_campaign(
     pgss::campaign::run_checkpointed_with(jobs, 50_000, Some(store), &config).expect("valid config")
 }
 
+/// The campaign-scope counter `ckpt.ladder.<name>` of a checkpointed
+/// campaign's report (`jumps`, `skipped_ops`, `executed_ops` or
+/// `capture_ops`).
+pub fn ladder_counter(report: &pgss::CampaignReport, name: &str) -> u64 {
+    let scope = report.metrics.scope("campaign").expect("a campaign scope");
+    scope.counter(&format!("ckpt.ladder.{name}"))
+}
+
 /// A small random kernel.
 fn random_kernel(rng: &mut DetRng) -> Kernel {
     match rng.range_u64(6) {
